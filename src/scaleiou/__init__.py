@@ -14,12 +14,15 @@ from .criteria import (
     EVALUATION_PRESET,
     LOSS_PRESET,
     alpha_iou,
+    boxes_array,
+    elementwise,
     evaluate,
     exponent_p,
     giou,
     gsiou,
     iou,
     nwd,
+    pairwise,
     siou,
     value_range,
 )
@@ -63,6 +66,7 @@ from .rating import (
     RatingRecord,
     criterion_rating_correlation,
     group_means,
+    group_records,
     kendall_tau,
     one_way_anova,
     relative_gap,

@@ -19,19 +19,12 @@ import sys
 from typing import Optional, Sequence
 
 from . import stats, theory
-from .criteria import CriterionId, CriterionParams, evaluate
-from .errors import (
-    DegenerateInput,
-    EmptyCell,
-    InsufficientSamples,
-    ParseError,
-    QuadratureNonConvergence,
-    ScaleIoUError,
-)
+from .criteria import CriterionId, CriterionParams, evaluate, value_range
+from .errors import ParseError, QuadratureNonConvergence, ScaleIoUError
 from .evaluation import EvalConfig, map_report
 from .geometry import Box, SizeClass
 from .io import load_boxes, load_ratings, write_table
-from .rating import criterion_rating_correlation, group_means, one_way_anova, relative_gap
+from .rating import criterion_rating_correlation, group_means, group_records, one_way_anova, relative_gap
 from .stats import PdfMethod, ShiftDirection, ShiftModel
 
 DEFAULTS = {
@@ -108,9 +101,7 @@ def _load_config(path: Optional[str]) -> dict:
     return values
 
 
-def _resolve_params(args) -> CriterionParams:
-    config = _load_config(getattr(args, "config", None))
-
+def _resolve_params(args, config: dict) -> CriterionParams:
     def pick(name):
         flag = getattr(args, name, None)
         if flag is not None:
@@ -125,8 +116,7 @@ def _resolve_params(args) -> CriterionParams:
     )
 
 
-def _resolve_thresholds(args) -> tuple[float, ...]:
-    config = _load_config(getattr(args, "config", None))
+def _resolve_thresholds(args, config: dict) -> tuple[float, ...]:
     raw = getattr(args, "thresholds", None)
     if raw is not None:
         return tuple(_parse_floats(raw))
@@ -231,15 +221,15 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _cmd_criterion(args) -> int:
-    params = _resolve_params(args)
+def _cmd_criterion(args, config) -> int:
+    params = _resolve_params(args, config)
     value = evaluate(_criterion_id(args.id), _parse_corner_box(args.a), _parse_corner_box(args.b), params)
     print(f"{value:.6f}")
     return EXIT_OK
 
 
-def _cmd_shift_curve(args) -> int:
-    params = _resolve_params(args)
+def _cmd_shift_curve(args, config) -> int:
+    params = _resolve_params(args, config)
     cid = _criterion_id(args.id)
     direction = ShiftDirection(args.direction)
     if args.steps < 2:
@@ -264,18 +254,17 @@ def _shift_model(args) -> ShiftModel:
     )
 
 
-def _cmd_simulate(args) -> int:
-    params = _resolve_params(args)
+def _cmd_simulate(args, config) -> int:
+    params = _resolve_params(args, config)
     cid = _criterion_id(args.id)
-    samples = stats.simulate_criterion(
-        cid, args.omega, _shift_model(args), args.n, args.seed, params, _n_threads()
-    )
+    model = _shift_model(args)
+    samples = stats.simulate_criterion(cid, args.omega, model, args.n, args.seed, params, _n_threads())
     summary = stats.summarize(samples, omega=args.omega)
     rows = [
         {
             "criterion": cid.value,
             "omega": summary.omega,
-            "sigma": _shift_model(args).sigma(args.omega),
+            "sigma": model.sigma(args.omega),
             "n": summary.n_samples,
             "mean": summary.mean,
             "std_dev": summary.std_dev,
@@ -284,10 +273,7 @@ def _cmd_simulate(args) -> int:
     ]
     columns = ("criterion", "omega", "sigma", "n", "mean", "std_dev", "std_error")
     if args.pdf is not None:
-        method = PdfMethod.HISTOGRAM if args.pdf == "histogram" else PdfMethod.GAUSSIAN_KDE
-        from .criteria import value_range
-
-        pdf = stats.empirical_pdf(samples, method, bounds=value_range(cid), bins=args.bins)
+        pdf = stats.empirical_pdf(samples, PdfMethod(args.pdf), bounds=value_range(cid), bins=args.bins)
         rows = [
             {"criterion": cid.value, "omega": args.omega, "z": z, "density": d}
             for z, d in pdf
@@ -297,8 +283,8 @@ def _cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def _cmd_moments(args) -> int:
-    params = _resolve_params(args)
+def _cmd_moments(args, config) -> int:
+    params = _resolve_params(args, config)
     model = _shift_model(args)
     omegas = _parse_floats(args.omega)
     rows = []
@@ -322,8 +308,8 @@ def _cmd_moments(args) -> int:
     return EXIT_OK
 
 
-def _cmd_theory(args) -> int:
-    params = _resolve_params(args)
+def _cmd_theory(args, config) -> int:
+    params = _resolve_params(args, config)
     criteria = [_criterion_id(raw) for raw in args.id.split(",")]
     setups = [theory.TheorySetup(omega, args.sigma, params) for omega in _parse_floats(args.omega)]
     if args.check_mc:
@@ -353,17 +339,16 @@ def _cmd_theory(args) -> int:
     return EXIT_OK
 
 
-def _cmd_eval(args) -> int:
-    params = _resolve_params(args)
+def _cmd_eval(args, config) -> int:
+    params = _resolve_params(args, config)
     detections, ground_truths = load_boxes(args.boxes)
-    size_filter = None if args.size == "all" else SizeClass(args.size)
-    config = EvalConfig(
+    eval_config = EvalConfig(
         criterion=_criterion_id(args.id),
         params=params,
-        thresholds=tuple(sorted(_resolve_thresholds(args))),
-        size_filter=size_filter,
+        thresholds=tuple(sorted(_resolve_thresholds(args, config))),
+        size_filter=None if args.size == "all" else SizeClass(args.size),
     )
-    rows = map_report(detections, ground_truths, config)
+    rows = map_report(detections, ground_truths, eval_config)
     for row in rows:
         if row["ap"] is None:
             row["ap"] = ""
@@ -371,8 +356,8 @@ def _cmd_eval(args) -> int:
     return EXIT_OK
 
 
-def _cmd_rating(args) -> int:
-    params = _resolve_params(args)
+def _cmd_rating(args, config) -> int:
+    params = _resolve_params(args, config)
     cid = _criterion_id(args.id)
     records = load_ratings(args.ratings)
     if args.analysis == "correlation":
@@ -392,14 +377,10 @@ def _cmd_rating(args) -> int:
         ]
         columns = ("criterion", "size", "rating", "relative_gap")
     else:  # anova on ratings grouped by the grouping variable
-        from .rating import _group_key
-
-        groups: dict[str, list[float]] = {}
-        for record in records:
-            key = _group_key(record, args.grouping)
-            if key is not None:
-                groups.setdefault(key, []).append(float(record.rating))
-        f_stat, p_value = one_way_anova([groups[k] for k in sorted(groups)])
+        groups = group_records(records, args.grouping)
+        f_stat, p_value = one_way_anova(
+            [[records[i].rating for i in index] for index in groups.values()]
+        )
         rows = [
             {
                 "grouping": args.grouping,
@@ -413,8 +394,8 @@ def _cmd_rating(args) -> int:
     return EXIT_OK
 
 
-def _cmd_order_check(args) -> int:
-    params = _resolve_params(args)
+def _cmd_order_check(args, config) -> int:
+    params = _resolve_params(args, config)
     rate = stats.order_preservation_rate(params, args.n, args.seed)
     rows = [
         {
@@ -445,16 +426,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return _COMMANDS[args.command](args)
-    except UsageError as exc:
+        return _COMMANDS[args.command](args, _load_config(args.config))
+    except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (ParseError, EmptyCell, DegenerateInput, InsufficientSamples) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
     except QuadratureNonConvergence as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

@@ -15,8 +15,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import TYPE_CHECKING, Iterable
 
-from .geometry import Box, enclosing_hull_area, intersection_area, union_area
+import numpy as np
+
+if TYPE_CHECKING:
+    from .geometry import Box
+
+_SQRT2 = math.sqrt(2.0)
 
 
 class CriterionId(Enum):
@@ -64,81 +70,134 @@ LOSS_PRESET = CriterionParams(gamma=-3.0, kappa=16.0)
 DEFAULT_PARAMS = EVALUATION_PRESET
 
 
-def iou(b1: Box, b2: Box) -> float:
-    """Intersection over union, in [0, 1]."""
-    return intersection_area(b1, b2) / union_area(b1, b2)
+# The kernel: each formula once, on broadcastable center-form components
+# a = (x1, y1, w1, h1) and b = (x2, y2, w2, h2), numpy arrays or floats.
+# Transcendental steps are numpy ufunc calls, whose loops agree bit for bit
+# across 0-d, length-1, strided and broadcast operands; libm, Python's `**`
+# and numpy's scalar math can differ from them in the last bit. So the
+# scalar and the batched entry points below give the same bits.
 
 
-def giou(b1: Box, b2: Box) -> float:
-    """Generalized IoU: IoU - (hull - union)/hull, in (-1, 1]."""
-    u = union_area(b1, b2)
-    hull = enclosing_hull_area(b1, b2)
-    return intersection_area(b1, b2) / u - (hull - u) / hull
+def areas(a, b, hull: bool = False):
+    """Intersection and union areas, and with hull=True the area of the
+    smallest axis-aligned rectangle containing both boxes (else None)."""
+    (x1, y1, w1, h1), (x2, y2, w2, h2) = a, b
+    # edges are recomputed rather than kept, so a batch holds few temporaries
+    iw = np.minimum(x1 + w1 / 2, x2 + w2 / 2) - np.maximum(x1 - w1 / 2, x2 - w2 / 2)
+    ih = np.minimum(y1 + h1 / 2, y2 + h2 / 2) - np.maximum(y1 - h1 / 2, y2 - h2 / 2)
+    inter = np.maximum(iw, 0.0) * np.maximum(ih, 0.0)
+    union = w1 * h1 + w2 * h2 - inter
+    if not hull:
+        return inter, union, None
+    hw = np.maximum(x1 + w1 / 2, x2 + w2 / 2) - np.minimum(x1 - w1 / 2, x2 - w2 / 2)
+    hh = np.maximum(y1 + h1 / 2, y2 + h2 / 2) - np.minimum(y1 - h1 / 2, y2 - h2 / 2)
+    return inter, union, hw * hh
+
+
+def exponent(a, b, params: CriterionParams):
+    """Scale-adaptive exponent p = 1 - gamma * exp(-sqrt(w1h1 + w2h2)/(sqrt(2) kappa))."""
+    s = np.sqrt(a[2] * a[3] + b[2] * b[3])
+    return 1.0 - params.gamma * np.exp(-s / (_SQRT2 * params.kappa))
+
+
+def signed_power(base, p):
+    """sign(base) * |base|**p, so 0 stays 0 for p > 0."""
+    return np.copysign(np.power(np.abs(base), p), base)
+
+
+def kernel(cid: CriterionId, a, b, params: CriterionParams = DEFAULT_PARAMS):
+    """Criterion values on broadcastable center-form components a and b."""
+    if not isinstance(cid, CriterionId):
+        raise ValueError(f"unknown criterion {cid!r}")
+    if cid is CriterionId.NWD:
+        # exp(-W2 / C), W2 the 2-Wasserstein distance between the Gaussians
+        # N([x, y], diag(w^2/4, h^2/4)) fitted on the boxes (arXiv 2110.13389)
+        dx, dy = a[0] - b[0], a[1] - b[1]
+        dw, dh = (a[2] - b[2]) / 2, (a[3] - b[3]) / 2
+        return np.exp(-np.sqrt(dx * dx + dy * dy + (dw * dw + dh * dh)) / params.nwd_constant)
+    inter, union, hull = areas(a, b, hull=cid in (CriterionId.GIOU, CriterionId.GSIOU))
+    value = inter / union
+    if hull is not None:  # GIoU (arXiv 1902.09630)
+        value = value - (hull - union) / hull
+    if cid is CriterionId.ALPHA_IOU:  # arXiv 2110.13675
+        return signed_power(value, params.alpha)
+    if cid in (CriterionId.SIOU, CriterionId.GSIOU):
+        return signed_power(value, exponent(a, b, params))
+    return value
+
+
+def boxes_array(boxes: Iterable[Box]) -> np.ndarray:
+    """Center-form (N, 4) float array of the boxes' (x, y, w, h)."""
+    return np.array([(b.x, b.y, b.w, b.h) for b in boxes], dtype=float).reshape(-1, 4)
+
+
+def _components(boxes) -> np.ndarray:
+    boxes = np.asarray(boxes, dtype=float)
+    if boxes.ndim == 0 or boxes.shape[-1] != 4:
+        raise ValueError(f"boxes must have shape (..., 4), got {boxes.shape}")
+    return np.moveaxis(boxes, -1, 0)
+
+
+def elementwise(cid: CriterionId, a, b, params: CriterionParams = DEFAULT_PARAMS) -> np.ndarray:
+    """Criterion between center-form (..., 4) box arrays a and b, which
+    broadcast against each other."""
+    return kernel(cid, _components(a), _components(b), params)
+
+
+def pairwise(cid: CriterionId, a, b, params: CriterionParams = DEFAULT_PARAMS) -> np.ndarray:
+    """N x M matrix of the criterion between every row of the center-form
+    (N, 4) array a and every row of the (M, 4) array b."""
+    a, b = _components(a), _components(b)
+    if a.ndim != 2 or b.ndim != 2:
+        raise ValueError("pairwise takes (N, 4) and (M, 4) box arrays")
+    return kernel(cid, a[:, :, None], b[:, None, :], params)
+
+
+# Scalar API: the kernel on (1, 4) arrays, one box each.
+
+
+def evaluate(cid: CriterionId, b1: Box, b2: Box, params: CriterionParams = DEFAULT_PARAMS) -> float:
+    """Uniform dispatch over the criterion family, for one pair of boxes.
+
+    Bit-equal to elementwise and pairwise, which score many pairs per call
+    at a small fraction of this call's cost per pair.
+    """
+    return float(elementwise(cid, boxes_array([b1]), boxes_array([b2]), params)[0])
 
 
 def exponent_p(b1: Box, b2: Box, params: CriterionParams) -> float:
     """Scale-adaptive exponent p = 1 - gamma * exp(-sqrt(w1h1 + w2h2)/(sqrt(2) kappa))."""
-    s = math.sqrt(b1.w * b1.h + b2.w * b2.h)
-    return 1.0 - params.gamma * math.exp(-s / (math.sqrt(2.0) * params.kappa))
+    return float(exponent(boxes_array([b1]).T, boxes_array([b2]).T, params)[0])
 
 
-def signed_power(base: float, p: float) -> float:
-    """sign(base) * |base|**p, with 0**p = 0 for p > 0."""
-    if base == 0.0:
-        return 0.0
-    if p == 1.0:
-        # exact identity so gamma = 0 reproduces IoU/GIoU bit-for-bit
-        return base
-    return math.copysign(math.exp(p * math.log(abs(base))), base)
+def iou(b1: Box, b2: Box) -> float:
+    """Intersection over union, in [0, 1]."""
+    return evaluate(CriterionId.IOU, b1, b2)
+
+
+def giou(b1: Box, b2: Box) -> float:
+    """Generalized IoU: IoU - (hull - union)/hull, in (-1, 1]."""
+    return evaluate(CriterionId.GIOU, b1, b2)
 
 
 def siou(b1: Box, b2: Box, params: CriterionParams) -> float:
     """Scale-adaptive IoU: IoU**p, in [0, 1]."""
-    return signed_power(iou(b1, b2), exponent_p(b1, b2, params))
+    return evaluate(CriterionId.SIOU, b1, b2, params)
 
 
 def gsiou(b1: Box, b2: Box, params: CriterionParams) -> float:
     """Signed-power extension of GIoU: sign(g) * |g|**p, in (-1, 1]."""
-    return signed_power(giou(b1, b2), exponent_p(b1, b2, params))
+    return evaluate(CriterionId.GSIOU, b1, b2, params)
 
 
 def alpha_iou(b1: Box, b2: Box, params: CriterionParams) -> float:
     """IoU**alpha with a constant exponent, in [0, 1]."""
-    return signed_power(iou(b1, b2), params.alpha)
-
-
-def wasserstein_distance(b1: Box, b2: Box) -> float:
-    """2-Wasserstein distance between the Gaussians N([x, y], diag(w^2/4, h^2/4))
-    fitted on the two boxes."""
-    d2 = (
-        (b1.x - b2.x) ** 2
-        + (b1.y - b2.y) ** 2
-        + ((b1.w - b2.w) / 2) ** 2
-        + ((b1.h - b2.h) / 2) ** 2
-    )
-    return math.sqrt(d2)
+    return evaluate(CriterionId.ALPHA_IOU, b1, b2, params)
 
 
 def nwd(b1: Box, b2: Box, params: CriterionParams) -> float:
     """Normalized Wasserstein distance exp(-W2 / C), in (0, 1]."""
-    return math.exp(-wasserstein_distance(b1, b2) / params.nwd_constant)
-
-
-def evaluate(cid: CriterionId, b1: Box, b2: Box, params: CriterionParams = DEFAULT_PARAMS) -> float:
-    """Uniform dispatch over the criterion family."""
-    if cid is CriterionId.IOU:
-        return iou(b1, b2)
-    if cid is CriterionId.GIOU:
-        return giou(b1, b2)
-    if cid is CriterionId.ALPHA_IOU:
-        return alpha_iou(b1, b2, params)
-    if cid is CriterionId.NWD:
-        return nwd(b1, b2, params)
-    if cid is CriterionId.SIOU:
-        return siou(b1, b2, params)
-    if cid is CriterionId.GSIOU:
-        return gsiou(b1, b2, params)
-    raise ValueError(f"unknown criterion {cid!r}")
+    return evaluate(CriterionId.NWD, b1, b2, params)
 
 
 def value_range(cid: CriterionId) -> tuple[float, float]:

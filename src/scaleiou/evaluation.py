@@ -14,7 +14,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .criteria import CriterionId, CriterionParams, DEFAULT_PARAMS, evaluate
+from .criteria import CriterionId, CriterionParams, DEFAULT_PARAMS, boxes_array, pairwise
 from .geometry import Box, SizeClass, size_class
 
 
@@ -51,17 +51,64 @@ class EvalConfig:
             raise ValueError("thresholds must be non-empty")
         if list(self.thresholds) != sorted(self.thresholds):
             raise ValueError("thresholds must be sorted ascending")
+        if len(set(self.thresholds)) != len(self.thresholds):
+            raise ValueError(f"thresholds must be distinct, got {self.thresholds}")
         for t in self.thresholds:
             if not 0.0 < t <= 1.0:
                 raise ValueError(f"thresholds must lie in (0, 1], got {t}")
 
 
-def _ranked(dets: Sequence[DetectionRecord]):
-    """Detections in match order: descending score, ties broken by
-    (image_id, input index) so results are input-order independent."""
-    return sorted(
-        enumerate(dets), key=lambda item: (-item[1].score, item[1].image_id, item[0])
-    )
+def _ranked(dets: Sequence[DetectionRecord]) -> list[int]:
+    """Indices of the detections in match order: descending score, ties
+    broken by (image_id, input index) so results are input-order independent."""
+    return sorted(range(len(dets)), key=lambda i: (-dets[i].score, dets[i].image_id, i))
+
+
+class _ScoredGroups:
+    """The criterion between every detection and every ground truth of its
+    (image, category) group, computed once with one pairwise matrix per group.
+
+    candidates[i] lists (ground-truth index, criterion value) for detection i,
+    in ground-truth input order; size[j] is the size class of ground truth j.
+    """
+
+    def __init__(self, dets, gts, criterion: CriterionId, params: CriterionParams):
+        groups: dict[tuple[str, str], tuple[list[int], list[int]]] = {}
+        for i, det in enumerate(dets):
+            groups.setdefault((det.image_id, det.category), ([], []))[0].append(i)
+        for j, gt in enumerate(gts):
+            groups.setdefault((gt.image_id, gt.category), ([], []))[1].append(j)
+        self.candidates: list[list[tuple[int, float]]] = [[] for _ in dets]
+        for det_index, gt_index in groups.values():
+            if det_index and gt_index:
+                values = pairwise(
+                    criterion,
+                    boxes_array(dets[i].box for i in det_index),
+                    boxes_array(gts[j].box for j in gt_index),
+                    params,
+                )
+                for i, row in zip(det_index, values.tolist()):
+                    self.candidates[i] = list(zip(gt_index, row))
+        self.size = [size_class(gt.box) for gt in gts]
+
+    def match(self, order: Sequence[int], size_filter: Optional[SizeClass], threshold: float):
+        """Greedy labels of the detections `order`, in that order (see match_detections)."""
+        matched: set[int] = set()
+        labels = []
+        for i in order:
+            label = MatchLabel.FP
+            for want_in_bucket, bucket_label in ((True, MatchLabel.TP), (False, MatchLabel.IGNORED)):
+                best, best_value = None, -float("inf")
+                for j, value in self.candidates[i]:
+                    in_bucket = size_filter is None or self.size[j] is size_filter
+                    if j not in matched and in_bucket is want_in_bucket and value > best_value:
+                        best, best_value = j, value
+                if best is not None and best_value >= threshold:
+                    matched.add(best)
+                    label = bucket_label
+                    break
+            labels.append(label)
+        return labels
 
 
 def match_detections(
@@ -80,41 +127,10 @@ def match_detections(
 
     Returns (detection, label) pairs in rank order.
     """
-    gt_by_group: dict[tuple[str, str], list[GroundTruthRecord]] = {}
-    for gt in gts:
-        gt_by_group.setdefault((gt.image_id, gt.category), []).append(gt)
-    matched: set[int] = set()
-
-    def best_match(det, candidates):
-        best, best_value = None, -float("inf")
-        for gt in candidates:
-            if id(gt) in matched:
-                continue
-            value = evaluate(config.criterion, det.box, gt.box, config.params)
-            if value > best_value:
-                best, best_value = gt, value
-        return (best, best_value) if best is not None and best_value >= threshold else (None, 0.0)
-
-    results = []
-    for _, det in _ranked(dets):
-        group = gt_by_group.get((det.image_id, det.category), [])
-        if config.size_filter is None:
-            counted, ignored = group, []
-        else:
-            counted = [g for g in group if size_class(g.box) is config.size_filter]
-            ignored = [g for g in group if size_class(g.box) is not config.size_filter]
-        gt, _ = best_match(det, counted)
-        if gt is not None:
-            matched.add(id(gt))
-            results.append((det, MatchLabel.TP))
-            continue
-        gt, _ = best_match(det, ignored)
-        if gt is not None:
-            matched.add(id(gt))
-            results.append((det, MatchLabel.IGNORED))
-        else:
-            results.append((det, MatchLabel.FP))
-    return results
+    order = _ranked(dets)
+    groups = _ScoredGroups(dets, gts, config.criterion, config.params)
+    labels = groups.match(order, config.size_filter, threshold)
+    return [(dets[i], label) for i, label in zip(order, labels)]
 
 
 def count_ground_truths(
@@ -186,23 +202,16 @@ def map_report(
     buckets = _BUCKETS if config.size_filter is None else tuple(
         (name, sc) for name, sc in _BUCKETS if sc is config.size_filter
     )
+    groups = _ScoredGroups(dets, gts, config.criterion, config.params)
+    ranked = _ranked(dets)
+    order_by_category = {c: [i for i in ranked if dets[i].category == c] for c in categories}
     rows = []
     for bucket_name, bucket in buckets:
-        bucket_config = EvalConfig(
-            criterion=config.criterion,
-            params=config.params,
-            thresholds=config.thresholds,
-            size_filter=bucket,
-        )
         ap_by_threshold: dict[float, list[float]] = {t: [] for t in config.thresholds}
         for category in categories:
-            cat_dets = [d for d in dets if d.category == category]
-            cat_gts = [g for g in gts if g.category == category]
-            n_gt = count_ground_truths(cat_gts, bucket)
+            n_gt = count_ground_truths([g for g in gts if g.category == category], bucket)
             for threshold in config.thresholds:
-                labels = [
-                    lab for _, lab in match_detections(cat_dets, cat_gts, bucket_config, threshold)
-                ]
+                labels = groups.match(order_by_category[category], bucket, threshold)
                 ap = average_precision(labels, n_gt)
                 rows.append(
                     {

@@ -1,4 +1,4 @@
-"""Axis-aligned boxes in center form and the area primitives behind every criterion.
+"""Axis-aligned boxes in center form, their size classes, and scalar area helpers.
 
 Boxes are stored as (x, y, w, h) with (x, y) the center. Dataset files commonly
 use corner form (x_min, y_min, w, h); conversion helpers live on the Box class
@@ -10,6 +10,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+
+from .criteria import areas, boxes_array
 
 
 class SizeClass(Enum):
@@ -79,25 +81,24 @@ def area(b: Box) -> float:
     return b.w * b.h
 
 
+def _pair_areas(b1: Box, b2: Box) -> tuple[float, float, float]:
+    inter, union, hull = areas(boxes_array([b1]).T, boxes_array([b2]).T, hull=True)
+    return float(inter[0]), float(union[0]), float(hull[0])
+
+
 def intersection_area(b1: Box, b2: Box) -> float:
     """Area of the rectangular overlap; 0 when the boxes are disjoint."""
-    iw = min(b1.x_max, b2.x_max) - max(b1.x_min, b2.x_min)
-    ih = min(b1.y_max, b2.y_max) - max(b1.y_min, b2.y_min)
-    if iw <= 0 or ih <= 0:
-        return 0.0
-    return iw * ih
+    return _pair_areas(b1, b2)[0]
 
 
 def union_area(b1: Box, b2: Box) -> float:
     """area(b1) + area(b2) - intersection_area(b1, b2)."""
-    return area(b1) + area(b2) - intersection_area(b1, b2)
+    return _pair_areas(b1, b2)[1]
 
 
 def enclosing_hull_area(b1: Box, b2: Box) -> float:
     """Area of the smallest axis-aligned rectangle containing both boxes."""
-    hw = max(b1.x_max, b2.x_max) - min(b1.x_min, b2.x_min)
-    hh = max(b1.y_max, b2.y_max) - min(b1.y_min, b2.y_min)
-    return hw * hh
+    return _pair_areas(b1, b2)[2]
 
 
 def size_class(b: Box) -> SizeClass:

@@ -11,6 +11,8 @@ from __future__ import annotations
 import csv
 import io as _io
 import json
+import math
+import sys
 from typing import Optional, Sequence
 
 from .errors import ParseError
@@ -28,13 +30,22 @@ def format_number(value) -> str:
     return format(value, ".9g")
 
 
+# Largest coordinate magnitude accepted from a boxes file: the union and hull
+# areas of any two such boxes stay finite, so no criterion overflows.
+MAX_COORDINATE = 1e150
+
+
 def _corner_box(bbox, where: str) -> Box:
     if not isinstance(bbox, (list, tuple)) or len(bbox) != 4:
         raise ParseError(f"{where}: bbox must be [x_min, y_min, w, h], got {bbox!r}")
     try:
-        return Box.from_corner(*(float(v) for v in bbox))
+        x_min, y_min, w, h = (float(v) for v in bbox)
+        box = Box.from_corner(x_min, y_min, w, h)
     except (TypeError, ValueError) as exc:
         raise ParseError(f"{where}: invalid bbox {bbox!r}: {exc}") from exc
+    if not (max(abs(x_min), abs(y_min), w, h) <= MAX_COORDINATE and w * h > 0):
+        raise ParseError(f"{where}: bbox {bbox!r} out of range: beyond +-{MAX_COORDINATE:g} or area 0")
+    return box
 
 
 def load_boxes(path: str) -> tuple[list[DetectionRecord], list[GroundTruthRecord]]:
@@ -56,6 +67,8 @@ def load_boxes(path: str) -> tuple[list[DetectionRecord], list[GroundTruthRecord
 
     image_ids = set()
     for i, image in enumerate(data.get("images", [])):
+        if isinstance(image, dict) and "id" not in image:
+            raise ParseError(f"{path}: images[{i}]: missing field 'id'")
         image_ids.add(str(image["id"]) if isinstance(image, dict) else str(image))
 
     def common_fields(entry, where):
@@ -85,6 +98,8 @@ def load_boxes(path: str) -> tuple[list[DetectionRecord], list[GroundTruthRecord
             score = float(entry["score"])
         except (TypeError, ValueError) as exc:
             raise ParseError(f"{where}: invalid score {entry['score']!r}") from exc
+        if not math.isfinite(score):
+            raise ParseError(f"{where}: score must be finite, got {entry['score']!r}")
         detections.append(DetectionRecord(image_id, category, box, score))
 
     return detections, ground_truths
@@ -183,8 +198,6 @@ def write_table(
     rendered before any file is opened, so failures leave no partial output."""
     text = render_table(rows, fmt, columns)
     if path is None:
-        import sys
-
         sys.stdout.write(text)
     else:
         with open(path, "w") as fh:

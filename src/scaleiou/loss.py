@@ -16,10 +16,10 @@ from dataclasses import dataclass
 from .criteria import (
     CriterionId,
     CriterionParams,
+    boxes_array,
+    elementwise,
     evaluate,
     exponent_p,
-    giou,
-    iou,
     signed_power,
 )
 from .errors import NonDifferentiablePoint
@@ -50,18 +50,28 @@ def loss_value(cid: CriterionId, b1: Box, b2: Box, params: CriterionParams) -> f
 def _check_differentiable(b1: Box, b2: Box) -> None:
     # Kinks of the intersection/hull min/max terms sit exactly where an edge
     # of b1 coincides with an edge of b2 (on either axis).
-    for e1 in (b1.x_min, b1.x_max):
-        for e2 in (b2.x_min, b2.x_max):
-            if abs(e1 - e2) < _EDGE_TOL:
-                raise NonDifferentiablePoint(
-                    f"vertical edges coincide at {e1}; perturb the configuration"
-                )
-    for e1 in (b1.y_min, b1.y_max):
-        for e2 in (b2.y_min, b2.y_max):
-            if abs(e1 - e2) < _EDGE_TOL:
-                raise NonDifferentiablePoint(
-                    f"horizontal edges coincide at {e1}; perturb the configuration"
-                )
+    for name, edges1, edges2 in (
+        ("vertical", (b1.x_min, b1.x_max), (b2.x_min, b2.x_max)),
+        ("horizontal", (b1.y_min, b1.y_max), (b2.y_min, b2.y_max)),
+    ):
+        for e1 in edges1:
+            for e2 in edges2:
+                if abs(e1 - e2) < _EDGE_TOL:
+                    raise NonDifferentiablePoint(
+                        f"{name} edges coincide at {e1}; perturb the configuration"
+                    )
+
+
+def _axis_partials(lo1: float, hi1: float, lo2: float, hi2: float):
+    """Along one axis: the overlap extent, its partials w.r.t. b1's center and
+    size, then the same for the hull extent. Each partial follows from which
+    side of the min/max belongs to b1."""
+    in_hi, in_lo = (1.0 if hi1 < hi2 else 0.0), (1.0 if lo1 > lo2 else 0.0)
+    out_hi, out_lo = (1.0 if hi1 > hi2 else 0.0), (1.0 if lo1 < lo2 else 0.0)
+    return (
+        min(hi1, hi2) - max(lo1, lo2), in_hi - in_lo, 0.5 * (in_hi + in_lo),
+        max(hi1, hi2) - min(lo1, lo2), out_hi - out_lo, 0.5 * (out_hi + out_lo),
+    )
 
 
 def _area_partials(b1: Box, b2: Box):
@@ -70,54 +80,26 @@ def _area_partials(b1: Box, b2: Box):
     Each gradient is a 4-tuple. Assumes _check_differentiable passed, so all
     min/max selections are strict.
     """
-    iw = min(b1.x_max, b2.x_max) - max(b1.x_min, b2.x_min)
-    ih = min(b1.y_max, b2.y_max) - max(b1.y_min, b2.y_min)
-    overlap = iw > 0 and ih > 0
-
-    if overlap:
-        # d(iw)/dx1 and d(iw)/dw1 from which sides of the min/max belong to b1
-        right_active = 1.0 if b1.x_max < b2.x_max else 0.0
-        left_active = 1.0 if b1.x_min > b2.x_min else 0.0
-        diw_dx = right_active - left_active
-        diw_dw = 0.5 * (right_active + left_active)
-        top_active = 1.0 if b1.y_max < b2.y_max else 0.0
-        bot_active = 1.0 if b1.y_min > b2.y_min else 0.0
-        dih_dy = top_active - bot_active
-        dih_dh = 0.5 * (top_active + bot_active)
+    iw, diw_dx, diw_dw, hw, dhw_dx, dhw_dw = _axis_partials(b1.x_min, b1.x_max, b2.x_min, b2.x_max)
+    ih, dih_dy, dih_dh, hh, dhh_dy, dhh_dh = _axis_partials(b1.y_min, b1.y_max, b2.y_min, b2.y_max)
+    if iw > 0 and ih > 0:
         inter = iw * ih
         d_inter = (diw_dx * ih, dih_dy * iw, diw_dw * ih, dih_dh * iw)
     else:
-        inter = 0.0
-        d_inter = (0.0, 0.0, 0.0, 0.0)
-
-    d_area1 = (0.0, 0.0, b1.h, b1.w)
+        inter, d_inter = 0.0, (0.0, 0.0, 0.0, 0.0)
     union = b1.w * b1.h + b2.w * b2.h - inter
-    d_union = tuple(a - i for a, i in zip(d_area1, d_inter))
-
-    hw = max(b1.x_max, b2.x_max) - min(b1.x_min, b2.x_min)
-    hh = max(b1.y_max, b2.y_max) - min(b1.y_min, b2.y_min)
-    right_out = 1.0 if b1.x_max > b2.x_max else 0.0
-    left_out = 1.0 if b1.x_min < b2.x_min else 0.0
-    dhw_dx = right_out - left_out
-    dhw_dw = 0.5 * (right_out + left_out)
-    top_out = 1.0 if b1.y_max > b2.y_max else 0.0
-    bot_out = 1.0 if b1.y_min < b2.y_min else 0.0
-    dhh_dy = top_out - bot_out
-    dhh_dh = 0.5 * (top_out + bot_out)
+    d_union = tuple(a - i for a, i in zip((0.0, 0.0, b1.h, b1.w), d_inter))
     hull = hw * hh
     d_hull = (dhw_dx * hh, dhh_dy * hw, dhw_dw * hh, dhh_dh * hw)
-
     return inter, d_inter, union, d_union, hull, d_hull
 
 
-def _exponent_partials(b1: Box, b2: Box, params: CriterionParams):
-    """p and its partials w.r.t. (x1, y1, w1, h1)."""
+def _exponent_partials(b1: Box, b2: Box, p: float, params: CriterionParams):
+    """Partials of the exponent p w.r.t. (x1, y1, w1, h1)."""
     s = math.sqrt(b1.w * b1.h + b2.w * b2.h)
-    e = math.exp(-s / (math.sqrt(2.0) * params.kappa))
-    p = 1.0 - params.gamma * e
-    # dp/dw1 = gamma * e / (sqrt(2) kappa) * ds/dw1, ds/dw1 = h1/(2s)
-    c = params.gamma * e / (math.sqrt(2.0) * params.kappa)
-    return p, (0.0, 0.0, c * b1.h / (2 * s), c * b1.w / (2 * s))
+    # dp/dw1 = gamma * e / (sqrt(2) kappa) * ds/dw1, ds/dw1 = h1/(2s), gamma * e = 1 - p
+    c = (1.0 - p) / (math.sqrt(2.0) * params.kappa)
+    return (0.0, 0.0, c * b1.h / (2 * s), c * b1.w / (2 * s))
 
 
 def _criterion_gradient(
@@ -159,9 +141,8 @@ def _criterion_gradient(
     if cid is CriterionId.GIOU:
         return d_g
 
-    p, d_p = _exponent_partials(b1, b2, params)
-    if detach_p:
-        d_p = (0.0, 0.0, 0.0, 0.0)
+    p = exponent_p(b1, b2, params)
+    d_p = (0.0, 0.0, 0.0, 0.0) if detach_p else _exponent_partials(b1, b2, p, params)
 
     if cid is CriterionId.SIOU:
         if u == 0.0:
@@ -219,12 +200,13 @@ def finite_difference_gradient(
     frozen_p = None
     if detach_p and cid in (CriterionId.SIOU, CriterionId.GSIOU):
         frozen_p = exponent_p(b1, b2, params)
+        base_id = CriterionId.IOU if cid is CriterionId.SIOU else CriterionId.GIOU
 
     def at(dx=0.0, dy=0.0, dw=0.0, dh=0.0):
         moved = Box(b1.x + dx, b1.y + dy, b1.w + dw, b1.h + dh)
         if frozen_p is not None:
-            base = iou(moved, b2) if cid is CriterionId.SIOU else giou(moved, b2)
-            return 1.0 - signed_power(base, frozen_p)
+            base = elementwise(base_id, boxes_array([moved]), boxes_array([b2]))
+            return 1.0 - float(signed_power(base, frozen_p)[0])
         return loss_value(cid, moved, b2, params)
 
     return BoxGradient(

@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 import numpy as np
 from scipy import stats as sp_stats
 
-from .criteria import CriterionId, CriterionParams, DEFAULT_PARAMS, evaluate
+from .criteria import CriterionId, CriterionParams, DEFAULT_PARAMS, boxes_array, elementwise
 from .errors import DegenerateInput, EmptyCell
 from .geometry import Box, SizeClass, size_class
 
@@ -57,7 +57,9 @@ def criterion_values(
     cid: CriterionId,
     params: CriterionParams = DEFAULT_PARAMS,
 ) -> list[float]:
-    return [evaluate(cid, r.proposal_box, r.gt_box, params) for r in records]
+    proposals = boxes_array(r.proposal_box for r in records)
+    gts = boxes_array(r.gt_box for r in records)
+    return elementwise(cid, proposals, gts, params).tolist()
 
 
 def criterion_rating_correlation(
@@ -127,36 +129,37 @@ def _group_key(record: RatingRecord, grouping: str):
     raise ValueError(f"unknown grouping {grouping!r}")
 
 
+def group_records(records: Sequence[RatingRecord], grouping: str) -> dict[str, list[int]]:
+    """Indices of the records in each group, keys in sorted order.
+
+    grouping is one of "size", "context", "expertise", "age". Records whose
+    grouping field is absent are skipped.
+    """
+    groups: dict[str, list[int]] = {}
+    for i, record in enumerate(records):
+        key = _group_key(record, grouping)
+        if key is not None:
+            groups.setdefault(key, []).append(i)
+    return {key: groups[key] for key in sorted(groups)}
+
+
 def group_means(
     records: Sequence[RatingRecord],
     grouping: str,
     cid: CriterionId,
     params: CriterionParams = DEFAULT_PARAMS,
 ) -> list[dict]:
-    """Mean rating and mean criterion value per group.
-
-    grouping is one of "size", "context", "expertise", "age". Records whose
-    grouping field is absent are skipped.
-    """
+    """Mean rating and mean criterion value per group (see group_records)."""
     values = criterion_values(records, cid, params)
-    acc: dict[str, list[tuple[int, float]]] = {}
-    for record, value in zip(records, values):
-        key = _group_key(record, grouping)
-        if key is None:
-            continue
-        acc.setdefault(key, []).append((record.rating, value))
-    rows = []
-    for key in sorted(acc):
-        pairs = acc[key]
-        rows.append(
-            {
-                "group": key,
-                "n": len(pairs),
-                "mean_rating": sum(r for r, _ in pairs) / len(pairs),
-                "mean_criterion": sum(v for _, v in pairs) / len(pairs),
-            }
-        )
-    return rows
+    return [
+        {
+            "group": key,
+            "n": len(index),
+            "mean_rating": sum(records[i].rating for i in index) / len(index),
+            "mean_criterion": sum(values[i] for i in index) / len(index),
+        }
+        for key, index in group_records(records, grouping).items()
+    ]
 
 
 def one_way_anova(groups: Sequence[Sequence[float]]) -> tuple[float, float]:

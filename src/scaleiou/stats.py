@@ -14,6 +14,7 @@ same (seed, model, n, omega) see exactly the same shift sequence.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
@@ -22,7 +23,7 @@ from typing import Optional, Sequence
 import numpy as np
 from scipy.stats import gaussian_kde
 
-from .criteria import CriterionId, CriterionParams, DEFAULT_PARAMS, value_range
+from .criteria import CriterionId, CriterionParams, DEFAULT_PARAMS, exponent, kernel, signed_power
 from .errors import InsufficientSamples
 
 CHUNK_SIZE = 1 << 16
@@ -56,45 +57,13 @@ class ShiftModel:
 
 @dataclass(frozen=True)
 class DistributionSummary:
-    """Per-omega sample statistics, optionally with a pdf estimate."""
+    """Per-omega sample statistics."""
 
     omega: float
     mean: float
     std_dev: float
     std_error: float
     n_samples: int
-    pdf: Optional[list[tuple[float, float]]] = None
-
-
-def _iou_xywh(x1, y1, w1, h1, x2, y2, w2, h2):
-    """Vectorized IoU on center-form component arrays."""
-    iw = np.minimum(x1 + w1 / 2, x2 + w2 / 2) - np.maximum(x1 - w1 / 2, x2 - w2 / 2)
-    ih = np.minimum(y1 + h1 / 2, y2 + h2 / 2) - np.maximum(y1 - h1 / 2, y2 - h2 / 2)
-    inter = np.clip(iw, 0, None) * np.clip(ih, 0, None)
-    union = w1 * h1 + w2 * h2 - inter
-    return inter / union
-
-
-def _giou_xywh(x1, y1, w1, h1, x2, y2, w2, h2):
-    """Vectorized GIoU on center-form component arrays."""
-    iw = np.minimum(x1 + w1 / 2, x2 + w2 / 2) - np.maximum(x1 - w1 / 2, x2 - w2 / 2)
-    ih = np.minimum(y1 + h1 / 2, y2 + h2 / 2) - np.maximum(y1 - h1 / 2, y2 - h2 / 2)
-    inter = np.clip(iw, 0, None) * np.clip(ih, 0, None)
-    union = w1 * h1 + w2 * h2 - inter
-    hw = np.maximum(x1 + w1 / 2, x2 + w2 / 2) - np.minimum(x1 - w1 / 2, x2 - w2 / 2)
-    hh = np.maximum(y1 + h1 / 2, y2 + h2 / 2) - np.minimum(y1 - h1 / 2, y2 - h2 / 2)
-    hull = hw * hh
-    return inter / union - (hull - union) / hull
-
-
-def _signed_power(values: np.ndarray, p) -> np.ndarray:
-    return np.sign(values) * np.abs(values) ** p
-
-
-def _pair_exponent(area1, area2, params: CriterionParams):
-    return 1.0 - params.gamma * np.exp(
-        -np.sqrt(area1 + area2) / (math.sqrt(2.0) * params.kappa)
-    )
 
 
 def criterion_on_shifts(
@@ -109,26 +78,7 @@ def criterion_on_shifts(
     and a ground-truth square of width size_ratio * omega at the origin."""
     w1 = float(omega)
     w2 = float(size_ratio) * w1
-    zeros = np.zeros_like(dx)
-    args = (dx, dy, np.full_like(dx, w1), np.full_like(dx, w1),
-            zeros, zeros, np.full_like(dx, w2), np.full_like(dx, w2))
-
-    if cid is CriterionId.IOU:
-        return _iou_xywh(*args)
-    if cid is CriterionId.GIOU:
-        return _giou_xywh(*args)
-    if cid is CriterionId.ALPHA_IOU:
-        return _iou_xywh(*args) ** params.alpha
-    if cid is CriterionId.NWD:
-        half_dw = (w1 - w2) / 2
-        w_dist = np.sqrt(dx * dx + dy * dy + 2 * half_dw * half_dw)
-        return np.exp(-w_dist / params.nwd_constant)
-    p = _pair_exponent(w1 * w1, w2 * w2, params)
-    if cid is CriterionId.SIOU:
-        return _iou_xywh(*args) ** p
-    if cid is CriterionId.GSIOU:
-        return _signed_power(_giou_xywh(*args), p)
-    raise ValueError(f"unknown criterion {cid!r}")
+    return kernel(cid, (dx, dy, w1, w1), (0.0, 0.0, w2, w2), params)
 
 
 def shift_curve(
@@ -168,8 +118,9 @@ def sample_shifts(omega: float, model: ShiftModel, n: int, seed: int, n_threads:
         return np.random.default_rng(ss).normal(0.0, sigma, size)
 
     chunks = _chunk_seeds(seed, n)
-    if n_threads > 1 and len(chunks) > 1:
-        with ThreadPoolExecutor(max_workers=n_threads) as pool:
+    n_workers = min(n_threads, len(chunks), os.cpu_count() or 1)
+    if n_workers > 1:
+        with ThreadPoolExecutor(max_workers=n_workers) as pool:
             parts = list(pool.map(draw, chunks))
     else:
         parts = [draw(c) for c in chunks]
@@ -348,20 +299,21 @@ def order_preservation_counts(
         ws = np.exp(
             rng.uniform(math.log(sampler.width_min), math.log(sampler.width_max), (3, batch))
         )
-        u12 = _iou_xywh(xs[0], ys[0], ws[0], ws[0], xs[1], ys[1], ws[1], ws[1])
-        u13 = _iou_xywh(xs[0], ys[0], ws[0], ws[0], xs[2], ys[2], ws[2], ws[2])
+        b1, b2, b3 = ((xs[k], ys[k], ws[k], ws[k]) for k in range(3))
+        u12 = kernel(CriterionId.IOU, b1, b2)
+        u13 = kernel(CriterionId.IOU, b1, b3)
         keep = ~((u12 == 0) & (u13 == 0))
         u12, u13 = u12[keep], u13[keep]
-        a1, w2k, w3k = ws[0][keep] ** 2, ws[1][keep] ** 2, ws[2][keep] ** 2
-        p12 = _pair_exponent(a1, w2k, params)
-        p13 = _pair_exponent(a1, w3k, params)
-        s12 = u12**p12
-        s13 = u13**p13
+        xs, ys, ws = xs[:, keep], ys[:, keep], ws[:, keep]
+        b1, b2, b3 = ((xs[k], ys[k], ws[k], ws[k]) for k in range(3))
+        s12 = signed_power(u12, exponent(b1, b2, params))
+        s13 = signed_power(u13, exponent(b1, b3, params))
         lo_is_12 = u12 <= u13
         s_lo = np.where(lo_is_12, s12, s13)
         s_hi = np.where(lo_is_12, s13, s12)
         ok = s_lo <= s_hi + 1e-12
-        tau12, tau13 = a1 + w2k, a1 + w3k
+        a1, a2, a3 = ws * ws
+        tau12, tau13 = a1 + a2, a1 + a3
         aligned = np.where(lo_is_12, tau12 <= tau13, tau13 <= tau12)
         take = min(ok.size, n_triples - collected)
         ok, aligned = ok[:take], aligned[:take]
@@ -378,14 +330,8 @@ def order_preservation_rate(
     seed: int,
     sampler: BoxSamplerConfig = BoxSamplerConfig(),
 ) -> float:
-    """Fraction of random box triples (b1, b2, b3) on which SIoU ranks the
-    pairs (b1,b2) / (b1,b3) in the same order as IoU.
-
-    Triples where both IoUs are exactly zero are resampled (the ordering is
-    vacuous there). For gamma <= 0 the guarantee is conditional: every triple
-    whose smaller-IoU pair has the smaller-or-equal average area is preserved,
-    and outside that subset the order can flip, so the rate can fall below 1.
-    See `order_preservation_counts` for the split.
-    """
+    """Fraction of random box triples on which SIoU ranks the pairs (b1,b2) /
+    (b1,b3) in the same order as IoU; see `order_preservation_counts`. For
+    gamma <= 0 the rate can fall below 1."""
     counts = order_preservation_counts(params, n_triples, seed, sampler)
     return counts.preserved / counts.n_triples

@@ -23,8 +23,9 @@ from typing import Sequence
 import numpy as np
 from scipy.integrate import quad
 
-from .criteria import CriterionId, CriterionParams, DEFAULT_PARAMS
+from .criteria import CriterionId, CriterionParams, DEFAULT_PARAMS, exponent_p
 from .errors import QuadratureNonConvergence
+from .geometry import Box
 from .stats import ShiftModel, simulate_criterion
 
 # Gaussian mass beyond 12 sigma is < 1e-30; criteria are bounded by 1, so
@@ -62,9 +63,10 @@ class TheorySetup:
 
     @property
     def p(self) -> float:
-        """Scale-adaptive exponent for two omega-width squares:
-        sqrt(2 omega^2) / (sqrt(2) kappa) = omega / kappa."""
-        return 1.0 - self.params.gamma * math.exp(-self.omega / self.params.kappa)
+        """Scale-adaptive exponent of two omega-width squares, the one the
+        Monte Carlo sampler uses: 1 - gamma * exp(-omega / kappa) up to rounding."""
+        square = Box(0.0, 0.0, self.omega, self.omega)
+        return exponent_p(square, square, self.params)
 
 
 def giou_pdf(z: float, setup: TheorySetup) -> float:
