@@ -16,10 +16,11 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import fields
 from typing import Optional, Sequence
 
 from . import stats, theory
-from .criteria import CriterionId, CriterionParams, evaluate, value_range
+from .criteria import CriterionId, CriterionParams, DEFAULT_PARAMS, evaluate, value_range
 from .errors import ParseError, QuadratureNonConvergence, ScaleIoUError
 from .evaluation import EvalConfig, map_report
 from .geometry import Box, SizeClass
@@ -27,13 +28,9 @@ from .io import load_boxes, load_ratings, write_table
 from .rating import criterion_rating_correlation, group_means, group_records, one_way_anova, relative_gap
 from .stats import PdfMethod, ShiftDirection, ShiftModel
 
-DEFAULTS = {
-    "gamma": 0.2,
-    "kappa": 64.0,
-    "alpha": 3.0,
-    "nwd_constant": 32.0,
-    "threshold": 0.5,
-}
+# config-file keys: the criterion parameters and the single eval threshold
+_PARAM_NAMES = tuple(f.name for f in fields(CriterionParams))
+_CONFIG_KEYS = (*_PARAM_NAMES, "threshold")
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -92,7 +89,7 @@ def _load_config(path: Optional[str]) -> dict:
                 raise ParseError(f"{path}: line {line_no}: expected key=value")
             key, _, raw = line.partition("=")
             key = key.strip()
-            if key not in DEFAULTS:
+            if key not in _CONFIG_KEYS:
                 raise ParseError(f"{path}: line {line_no}: unknown key {key!r}")
             try:
                 values[key] = float(raw.strip())
@@ -106,21 +103,18 @@ def _resolve_params(args, config: dict) -> CriterionParams:
         flag = getattr(args, name, None)
         if flag is not None:
             return flag
-        return config.get(name, DEFAULTS[name])
+        return config.get(name, getattr(DEFAULT_PARAMS, name))
 
-    return CriterionParams(
-        gamma=pick("gamma"),
-        kappa=pick("kappa"),
-        alpha=pick("alpha"),
-        nwd_constant=pick("nwd_constant"),
-    )
+    return CriterionParams(**{name: pick(name) for name in _PARAM_NAMES})
 
 
 def _resolve_thresholds(args, config: dict) -> tuple[float, ...]:
     raw = getattr(args, "thresholds", None)
     if raw is not None:
         return tuple(_parse_floats(raw))
-    return (config.get("threshold", DEFAULTS["threshold"]),)
+    if "threshold" in config:
+        return (config["threshold"],)
+    return EvalConfig().thresholds
 
 
 def _n_threads() -> int:
@@ -440,3 +434,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
 def entry_point() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    entry_point()

@@ -153,30 +153,23 @@ def average_precision(
     """
     if n_ground_truth < 0:
         raise ValueError(f"n_ground_truth must be >= 0, got {n_ground_truth}")
-    counted = [lab for lab in labels if lab is not MatchLabel.IGNORED]
+    rank = 0
+    tp_ranks = []  # rank of each true positive among the counted labels
+    for lab in labels:
+        if lab is not MatchLabel.IGNORED:
+            rank += 1
+            if lab is MatchLabel.TP:
+                tp_ranks.append(rank)
     if n_ground_truth == 0:
-        return None if not counted else 0.0
-    tp = 0
-    fp = 0
-    points = []  # (recall, precision) at each rank, kept exact
-    for lab in counted:
-        if lab is MatchLabel.TP:
-            tp += 1
-        else:
-            fp += 1
-        points.append((Fraction(tp, n_ground_truth), Fraction(tp, tp + fp)))
-    # monotone precision envelope, integrated over recall; recalls and
-    # precisions are ratios of counts, so the sum is computed exactly and
-    # rounded once at the end
-    ap = Fraction(0)
-    best_precision = Fraction(0)
-    prev_recall = points[-1][0] if points else Fraction(0)
-    for recall, precision in reversed(points):
-        best_precision = max(best_precision, precision)
-        ap += (prev_recall - recall) * best_precision
-        prev_recall = recall
-    ap += prev_recall * best_precision
-    return float(ap)
+        return None if rank == 0 else 0.0
+    # Precision rises only at a true positive, so the monotone envelope at
+    # the k-th TP is the best k'/rank over it and the later TPs, and each TP
+    # adds 1/n_ground_truth of recall. The sum is exact, rounded once.
+    total = best = Fraction(0)
+    for k in range(len(tp_ranks), 0, -1):
+        best = max(best, Fraction(k, tp_ranks[k - 1]))
+        total += best
+    return float(total / n_ground_truth)
 
 
 _BUCKETS: tuple[tuple[str, Optional[SizeClass]], ...] = (

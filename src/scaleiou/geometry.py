@@ -26,10 +26,16 @@ class SizeClass(Enum):
 SMALL_MAX = 32.0
 MEDIUM_MAX = 96.0
 
+# Largest coordinate magnitude of a box: the union and hull areas of any two
+# such boxes stay finite, so no criterion overflows.
+MAX_COORDINATE = 1e150
+
 
 @dataclass(frozen=True)
 class Box:
-    """Axis-aligned rectangle in center form. Width and height must be positive."""
+    """Axis-aligned rectangle in center form. Width and height must be positive
+    with an area that does not round to 0, and every field lies within
+    +-MAX_COORDINATE."""
 
     x: float
     y: float
@@ -39,10 +45,13 @@ class Box:
     def __post_init__(self):
         for name in ("x", "y", "w", "h"):
             v = getattr(self, name)
-            if not isinstance(v, (int, float)) or not math.isfinite(v):
-                raise ValueError(f"box field {name!r} must be a finite number, got {v!r}")
-        if self.w <= 0 or self.h <= 0:
-            raise ValueError(f"box must have positive size, got w={self.w}, h={self.h}")
+            # also rejects NaN and +-inf
+            if not isinstance(v, (int, float)) or not abs(v) <= MAX_COORDINATE:
+                raise ValueError(f"box field {name!r} out of range: must be a number within "
+                                 f"+-{MAX_COORDINATE:g}, got {v!r}")
+        if not (self.w > 0 and self.h > 0 and self.w * self.h > 0):
+            raise ValueError(f"box size out of range: must be positive with a nonzero area, "
+                             f"got w={self.w}, h={self.h}")
 
     @property
     def x_min(self) -> float:

@@ -30,22 +30,13 @@ def format_number(value) -> str:
     return format(value, ".9g")
 
 
-# Largest coordinate magnitude accepted from a boxes file: the union and hull
-# areas of any two such boxes stay finite, so no criterion overflows.
-MAX_COORDINATE = 1e150
-
-
 def _corner_box(bbox, where: str) -> Box:
     if not isinstance(bbox, (list, tuple)) or len(bbox) != 4:
         raise ParseError(f"{where}: bbox must be [x_min, y_min, w, h], got {bbox!r}")
     try:
-        x_min, y_min, w, h = (float(v) for v in bbox)
-        box = Box.from_corner(x_min, y_min, w, h)
+        return Box.from_corner(*(float(v) for v in bbox))
     except (TypeError, ValueError) as exc:
         raise ParseError(f"{where}: invalid bbox {bbox!r}: {exc}") from exc
-    if not (max(abs(x_min), abs(y_min), w, h) <= MAX_COORDINATE and w * h > 0):
-        raise ParseError(f"{where}: bbox {bbox!r} out of range: beyond +-{MAX_COORDINATE:g} or area 0")
-    return box
 
 
 def load_boxes(path: str) -> tuple[list[DetectionRecord], list[GroundTruthRecord]]:

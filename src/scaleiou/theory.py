@@ -20,13 +20,12 @@ import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
-import numpy as np
 from scipy.integrate import quad
 
 from .criteria import CriterionId, CriterionParams, DEFAULT_PARAMS, exponent_p
 from .errors import QuadratureNonConvergence
 from .geometry import Box
-from .stats import ShiftModel, simulate_criterion
+from .stats import ShiftModel, simulate_criterion, summarize
 
 # Gaussian mass beyond 12 sigma is < 1e-30; criteria are bounded by 1, so
 # truncating the tail there is exact at the working tolerance.
@@ -169,10 +168,8 @@ def moment_consistency_report(
             )
             for order in (1, 2):
                 theory = theoretical_moment(cid, order, setup)
-                powered = samples if order == 1 else samples * samples
-                mc = float(np.mean(powered))
-                se = float(np.std(powered, ddof=1)) / math.sqrt(n)
-                z = (mc - theory) / se if se > 0 else float("inf")
+                mc = summarize(samples if order == 1 else samples * samples)
+                z = (mc.mean - theory) / mc.std_error if mc.std_error > 0 else float("inf")
                 rows.append(
                     {
                         "criterion": cid.value,
@@ -181,8 +178,8 @@ def moment_consistency_report(
                         "a": setup.a,
                         "order": order,
                         "theory": theory,
-                        "mc": mc,
-                        "std_error": se,
+                        "mc": mc.mean,
+                        "std_error": mc.std_error,
                         "z_score": z,
                         "flagged": abs(z) > 4.0,
                     }

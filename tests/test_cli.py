@@ -1,8 +1,13 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import scaleiou
 from scaleiou.cli import main
 from scaleiou.io import load_boxes, load_ratings
 
@@ -288,3 +293,31 @@ class TestLoaders:
         assert records[0].context is True and records[0].expertise is False
         assert records[3].age is None
         assert records[0].gt_box.x == 10  # corner (0,0,20,20) -> center 10
+
+
+def run_module(*argv):
+    """Run `python -m scaleiou.cli` in a fresh interpreter on this checkout."""
+    src = str(Path(scaleiou.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return subprocess.run(
+        [sys.executable, "-m", "scaleiou.cli", *argv],
+        capture_output=True, text=True, timeout=120, env={**os.environ, "PYTHONPATH": path},
+    )
+
+
+class TestModuleEntry:
+    def test_criterion_prints_value(self):
+        proc = run_module("criterion", "--id", "iou", "--a", "0,0,10,10", "--b", "2,3,10,12")
+        assert (proc.returncode, proc.stdout) == (0, "0.341463\n")
+
+    def test_unknown_criterion_exits_1(self):
+        proc = run_module("criterion", "--id", "bogus", "--a", "0,0,10,10", "--b", "2,3,10,12")
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert "unknown criterion" in proc.stderr
+
+
+def test_theory_check_mc_single_sample_is_data_error(capsys):
+    code, out, err = run(capsys, "theory", "--id", "iou", "--omega", "8", "--sigma", "8",
+                         "--check-mc", "--n", "1", "--seed", "1")
+    assert (code, out) == (2, "")
+    assert "at least 2 samples" in err

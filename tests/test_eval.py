@@ -1,6 +1,9 @@
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scaleiou import (
     Box,
@@ -146,6 +149,44 @@ class TestAveragePrecision:
     def test_rejects_negative_gt(self):
         with pytest.raises(ValueError):
             average_precision([], -1)
+
+
+def reference_ap(labels, n_ground_truth):
+    """Exact AP rank by rank: a (recall, precision) Fraction pair per counted
+    label, then a reversed pass over the precision envelope. The former
+    implementation of average_precision, kept as the reference."""
+    counted = [lab for lab in labels if lab is not MatchLabel.IGNORED]
+    if n_ground_truth == 0:
+        return None if not counted else 0.0
+    tp = 0
+    fp = 0
+    points = []
+    for lab in counted:
+        if lab is MatchLabel.TP:
+            tp += 1
+        else:
+            fp += 1
+        points.append((Fraction(tp, n_ground_truth), Fraction(tp, tp + fp)))
+    ap = Fraction(0)
+    best_precision = Fraction(0)
+    prev_recall = points[-1][0] if points else Fraction(0)
+    for recall, precision in reversed(points):
+        best_precision = max(best_precision, precision)
+        ap += (prev_recall - recall) * best_precision
+        prev_recall = recall
+    ap += prev_recall * best_precision
+    return float(ap)
+
+
+@settings(max_examples=2000, deadline=None)
+@given(data=st.data())
+def test_average_precision_equals_rank_by_rank_reference(data):
+    labels = data.draw(st.lists(st.sampled_from(list(MatchLabel)), max_size=300))
+    n_ground_truth = data.draw(st.integers(0, labels.count(MatchLabel.TP) + 5))
+    got = average_precision(labels, n_ground_truth)
+    want = reference_ap(labels, n_ground_truth)
+    assert got == want
+    assert type(got) is type(want)
 
 
 class TestMatching:

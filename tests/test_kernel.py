@@ -28,7 +28,8 @@ from scaleiou import (
 import scaleiou.stats as stats
 from scaleiou.cli import main
 from scaleiou.criteria import boxes_array, elementwise, pairwise
-from scaleiou.io import load_boxes
+from scaleiou.geometry import MAX_COORDINATE
+from scaleiou.io import load_boxes, load_ratings
 from scaleiou.stats import CHUNK_SIZE, ShiftModel, criterion_on_shifts, sample_shifts
 
 ALL_IDS = list(CriterionId)
@@ -243,6 +244,42 @@ def test_overflowing_box_is_a_parse_error(tmp_path, capsys, bbox):
     with pytest.raises(ParseError, match="out of range"):
         load_boxes(path)
     assert eval_exit(path) == 2
+
+
+# the bboxes of test_overflowing_box_is_a_parse_error, for the other loaders
+OVERFLOWING_BBOXES = [(0, 0, 1e308, 1e308), (0, 0, 1e200, 1e200), (1e300, 0, 5, 5),
+                      (0, 0, 1e-200, 1e-200)]
+
+
+@pytest.mark.parametrize("bbox", OVERFLOWING_BBOXES)
+def test_overflowing_rating_box_is_a_parse_error(tmp_path, capsys, bbox):
+    corner = ",".join(str(v) for v in bbox)
+    path = tmp_path / "ratings.csv"
+    path.write_text(f"rating,gt_x,gt_y,gt_w,gt_h,px,py,pw,ph\n3,{corner},{corner}\n")
+    with pytest.raises(ParseError, match="line 2: .*out of range"):
+        load_ratings(str(path))
+    for analysis in ("correlation", "groups"):
+        assert main(["rating", "--ratings", str(path), "--analysis", analysis]) == 2
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("bbox", OVERFLOWING_BBOXES)
+def test_overflowing_criterion_box_is_a_usage_error(capsys, bbox):
+    corner = ",".join(str(v) for v in bbox)
+    assert main(["criterion", "--id", "siou", "--a", corner, "--b", "0,0,10,10"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "out of range" in captured.err
+
+
+def test_box_range_rule():
+    edge = MAX_COORDINATE
+    Box(edge, -edge, edge, edge)
+    for fields in ((2 * edge, 0, 1, 1), (0, 0, 1, 2 * edge), (float("nan"), 0, 1, 1),
+                   (0, 0, float("inf"), 1), (0, float("-inf"), 1, 1), (0, 0, 1e-200, 1e-200),
+                   (0, 0, -1, -1), (0, 0, 0, 1)):
+        with pytest.raises(ValueError):
+            Box(*fields)
 
 
 def test_image_without_id_is_a_parse_error(tmp_path, capsys):
