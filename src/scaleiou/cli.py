@@ -20,7 +20,7 @@ from dataclasses import fields
 from typing import Optional, Sequence
 
 from . import stats, theory
-from .criteria import CriterionId, CriterionParams, DEFAULT_PARAMS, evaluate, value_range
+from .criteria import POSITIVE, CriterionId, CriterionParams, DEFAULT_PARAMS, check_range, evaluate, value_range
 from .errors import ParseError, QuadratureNonConvergence, ScaleIoUError
 from .evaluation import EvalConfig, map_report
 from .geometry import Box, SizeClass
@@ -38,37 +38,39 @@ EXIT_DATA = 2
 EXIT_NUMERICAL = 3
 
 
-class UsageError(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        raise UsageError(f"{self.prog}: {message}")
+        raise ValueError(f"{self.prog}: {message}")
+
+    def _get_values(self, action, arg_strings):
+        # before Python 3.12, argparse turns the option value "--" (--n=--) into []
+        if action.nargs is None and arg_strings == ["--"]:
+            self.error(f"argument {'/'.join(action.option_strings)}: expected one argument")
+        return super()._get_values(action, arg_strings)
 
 
 def _parse_corner_box(text: str) -> Box:
     parts = text.split(",")
     if len(parts) != 4:
-        raise UsageError(f"box must be x_min,y_min,w,h, got {text!r}")
+        raise ValueError(f"box must be x_min,y_min,w,h, got {text!r}")
     try:
         return Box.from_corner(*(float(v) for v in parts))
     except ValueError as exc:
-        raise UsageError(f"invalid box {text!r}: {exc}") from exc
+        raise ValueError(f"invalid box {text!r}: {exc}") from exc
 
 
 def _parse_floats(text: str) -> list[float]:
     try:
         return [float(v) for v in text.split(",") if v != ""]
     except ValueError as exc:
-        raise UsageError(f"invalid number list {text!r}") from exc
+        raise ValueError(f"invalid number list {text!r}") from exc
 
 
 def _criterion_id(text: str) -> CriterionId:
     for cid in CriterionId:
         if cid.value == text.lower():
             return cid
-    raise UsageError(f"unknown criterion {text!r}; choose from "
+    raise ValueError(f"unknown criterion {text!r}; choose from "
                      + ", ".join(c.value for c in CriterionId))
 
 
@@ -122,10 +124,8 @@ def _n_threads() -> int:
     try:
         n = int(raw)
     except ValueError:
-        raise UsageError(f"SCALEIOU_THREADS must be an integer, got {raw!r}")
-    if n < 1:
-        raise UsageError(f"SCALEIOU_THREADS must be >= 1, got {n}")
-    return n
+        raise ValueError(f"SCALEIOU_THREADS must be an integer, got {raw!r}")
+    return check_range("SCALEIOU_THREADS", n, 1)
 
 
 def _add_common(sub, seed_required=False):
@@ -215,28 +215,22 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _cmd_criterion(args, config) -> int:
-    params = _resolve_params(args, config)
+def _cmd_criterion(args, params, config):
     value = evaluate(_criterion_id(args.id), _parse_corner_box(args.a), _parse_corner_box(args.b), params)
     print(f"{value:.6f}")
-    return EXIT_OK
 
 
-def _cmd_shift_curve(args, config) -> int:
-    params = _resolve_params(args, config)
+def _cmd_shift_curve(args, params, config):
     cid = _criterion_id(args.id)
     direction = ShiftDirection(args.direction)
-    if args.steps < 2:
-        raise UsageError("--steps must be >= 2")
-    if args.max_shift <= 0:
-        raise UsageError("--max-shift must be positive")
+    check_range("--steps", args.steps, 2)
+    check_range("--max-shift", args.max_shift, POSITIVE)
     shifts = [args.max_shift * i / (args.steps - 1) for i in range(args.steps)]
     rows = []
     for omega in _parse_floats(args.omega):
         for shift, value in stats.shift_curve(cid, omega, shifts, direction, args.size_ratio, params):
             rows.append({"criterion": cid.value, "omega": omega, "shift": shift, "value": value})
-    write_table(rows, args.out, args.format, columns=("criterion", "omega", "shift", "value"))
-    return EXIT_OK
+    return rows, ("criterion", "omega", "shift", "value")
 
 
 def _shift_model(args) -> ShiftModel:
@@ -248,8 +242,7 @@ def _shift_model(args) -> ShiftModel:
     )
 
 
-def _cmd_simulate(args, config) -> int:
-    params = _resolve_params(args, config)
+def _cmd_simulate(args, params, config):
     cid = _criterion_id(args.id)
     model = _shift_model(args)
     samples = stats.simulate_criterion(cid, args.omega, model, args.n, args.seed, params, _n_threads())
@@ -273,12 +266,10 @@ def _cmd_simulate(args, config) -> int:
             for z, d in pdf
         ]
         columns = ("criterion", "omega", "z", "density")
-    write_table(rows, args.out, args.format, columns=columns)
-    return EXIT_OK
+    return rows, columns
 
 
-def _cmd_moments(args, config) -> int:
-    params = _resolve_params(args, config)
+def _cmd_moments(args, params, config):
     model = _shift_model(args)
     omegas = _parse_floats(args.omega)
     rows = []
@@ -295,20 +286,15 @@ def _cmd_moments(args, config) -> int:
                     "n": summary.n_samples,
                 }
             )
-    write_table(
-        rows, args.out, args.format,
-        columns=("criterion", "omega", "mean", "std_dev", "std_error", "n"),
-    )
-    return EXIT_OK
+    return rows, ("criterion", "omega", "mean", "std_dev", "std_error", "n")
 
 
-def _cmd_theory(args, config) -> int:
-    params = _resolve_params(args, config)
+def _cmd_theory(args, params, config):
     criteria = [_criterion_id(raw) for raw in args.id.split(",")]
     setups = [theory.TheorySetup(omega, args.sigma, params) for omega in _parse_floats(args.omega)]
     if args.check_mc:
         if args.seed is None:
-            raise UsageError("--seed is required with --check-mc")
+            raise ValueError("--seed is required with --check-mc")
         rows = theory.moment_consistency_report(
             setups, criteria, n=args.n, seed=args.seed, n_threads=_n_threads()
         )
@@ -329,12 +315,10 @@ def _cmd_theory(args, config) -> int:
                         }
                     )
         columns = ("criterion", "omega", "sigma", "a", "order", "value")
-    write_table(rows, args.out, args.format, columns=columns)
-    return EXIT_OK
+    return rows, columns
 
 
-def _cmd_eval(args, config) -> int:
-    params = _resolve_params(args, config)
+def _cmd_eval(args, params, config):
     detections, ground_truths = load_boxes(args.boxes)
     eval_config = EvalConfig(
         criterion=_criterion_id(args.id),
@@ -346,12 +330,10 @@ def _cmd_eval(args, config) -> int:
     for row in rows:
         if row["ap"] is None:
             row["ap"] = ""
-    write_table(rows, args.out, args.format, columns=("category", "bucket", "threshold", "ap"))
-    return EXIT_OK
+    return rows, ("category", "bucket", "threshold", "ap")
 
 
-def _cmd_rating(args, config) -> int:
-    params = _resolve_params(args, config)
+def _cmd_rating(args, params, config):
     cid = _criterion_id(args.id)
     records = load_ratings(args.ratings)
     if args.analysis == "correlation":
@@ -384,12 +366,10 @@ def _cmd_rating(args, config) -> int:
             }
         ]
         columns = ("grouping", "n_groups", "f_statistic", "p_value")
-    write_table(rows, args.out, args.format, columns=columns)
-    return EXIT_OK
+    return rows, columns
 
 
-def _cmd_order_check(args, config) -> int:
-    params = _resolve_params(args, config)
+def _cmd_order_check(args, params, config):
     rate = stats.order_preservation_rate(params, args.n, args.seed)
     rows = [
         {
@@ -399,9 +379,7 @@ def _cmd_order_check(args, config) -> int:
             "preservation_rate": rate,
         }
     ]
-    write_table(rows, args.out, args.format,
-                columns=("gamma", "kappa", "n_triples", "preservation_rate"))
-    return EXIT_OK
+    return rows, ("gamma", "kappa", "n_triples", "preservation_rate")
 
 
 _COMMANDS = {
@@ -420,8 +398,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return _COMMANDS[args.command](args, _load_config(args.config))
-    except (UsageError, ValueError) as exc:
+        config = _load_config(args.config)
+        table = _COMMANDS[args.command](args, _resolve_params(args, config), config)
+        if table is not None:  # criterion prints its one value itself
+            rows, columns = table
+            write_table(rows, args.out, args.format, columns=columns)
+        return EXIT_OK
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except QuadratureNonConvergence as exc:

@@ -13,6 +13,7 @@ same signed power to GIoU.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from typing import TYPE_CHECKING, Iterable
@@ -23,6 +24,34 @@ if TYPE_CHECKING:
     from .geometry import Box
 
 _SQRT2 = math.sqrt(2.0)
+
+# Largest coordinate magnitude of a box: the union and hull areas of any two
+# such boxes stay finite, so no criterion overflows.
+MAX_COORDINATE = 1e150
+# Bounds for check_range: the smallest positive float as lo admits exactly
+# the numbers > 0, and FLOAT_MAX as hi admits every finite number.
+POSITIVE = math.ulp(0.0)
+FLOAT_MAX = sys.float_info.max
+_MAX_AREA = 1e300  # bounds w * h whenever w and h are within MAX_COORDINATE
+_NUMBER = (int, float, np.integer, np.floating)
+
+
+def check_range(name: str, value, lo: float = -MAX_COORDINATE, hi: float = MAX_COORDINATE):
+    """Return value if it is a number with lo <= value <= hi, else raise a
+    ValueError that names it. The one test of every caller-supplied number:
+    written in positive form, it rejects NaN and +-inf for any finite bounds."""
+    if isinstance(value, _NUMBER) and lo <= value <= hi:
+        return value
+    low = "(0" if lo == POSITIVE else f"[{lo!r}"
+    raise ValueError(f"{name} out of range: must be a number in {low}, {hi!r}], got {value!r}")
+
+
+def check_size(name: str, w, h):
+    """The box size rule: w and h in (0, MAX_COORDINATE], with an area w * h
+    that does not round to 0."""
+    check_range(name, w, POSITIVE)
+    check_range(name, h, POSITIVE)
+    check_range(name + " (area)", w * h, POSITIVE, _MAX_AREA)
 
 
 class CriterionId(Enum):
@@ -48,18 +77,9 @@ class CriterionParams:
     nwd_constant: float = 32.0
 
     def __post_init__(self):
-        for name in ("gamma", "kappa", "alpha", "nwd_constant"):
-            v = getattr(self, name)
-            if not math.isfinite(v):
-                raise ValueError(f"parameter {name!r} must be finite, got {v!r}")
-        if self.gamma > 1:
-            raise ValueError(f"gamma must be <= 1, got {self.gamma}")
-        if self.kappa <= 0:
-            raise ValueError(f"kappa must be > 0, got {self.kappa}")
-        if self.alpha <= 0:
-            raise ValueError(f"alpha must be > 0, got {self.alpha}")
-        if self.nwd_constant <= 0:
-            raise ValueError(f"nwd_constant must be > 0, got {self.nwd_constant}")
+        check_range("gamma", self.gamma, -FLOAT_MAX, 1.0)
+        for name in ("kappa", "alpha", "nwd_constant"):
+            check_range(name, getattr(self, name), POSITIVE, FLOAT_MAX)
 
 
 # Named presets: lenient setting for evaluation-style use, strict setting

@@ -14,7 +14,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .criteria import CriterionId, CriterionParams, DEFAULT_PARAMS, boxes_array, pairwise
+from .criteria import POSITIVE, CriterionId, CriterionParams, DEFAULT_PARAMS, boxes_array, check_range, pairwise
 from .geometry import Box, SizeClass, size_class
 
 
@@ -54,8 +54,7 @@ class EvalConfig:
         if len(set(self.thresholds)) != len(self.thresholds):
             raise ValueError(f"thresholds must be distinct, got {self.thresholds}")
         for t in self.thresholds:
-            if not 0.0 < t <= 1.0:
-                raise ValueError(f"thresholds must lie in (0, 1], got {t}")
+            check_range("threshold", t, POSITIVE, 1.0)
 
 
 def _ranked(dets: Sequence[DetectionRecord]) -> list[int]:
@@ -151,8 +150,7 @@ def average_precision(
     evaluate (no ground truths and no counted detections); 0.0 when
     detections exist but no ground truth does.
     """
-    if n_ground_truth < 0:
-        raise ValueError(f"n_ground_truth must be >= 0, got {n_ground_truth}")
+    check_range("n_ground_truth", n_ground_truth, 0)
     rank = 0
     tp_ranks = []  # rank of each true positive among the counted labels
     for lab in labels:

@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .criteria import areas, boxes_array
+from .criteria import FLOAT_MAX, MAX_COORDINATE, POSITIVE, areas, boxes_array, check_range, check_size
 
 
 class SizeClass(Enum):
@@ -26,10 +26,6 @@ class SizeClass(Enum):
 SMALL_MAX = 32.0
 MEDIUM_MAX = 96.0
 
-# Largest coordinate magnitude of a box: the union and hull areas of any two
-# such boxes stay finite, so no criterion overflows.
-MAX_COORDINATE = 1e150
-
 
 @dataclass(frozen=True)
 class Box:
@@ -43,15 +39,9 @@ class Box:
     h: float
 
     def __post_init__(self):
-        for name in ("x", "y", "w", "h"):
-            v = getattr(self, name)
-            # also rejects NaN and +-inf
-            if not isinstance(v, (int, float)) or not abs(v) <= MAX_COORDINATE:
-                raise ValueError(f"box field {name!r} out of range: must be a number within "
-                                 f"+-{MAX_COORDINATE:g}, got {v!r}")
-        if not (self.w > 0 and self.h > 0 and self.w * self.h > 0):
-            raise ValueError(f"box size out of range: must be positive with a nonzero area, "
-                             f"got w={self.w}, h={self.h}")
+        check_range("box field 'x'", self.x)
+        check_range("box field 'y'", self.y)
+        check_size("box size", self.w, self.h)
 
     @property
     def x_min(self) -> float:
@@ -80,8 +70,7 @@ class Box:
 
     def scaled(self, k: float) -> "Box":
         """Scale all coordinates by k > 0."""
-        if k <= 0:
-            raise ValueError(f"scale factor must be positive, got {k}")
+        check_range("scale factor", k, POSITIVE, FLOAT_MAX)
         return Box(self.x * k, self.y * k, self.w * k, self.h * k)
 
 

@@ -11,10 +11,10 @@ from __future__ import annotations
 import csv
 import io as _io
 import json
-import math
 import sys
 from typing import Optional, Sequence
 
+from .criteria import FLOAT_MAX, check_range
 from .errors import ParseError
 from .evaluation import DetectionRecord, GroundTruthRecord
 from .geometry import Box
@@ -86,11 +86,9 @@ def load_boxes(path: str) -> tuple[list[DetectionRecord], list[GroundTruthRecord
         if "score" not in entry:
             raise ParseError(f"{where}: missing field 'score'")
         try:
-            score = float(entry["score"])
+            score = check_range("score", float(entry["score"]), -FLOAT_MAX, FLOAT_MAX)
         except (TypeError, ValueError) as exc:
-            raise ParseError(f"{where}: invalid score {entry['score']!r}") from exc
-        if not math.isfinite(score):
-            raise ParseError(f"{where}: score must be finite, got {entry['score']!r}")
+            raise ParseError(f"{where}: invalid score {entry['score']!r}: {exc}") from exc
         detections.append(DetectionRecord(image_id, category, box, score))
 
     return detections, ground_truths

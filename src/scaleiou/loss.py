@@ -16,7 +16,10 @@ from dataclasses import dataclass
 from .criteria import (
     CriterionId,
     CriterionParams,
+    FLOAT_MAX,
+    POSITIVE,
     boxes_array,
+    check_range,
     elementwise,
     evaluate,
     exponent_p,
@@ -194,8 +197,7 @@ def finite_difference_gradient(
     With detach_p=True the exponent is frozen at its value for (b1, b2)
     while the box is perturbed, matching loss_gradient's detached mode.
     """
-    if step <= 0:
-        raise ValueError(f"step must be positive, got {step}")
+    check_range("step", step, POSITIVE)
 
     frozen_p = None
     if detach_p and cid in (CriterionId.SIOU, CriterionId.GSIOU):
@@ -217,19 +219,18 @@ def finite_difference_gradient(
     )
 
 
+def _check_reweight_args(iou_value: float, p: float) -> None:
+    check_range("iou_value", iou_value, POSITIVE, math.nextafter(1.0, 0.0))
+    check_range("p", p, POSITIVE, FLOAT_MAX)
+
+
 def reweight_loss_ratio(iou_value: float, p: float) -> float:
-    """Loss reweighting ratio (1 - u**p) / (1 - u) for u in (0, 1)."""
-    if not 0.0 < iou_value < 1.0:
-        raise ValueError(f"iou_value must be strictly inside (0, 1), got {iou_value}")
-    if p <= 0:
-        raise ValueError(f"p must be positive, got {p}")
+    """Loss reweighting ratio (1 - u**p) / (1 - u) for u in (0, 1) and finite p > 0."""
+    _check_reweight_args(iou_value, p)
     return (1.0 - iou_value**p) / (1.0 - iou_value)
 
 
 def reweight_gradient_ratio(iou_value: float, p: float) -> float:
-    """Gradient reweighting ratio p * u**(p-1) for u in (0, 1)."""
-    if not 0.0 < iou_value < 1.0:
-        raise ValueError(f"iou_value must be strictly inside (0, 1), got {iou_value}")
-    if p <= 0:
-        raise ValueError(f"p must be positive, got {p}")
+    """Gradient reweighting ratio p * u**(p-1) for u in (0, 1) and finite p > 0."""
+    _check_reweight_args(iou_value, p)
     return p * iou_value ** (p - 1.0)

@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 import numpy as np
 from scipy import stats as sp_stats
 
-from .criteria import CriterionId, CriterionParams, DEFAULT_PARAMS, boxes_array, elementwise
+from .criteria import CriterionId, CriterionParams, DEFAULT_PARAMS, boxes_array, check_range, elementwise
 from .errors import DegenerateInput, EmptyCell
 from .geometry import Box, SizeClass, size_class
 
@@ -35,8 +35,7 @@ class RatingRecord:
     age: Optional[int] = None
 
     def __post_init__(self):
-        if not 1 <= self.rating <= 5:
-            raise ValueError(f"rating must be in 1..5, got {self.rating}")
+        check_range("rating", self.rating, 1, 5)
 
 
 def kendall_tau(x: Sequence[float], y: Sequence[float]) -> float:

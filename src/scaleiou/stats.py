@@ -23,7 +23,8 @@ from typing import Optional, Sequence
 import numpy as np
 from scipy.stats import gaussian_kde
 
-from .criteria import CriterionId, CriterionParams, DEFAULT_PARAMS, exponent, kernel, signed_power
+from .criteria import CriterionId, CriterionParams, DEFAULT_PARAMS, FLOAT_MAX, POSITIVE
+from .criteria import check_range, check_size, exponent, kernel, signed_power
 from .errors import InsufficientSamples
 
 CHUNK_SIZE = 1 << 16
@@ -36,7 +37,8 @@ class ShiftDirection(Enum):
 
 @dataclass(frozen=True)
 class ShiftModel:
-    """Stochastic detector-inaccuracy model."""
+    """Stochastic detector-inaccuracy model; sigma(omega) and the ground-truth
+    width size_ratio * omega are range-checked where they are used."""
 
     direction: ShiftDirection = ShiftDirection.HORIZONTAL
     sigma_base: float = 16.0
@@ -44,12 +46,9 @@ class ShiftModel:
     size_ratio: float = 1.0
 
     def __post_init__(self):
-        if self.sigma_base <= 0:
-            raise ValueError(f"sigma_base must be > 0, got {self.sigma_base}")
-        if self.sigma_slope < 0:
-            raise ValueError(f"sigma_slope must be >= 0, got {self.sigma_slope}")
-        if self.size_ratio <= 0:
-            raise ValueError(f"size_ratio must be > 0, got {self.size_ratio}")
+        check_range("sigma_base", self.sigma_base, POSITIVE)
+        check_range("sigma_slope", self.sigma_slope, 0.0, FLOAT_MAX)
+        check_range("size_ratio", self.size_ratio, POSITIVE, FLOAT_MAX)
 
     def sigma(self, omega: float) -> float:
         return self.sigma_base + self.sigma_slope * omega
@@ -75,9 +74,12 @@ def criterion_on_shifts(
     params: CriterionParams = DEFAULT_PARAMS,
 ) -> np.ndarray:
     """Criterion between a predicted square of width omega offset by (dx, dy)
-    and a ground-truth square of width size_ratio * omega at the origin."""
+    and a ground-truth square of width size_ratio * omega at the origin;
+    both widths must pass the box size rule."""
     w1 = float(omega)
     w2 = float(size_ratio) * w1
+    check_size("omega", w1, w1)
+    check_size("size_ratio * omega", w2, w2)
     return kernel(cid, (dx, dy, w1, w1), (0.0, 0.0, w2, w2), params)
 
 
@@ -90,11 +92,9 @@ def shift_curve(
     params: CriterionParams = DEFAULT_PARAMS,
 ) -> list[tuple[float, float]]:
     """Deterministic response curve: criterion value per shift magnitude."""
-    if omega <= 0:
-        raise ValueError(f"omega must be > 0, got {omega}")
     eps = np.asarray(shifts, dtype=float)
-    if np.any(eps < 0):
-        raise ValueError("shifts must be non-negative")
+    check_range("shifts", float(np.min(eps, initial=0.0)), 0.0)  # NaN propagates to min and max
+    check_range("shifts", float(np.max(eps, initial=0.0)), 0.0)
     dx = eps
     dy = eps if direction is ShiftDirection.DIAGONAL else np.zeros_like(eps)
     values = criterion_on_shifts(cid, omega, dx, dy, size_ratio, params)
@@ -109,9 +109,8 @@ def _chunk_seeds(seed: int, n: int):
 
 def sample_shifts(omega: float, model: ShiftModel, n: int, seed: int, n_threads: int = 1) -> np.ndarray:
     """Draw n shifts from N(0, sigma(omega)^2), chunked for reproducible parallelism."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    sigma = model.sigma(omega)
+    check_range("n", n, 1)
+    sigma = check_range(f"sigma(omega) at omega={omega!r}", model.sigma(omega), POSITIVE)
 
     def draw(item):
         ss, size = item
@@ -254,6 +253,11 @@ class BoxSamplerConfig:
     width_min: float = 4.0
     width_max: float = 256.0
 
+    def __post_init__(self):
+        check_range("field_size", self.field_size, POSITIVE)
+        check_size("width_min", self.width_min, self.width_min)
+        check_size("width_max", self.width_max, self.width_max)
+
 
 @dataclass(frozen=True)
 class OrderPreservationCounts:
@@ -285,8 +289,7 @@ def order_preservation_counts(
     grow, so every aligned triple is preserved; on the remaining triples the
     smaller-IoU pair has the smaller exponent and the order can flip.
     """
-    if n_triples < 1:
-        raise ValueError(f"n_triples must be >= 1, got {n_triples}")
+    check_range("n_triples", n_triples, 1)
     rng = np.random.default_rng(np.random.SeedSequence([seed]))
     preserved = 0
     n_aligned = 0

@@ -17,14 +17,14 @@ normalization (integral = 1) pins that choice.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Sequence
 
 from scipy.integrate import quad
 
-from .criteria import CriterionId, CriterionParams, DEFAULT_PARAMS, exponent_p
+from .criteria import CriterionId, CriterionParams, DEFAULT_PARAMS, FLOAT_MAX, check_range, check_size, exponent
 from .errors import QuadratureNonConvergence
-from .geometry import Box
 from .stats import ShiftModel, simulate_criterion, summarize
 
 # Gaussian mass beyond 12 sigma is < 1e-30; criteria are bounded by 1, so
@@ -32,6 +32,8 @@ from .stats import ShiftModel, simulate_criterion, summarize
 TAIL_SIGMAS = 12.0
 QUAD_ABS_TOL = 1e-10
 QUAD_LIMIT = 400
+# largest accepted error estimate of one half-line integral; a moment doubles it
+QUAD_MAX_ERROR = 1e-8
 
 _MOMENT_CRITERIA = (
     CriterionId.IOU,
@@ -43,17 +45,18 @@ _MOMENT_CRITERIA = (
 
 @dataclass(frozen=True)
 class TheorySetup:
-    """Width, noise level, and criterion parameters of the theoretical model."""
+    """Width, noise level, and criterion parameters of the theoretical model.
+    sigma is a normal float, so the Gaussian factor 1 / (sqrt(2 pi) sigma)
+    stays finite."""
 
     omega: float
     sigma: float
     params: CriterionParams = field(default=DEFAULT_PARAMS)
 
     def __post_init__(self):
-        if self.omega <= 0:
-            raise ValueError(f"omega must be > 0, got {self.omega}")
-        if self.sigma <= 0:
-            raise ValueError(f"sigma must be > 0, got {self.sigma}")
+        check_size("omega", self.omega, self.omega)
+        check_range("sigma", self.sigma, sys.float_info.min)
+        check_range("sigma / omega", self.a, 0.0, FLOAT_MAX)
 
     @property
     def a(self) -> float:
@@ -64,8 +67,8 @@ class TheorySetup:
     def p(self) -> float:
         """Scale-adaptive exponent of two omega-width squares, the one the
         Monte Carlo sampler uses: 1 - gamma * exp(-omega / kappa) up to rounding."""
-        square = Box(0.0, 0.0, self.omega, self.omega)
-        return exponent_p(square, square, self.params)
+        square = (0.0, 0.0, self.omega, self.omega)
+        return float(exponent(square, square, self.params))
 
 
 def giou_pdf(z: float, setup: TheorySetup) -> float:
@@ -107,7 +110,7 @@ def _quad(f, lo, hi, points=None):
     )
     if len(rest) > 1:  # scipy appends a message on failure
         raise QuadratureNonConvergence(rest[1])
-    if err > 1e-8:
+    if err > QUAD_MAX_ERROR:
         raise QuadratureNonConvergence(
             f"quadrature error estimate {err:.3e} above tolerance on [{lo}, {hi}]"
         )
@@ -156,6 +159,8 @@ def moment_consistency_report(
     n_threads: int = 1,
 ) -> list[dict]:
     """Paired quadrature/Monte Carlo moments with z-scores; |z| > 4 is flagged.
+    With every sample equal (std_error 0), z is 0 if the Monte Carlo mean is
+    within the quadrature's error bound of the quadrature value, else inf.
 
     One simulation per (criterion, setup) feeds both moment orders.
     """
@@ -169,7 +174,10 @@ def moment_consistency_report(
             for order in (1, 2):
                 theory = theoretical_moment(cid, order, setup)
                 mc = summarize(samples if order == 1 else samples * samples)
-                z = (mc.mean - theory) / mc.std_error if mc.std_error > 0 else float("inf")
+                if mc.std_error > 0:
+                    z = (mc.mean - theory) / mc.std_error
+                else:
+                    z = 0.0 if abs(mc.mean - theory) <= 2 * QUAD_MAX_ERROR else float("inf")
                 rows.append(
                     {
                         "criterion": cid.value,
