@@ -24,7 +24,7 @@ from .criteria import POSITIVE, CriterionId, CriterionParams, DEFAULT_PARAMS, ch
 from .errors import ParseError, QuadratureNonConvergence, ScaleIoUError
 from .evaluation import EvalConfig, map_report
 from .geometry import Box, SizeClass
-from .io import load_boxes, load_ratings, write_table
+from .io import load_boxes, load_ratings, write_table, write_text
 from .rating import criterion_rating_correlation, group_means, group_records, one_way_anova, relative_gap
 from .stats import PdfMethod, ShiftDirection, ShiftModel
 
@@ -217,7 +217,7 @@ def build_parser() -> _Parser:
 
 def _cmd_criterion(args, params, config):
     value = evaluate(_criterion_id(args.id), _parse_corner_box(args.a), _parse_corner_box(args.b), params)
-    print(f"{value:.6f}")
+    return f"{value:.6f}\n"
 
 
 def _cmd_shift_curve(args, params, config):
@@ -399,9 +399,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         args = parser.parse_args(argv)
         config = _load_config(args.config)
-        table = _COMMANDS[args.command](args, _resolve_params(args, config), config)
-        if table is not None:  # criterion prints its one value itself
-            rows, columns = table
+        output = _COMMANDS[args.command](args, _resolve_params(args, config), config)
+        if isinstance(output, str):  # criterion's one value, in every --format
+            write_text(output, args.out)
+        else:
+            rows, columns = output
             write_table(rows, args.out, args.format, columns=columns)
         return EXIT_OK
     except ValueError as exc:

@@ -134,7 +134,9 @@ def kernel(cid: CriterionId, a, b, params: CriterionParams = DEFAULT_PARAMS):
         # N([x, y], diag(w^2/4, h^2/4)) fitted on the boxes (arXiv 2110.13389)
         dx, dy = a[0] - b[0], a[1] - b[1]
         dw, dh = (a[2] - b[2]) / 2, (a[3] - b[3]) / 2
-        return np.exp(-np.sqrt(dx * dx + dy * dy + (dw * dw + dh * dh)) / params.nwd_constant)
+        with np.errstate(over="ignore"):  # W2 / C -> inf is the exact limit: exp(-inf) = 0
+            scaled = -np.sqrt(dx * dx + dy * dy + (dw * dw + dh * dh)) / params.nwd_constant
+        return np.exp(scaled)
     inter, union, hull = areas(a, b, hull=cid in (CriterionId.GIOU, CriterionId.GSIOU))
     value = inter / union
     if hull is not None:  # GIoU (arXiv 1902.09630)

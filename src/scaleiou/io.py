@@ -185,7 +185,11 @@ def write_table(
 ) -> None:
     """Write a table to path, or stdout when path is None. The text is fully
     rendered before any file is opened, so failures leave no partial output."""
-    text = render_table(rows, fmt, columns)
+    write_text(render_table(rows, fmt, columns), path)
+
+
+def write_text(text: str, path: Optional[str]) -> None:
+    """Write text to path, or stdout when path is None."""
     if path is None:
         sys.stdout.write(text)
     else:

@@ -29,6 +29,7 @@ from .errors import NonDifferentiablePoint
 from .geometry import Box
 
 _EDGE_TOL = 1e-12
+_ZERO = (0.0, 0.0, 0.0, 0.0)
 
 
 @dataclass(frozen=True)
@@ -50,25 +51,16 @@ def loss_value(cid: CriterionId, b1: Box, b2: Box, params: CriterionParams) -> f
     return 1.0 - evaluate(cid, b1, b2, params)
 
 
-def _check_differentiable(b1: Box, b2: Box) -> None:
-    # Kinks of the intersection/hull min/max terms sit exactly where an edge
-    # of b1 coincides with an edge of b2 (on either axis).
-    for name, edges1, edges2 in (
-        ("vertical", (b1.x_min, b1.x_max), (b2.x_min, b2.x_max)),
-        ("horizontal", (b1.y_min, b1.y_max), (b2.y_min, b2.y_max)),
-    ):
-        for e1 in edges1:
-            for e2 in edges2:
-                if abs(e1 - e2) < _EDGE_TOL:
-                    raise NonDifferentiablePoint(
-                        f"{name} edges coincide at {e1}; perturb the configuration"
-                    )
-
-
-def _axis_partials(lo1: float, hi1: float, lo2: float, hi2: float):
-    """Along one axis: the overlap extent, its partials w.r.t. b1's center and
-    size, then the same for the hull extent. Each partial follows from which
-    side of the min/max belongs to b1."""
+def _axis_partials(name: str, c1: float, s1: float, c2: float, s2: float):
+    """Along one axis, from each box's centre and size: the overlap extent, its
+    partials w.r.t. b1's centre and size, then the same for the hull extent.
+    Each follows from which side of a min/max is b1's; where an edge of b1
+    meets one of b2 that side is ambiguous, a kink, which raises."""
+    lo1, hi1, lo2, hi2 = c1 - s1 / 2, c1 + s1 / 2, c2 - s2 / 2, c2 + s2 / 2
+    for e1 in (lo1, hi1):
+        for e2 in (lo2, hi2):
+            if abs(e1 - e2) < _EDGE_TOL:
+                raise NonDifferentiablePoint(f"{name} edges coincide at {e1}; perturb the configuration")
     in_hi, in_lo = (1.0 if hi1 < hi2 else 0.0), (1.0 if lo1 > lo2 else 0.0)
     out_hi, out_lo = (1.0 if hi1 > hi2 else 0.0), (1.0 if lo1 < lo2 else 0.0)
     return (
@@ -78,23 +70,25 @@ def _axis_partials(lo1: float, hi1: float, lo2: float, hi2: float):
 
 
 def _area_partials(b1: Box, b2: Box):
-    """Intersection, union, hull areas and their partials w.r.t. (x1, y1, w1, h1).
-
-    Each gradient is a 4-tuple. Assumes _check_differentiable passed, so all
-    min/max selections are strict.
-    """
-    iw, diw_dx, diw_dw, hw, dhw_dx, dhw_dw = _axis_partials(b1.x_min, b1.x_max, b2.x_min, b2.x_max)
-    ih, dih_dy, dih_dh, hh, dhh_dy, dhh_dh = _axis_partials(b1.y_min, b1.y_max, b2.y_min, b2.y_max)
+    """Intersection, union, hull areas and their partials w.r.t. (x1, y1, w1, h1),
+    each a 4-tuple. A kink raises, vertical edges (x) checked before horizontal."""
+    iw, diw_dx, diw_dw, hw, dhw_dx, dhw_dw = _axis_partials("vertical", b1.x, b1.w, b2.x, b2.w)
+    ih, dih_dy, dih_dh, hh, dhh_dy, dhh_dh = _axis_partials("horizontal", b1.y, b1.h, b2.y, b2.h)
     if iw > 0 and ih > 0:
         inter = iw * ih
         d_inter = (diw_dx * ih, dih_dy * iw, diw_dw * ih, dih_dh * iw)
     else:
-        inter, d_inter = 0.0, (0.0, 0.0, 0.0, 0.0)
+        inter, d_inter = 0.0, _ZERO
     union = b1.w * b1.h + b2.w * b2.h - inter
     d_union = tuple(a - i for a, i in zip((0.0, 0.0, b1.h, b1.w), d_inter))
     hull = hw * hh
     d_hull = (dhw_dx * hh, dhh_dy * hw, dhw_dw * hh, dhh_dh * hw)
     return inter, d_inter, union, d_union, hull, d_hull
+
+
+def _quotient(num: float, d_num, den: float, d_den):
+    """num / den and its partials, by the quotient rule."""
+    return num / den, tuple((dn * den - num * dd) / (den * den) for dn, dd in zip(d_num, d_den))
 
 
 def _exponent_partials(b1: Box, b2: Box, p: float, params: CriterionParams):
@@ -105,10 +99,27 @@ def _exponent_partials(b1: Box, b2: Box, p: float, params: CriterionParams):
     return (0.0, 0.0, c * b1.h / (2 * s), c * b1.w / (2 * s))
 
 
-def _criterion_gradient(
-    cid: CriterionId, b1: Box, b2: Box, params: CriterionParams, detach_p: bool
-):
-    """Gradient of the criterion value w.r.t. (x1, y1, w1, h1)."""
+def _signed_power_partials(base: float, d_base, p: float, d_p, cusp_at_zero: bool):
+    """Partials of sign(base) * |base|**p. At base = 0: 0 for p > 1 or an IoU
+    base (flat there); a GIoU base with p <= 1 has a cusp there, which raises."""
+    if base == 0.0:
+        if p > 1.0 or not cusp_at_zero:
+            return _ZERO
+        raise NonDifferentiablePoint("GSIoU with p <= 1 has a cusp at GIoU = 0")
+    size = abs(base)
+    mag = size**p
+    signed_log = math.copysign(mag, base) * math.log(size)
+    if p < 1.0:  # |b|**(p-1) may overflow where p * |b|**(p-1) * g does not
+        return tuple(mag * p * (g / size) + signed_log * gp for g, gp in zip(d_base, d_p))
+    f = p * size ** (p - 1.0)  # |b|**p may underflow where this does not
+    return tuple(f * g + signed_log * gp for g, gp in zip(d_base, d_p))
+
+
+def _criterion_gradient(cid: CriterionId, b1: Box, b2: Box, params: CriterionParams, detach_p: bool):
+    """Gradient of the criterion value w.r.t. (x1, y1, w1, h1), one chain-rule
+    step per step of criteria.kernel."""
+    if not isinstance(cid, CriterionId):
+        raise ValueError(f"unknown criterion {cid!r}")
     if cid is CriterionId.NWD:
         dx, dy = b1.x - b2.x, b1.y - b2.y
         dw, dh = (b1.w - b2.w) / 2, (b1.h - b2.h) / 2
@@ -119,53 +130,19 @@ def _criterion_gradient(
         scale = -math.exp(-w2 / c) / (c * w2)
         return (scale * dx, scale * dy, scale * dw / 2, scale * dh / 2)
 
-    _check_differentiable(b1, b2)
     inter, d_inter, union, d_union, hull, d_hull = _area_partials(b1, b2)
-
-    u = inter / union
-    d_u = tuple(
-        (di * union - inter * du) / (union * union) for di, du in zip(d_inter, d_union)
-    )
-
-    if cid is CriterionId.IOU:
-        return d_u
-
+    value, d_value = _quotient(inter, d_inter, union, d_union)
+    giou_base = cid in (CriterionId.GIOU, CriterionId.GSIOU)
+    if giou_base:  # GIoU = IoU - 1 + union/hull
+        ratio, d_ratio = _quotient(union, d_union, hull, d_hull)
+        value, d_value = value - 1.0 + ratio, tuple(a + b for a, b in zip(d_value, d_ratio))
     if cid is CriterionId.ALPHA_IOU:
-        if u == 0.0:
-            return (0.0, 0.0, 0.0, 0.0)  # IoU is flat on the disjoint interior
-        f = params.alpha * u ** (params.alpha - 1)
-        return tuple(f * g for g in d_u)
-
-    # GIoU = IoU - 1 + union/hull
-    d_g = tuple(
-        du + (dun * hull - union * dh) / (hull * hull)
-        for du, dun, dh in zip(d_u, d_union, d_hull)
-    )
-    if cid is CriterionId.GIOU:
-        return d_g
-
-    p = exponent_p(b1, b2, params)
-    d_p = (0.0, 0.0, 0.0, 0.0) if detach_p else _exponent_partials(b1, b2, p, params)
-
-    if cid is CriterionId.SIOU:
-        if u == 0.0:
-            return (0.0, 0.0, 0.0, 0.0)
-        val = u**p
-        return tuple(val * (p / u * gu + math.log(u) * gp) for gu, gp in zip(d_u, d_p))
-
-    if cid is CriterionId.GSIOU:
-        g = u - 1.0 + union / hull
-        if g == 0.0:
-            if p > 1.0:
-                return (0.0, 0.0, 0.0, 0.0)
-            raise NonDifferentiablePoint("GSIoU with p <= 1 has a cusp at GIoU = 0")
-        mag = abs(g) ** p
-        return tuple(
-            p * abs(g) ** (p - 1) * gg + math.copysign(mag, g) * math.log(abs(g)) * gp
-            for gg, gp in zip(d_g, d_p)
-        )
-
-    raise ValueError(f"unknown criterion {cid!r}")
+        return _signed_power_partials(value, d_value, params.alpha, _ZERO, False)
+    if cid in (CriterionId.SIOU, CriterionId.GSIOU):
+        p = exponent_p(b1, b2, params)
+        d_p = _ZERO if detach_p else _exponent_partials(b1, b2, p, params)
+        return _signed_power_partials(value, d_value, p, d_p, giou_base)
+    return d_value
 
 
 def loss_gradient(
@@ -198,25 +175,20 @@ def finite_difference_gradient(
     while the box is perturbed, matching loss_gradient's detached mode.
     """
     check_range("step", step, POSITIVE)
-
-    frozen_p = None
+    origin = (b1.x, b1.y, b1.w, b1.h)
+    probes = [  # +step then -step along x, y, w, h; each a valid Box
+        Box(*(v + (delta if i == axis else 0.0) for i, v in enumerate(origin)))
+        for axis in range(4)
+        for delta in (step, -step)
+    ]
+    base_id = cid
     if detach_p and cid in (CriterionId.SIOU, CriterionId.GSIOU):
-        frozen_p = exponent_p(b1, b2, params)
         base_id = CriterionId.IOU if cid is CriterionId.SIOU else CriterionId.GIOU
-
-    def at(dx=0.0, dy=0.0, dw=0.0, dh=0.0):
-        moved = Box(b1.x + dx, b1.y + dy, b1.w + dw, b1.h + dh)
-        if frozen_p is not None:
-            base = elementwise(base_id, boxes_array([moved]), boxes_array([b2]))
-            return 1.0 - float(signed_power(base, frozen_p)[0])
-        return loss_value(cid, moved, b2, params)
-
-    return BoxGradient(
-        (at(dx=step) - at(dx=-step)) / (2 * step),
-        (at(dy=step) - at(dy=-step)) / (2 * step),
-        (at(dw=step) - at(dw=-step)) / (2 * step),
-        (at(dh=step) - at(dh=-step)) / (2 * step),
-    )
+    values = elementwise(base_id, boxes_array(probes), boxes_array([b2]), params)
+    if base_id is not cid:  # the exponent frozen at its value for (b1, b2)
+        values = signed_power(values, exponent_p(b1, b2, params))
+    loss = 1.0 - values
+    return BoxGradient(*((loss[0::2] - loss[1::2]) / (2 * step)).tolist())
 
 
 def _check_reweight_args(iou_value: float, p: float) -> None:
@@ -231,6 +203,11 @@ def reweight_loss_ratio(iou_value: float, p: float) -> float:
 
 
 def reweight_gradient_ratio(iou_value: float, p: float) -> float:
-    """Gradient reweighting ratio p * u**(p-1) for u in (0, 1) and finite p > 0."""
+    """Gradient reweighting ratio p * u**(p-1) for u in (0, 1) and finite p > 0.
+    Raises ValueError when the ratio is too large for a float."""
     _check_reweight_args(iou_value, p)
-    return p * iou_value ** (p - 1.0)
+    try:
+        return p * iou_value ** (p - 1.0)
+    except OverflowError:  # p < 1: u**(p-1) overflows, its square root does not
+        half = iou_value ** ((p - 1.0) / 2)
+        return check_range("gradient ratio p * u**(p-1)", p * half * half, POSITIVE, FLOAT_MAX)

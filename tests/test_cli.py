@@ -315,6 +315,21 @@ class TestModuleEntry:
         assert (proc.returncode, proc.stdout) == (1, "")
         assert "unknown criterion" in proc.stderr
 
+    def test_nwd_overflow_to_zero_warns_nothing(self, monkeypatch):
+        # a tiny NWD constant sends W2 / C to inf, and exp(-inf) = 0 is the exact value
+        monkeypatch.setenv("PYTHONWARNINGS", "error")
+        proc = run_module("moments", "--id", "nwd", "--omega", "1", "--sigma", "59501836",
+                          "--nwd-constant", "1e-300", "--n", "100", "--seed", "1")
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            0, "criterion,omega,mean,std_dev,std_error,n\nnwd,1,0,0,0,100\n", "")
+
+
+def test_criterion_out_writes_the_file(capsys, tmp_path):
+    out = tmp_path / "value.txt"
+    code, stdout, _ = run(capsys, "criterion", "--id", "iou", "--a", "0,0,10,10", "--b", "2,3,10,12",
+                          "--out", str(out))
+    assert (code, stdout, out.read_bytes()) == (0, "", b"0.341463\n")
+
 
 def test_theory_check_mc_single_sample_is_data_error(capsys):
     code, out, err = run(capsys, "theory", "--id", "iou", "--omega", "8", "--sigma", "8",
