@@ -63,8 +63,8 @@ from .loss import (
     reweight_loss_ratio,
 )
 from .rating import (
-    RatingRecord,
-    criterion_rating_correlation,
+    RatingTable,
+    criterion_values,
     group_means,
     group_records,
     kendall_tau,

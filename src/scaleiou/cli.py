@@ -25,7 +25,7 @@ from .errors import ParseError, QuadratureNonConvergence, ScaleIoUError
 from .evaluation import EvalConfig, map_report
 from .geometry import Box, SizeClass
 from .io import load_boxes, load_ratings, write_table, write_text
-from .rating import criterion_rating_correlation, group_means, group_records, one_way_anova, relative_gap
+from .rating import criterion_values, group_means, group_records, kendall_tau, one_way_anova, relative_gap
 from .stats import PdfMethod, ShiftDirection, ShiftModel
 
 # config-file keys: the criterion parameters and the single eval threshold
@@ -223,7 +223,7 @@ def _cmd_criterion(args, params, config):
 def _cmd_shift_curve(args, params, config):
     cid = _criterion_id(args.id)
     direction = ShiftDirection(args.direction)
-    check_range("--steps", args.steps, 2)
+    check_range("--steps", args.steps, 2, stats.MAX_GRID)
     check_range("--max-shift", args.max_shift, POSITIVE)
     shifts = [args.max_shift * i / (args.steps - 1) for i in range(args.steps)]
     rows = []
@@ -335,28 +335,26 @@ def _cmd_eval(args, params, config):
 
 def _cmd_rating(args, params, config):
     cid = _criterion_id(args.id)
-    records = load_ratings(args.ratings)
+    table = load_ratings(args.ratings)
     if args.analysis == "correlation":
-        tau = criterion_rating_correlation(records, cid, params)
-        rows = [{"criterion": cid.value, "kendall_tau": tau, "n": len(records)}]
+        tau = kendall_tau(criterion_values(table, cid, params), table.rating)
+        rows = [{"criterion": cid.value, "kendall_tau": tau, "n": len(table)}]
         columns = ("criterion", "kendall_tau", "n")
     elif args.analysis == "groups":
-        rows = group_means(records, args.grouping, cid, params)
+        rows = group_means(table, args.grouping, cid, params)
         for row in rows:
             row["criterion"] = cid.value
         columns = ("criterion", "group", "n", "mean_rating", "mean_criterion")
     elif args.analysis == "gaps":
-        gaps = relative_gap(records, cid, params)
+        gaps = relative_gap(table, cid, params)
         rows = [
             {"criterion": cid.value, "size": s.value, "rating": r, "relative_gap": c}
             for (s, r), c in sorted(gaps.items(), key=lambda kv: (kv[0][1], kv[0][0].value))
         ]
         columns = ("criterion", "size", "rating", "relative_gap")
     else:  # anova on ratings grouped by the grouping variable
-        groups = group_records(records, args.grouping)
-        f_stat, p_value = one_way_anova(
-            [[records[i].rating for i in index] for index in groups.values()]
-        )
+        groups = group_records(table, args.grouping)
+        f_stat, p_value = one_way_anova([table.rating[index] for index in groups.values()])
         rows = [
             {
                 "grouping": args.grouping,

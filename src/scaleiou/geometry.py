@@ -25,6 +25,7 @@ class SizeClass(Enum):
 # sqrt-area thresholds of the COCO size buckets, in pixels
 SMALL_MAX = 32.0
 MEDIUM_MAX = 96.0
+_SIZE_CLASSES = tuple(SizeClass)
 
 
 @dataclass(frozen=True)
@@ -99,11 +100,12 @@ def enclosing_hull_area(b1: Box, b2: Box) -> float:
     return _pair_areas(b1, b2)[2]
 
 
+def size_index(s):
+    """Position in SizeClass of the bucket of sqrt-area s, a float or an
+    array: small <= 32 < medium <= 96 < large."""
+    return 2 - (s <= MEDIUM_MAX) - (s <= SMALL_MAX)
+
+
 def size_class(b: Box) -> SizeClass:
-    """Bucket a box by sqrt(w*h): small <= 32 < medium <= 96 < large."""
-    s = math.sqrt(b.w * b.h)
-    if s <= SMALL_MAX:
-        return SizeClass.SMALL
-    if s <= MEDIUM_MAX:
-        return SizeClass.MEDIUM
-    return SizeClass.LARGE
+    """Bucket a box by sqrt(w*h), as size_index does."""
+    return _SIZE_CLASSES[size_index(math.sqrt(b.w * b.h))]

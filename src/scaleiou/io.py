@@ -11,14 +11,18 @@ from __future__ import annotations
 import csv
 import io as _io
 import json
+import math
 import sys
+from array import array
 from typing import Optional, Sequence
+
+import numpy as np
 
 from .criteria import FLOAT_MAX, check_range
 from .errors import ParseError
 from .evaluation import DetectionRecord, GroundTruthRecord
 from .geometry import Box
-from .rating import RatingRecord
+from .rating import InvalidRow, RatingTable
 
 
 def format_number(value) -> str:
@@ -96,60 +100,74 @@ def load_boxes(path: str) -> tuple[list[DetectionRecord], list[GroundTruthRecord
 
 _RATING_REQUIRED = ("rating", "gt_x", "gt_y", "gt_w", "gt_h", "px", "py", "pw", "ph")
 _RATING_OPTIONAL = ("context", "expertise", "age")
+_FLAGS = {"1": 1.0, "true": 1.0, "yes": 1.0, "0": 0.0, "false": 0.0, "no": 0.0, "": math.nan}
 
 
-def load_ratings(path: str) -> list[RatingRecord]:
+def _optional_cell(name: str, raw: str) -> float:
+    """A flag as 1.0 or 0.0, or an age; NaN when the cell is blank."""
+    text = raw.strip().lower()
+    try:
+        return float(int(text)) if name == "age" and text else _FLAGS[text]
+    except (KeyError, ValueError, OverflowError):
+        raise ValueError(f"invalid {name} {raw!r}") from None
+
+
+def load_ratings(path: str) -> RatingTable:
     """Load a rating CSV with columns rating,gt_x,gt_y,gt_w,gt_h,px,py,pw,ph
-    and optional context,expertise,age. Box columns are corner form."""
+    and optional context,expertise,age. Box columns are corner form. A flag
+    is 1/0, true/false or yes/no in any case; an empty cell is absent. Errors
+    name the file line of the offending row."""
     try:
         fh = open(path, newline="")
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     with fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
-            raise ParseError(f"{path}: missing CSV header")
-        for col in _RATING_REQUIRED:
-            if col not in reader.fieldnames:
-                raise ParseError(f"{path}: missing column {col!r}")
-        records = []
-        for line_no, row in enumerate(reader, start=2):
-            where = f"{path}: line {line_no}"
-            try:
-                rating = int(row["rating"])
-                gt = Box.from_corner(
-                    float(row["gt_x"]), float(row["gt_y"]),
-                    float(row["gt_w"]), float(row["gt_h"]),
-                )
-                proposal = Box.from_corner(
-                    float(row["px"]), float(row["py"]),
-                    float(row["pw"]), float(row["ph"]),
-                )
-            except (TypeError, ValueError) as exc:
-                raise ParseError(f"{where}: {exc}") from exc
-
-            def optional(name, convert):
-                raw = row.get(name)
-                if raw is None or raw == "":
-                    return None
+        reader = csv.reader(fh)
+        try:
+            header = next(reader, None)
+            if header is None:
+                raise ParseError(f"{path}: missing CSV header")
+            column = {name: i for i, name in enumerate(header)}  # a repeated name means its last column
+            for col in _RATING_REQUIRED:
+                if col not in column:
+                    raise ParseError(f"{path}: missing column {col!r}")
+            numbers = [column[c] for c in _RATING_REQUIRED[1:]]
+            optional = [(name, column.get(name)) for name in _RATING_OPTIONAL]
+            # per row: 8 corner-form box fields, then the 3 optionals
+            lines, ratings, values = [], [], array("d")
+            for row in reader:
+                if not row:
+                    continue  # a blank line
+                row += [""] * (len(header) - len(row))
                 try:
-                    return convert(raw)
+                    rating = int(row[column["rating"]])
+                    fields = [float(row[i]) for i in numbers]
+                    fields += [math.nan if i is None else _optional_cell(name, row[i]) for name, i in optional]
                 except ValueError as exc:
-                    raise ParseError(f"{where}: invalid {name} {raw!r}") from exc
+                    _rating_table(path, lines, ratings, values)  # a rule broken on an earlier row comes first
+                    raise ParseError(f"{path}: line {reader.line_num}: {exc}") from exc
+                lines.append(reader.line_num)
+                ratings.append(rating)
+                values.extend(fields)
+        except (csv.Error, UnicodeDecodeError) as exc:  # an oversized field, or bytes that are not UTF-8
+            raise ParseError(f"{path}: {exc}") from exc
+    return _rating_table(path, lines, ratings, values)
 
-            try:
-                record = RatingRecord(
-                    rating=rating,
-                    gt_box=gt,
-                    proposal_box=proposal,
-                    context=optional("context", lambda v: v.strip().lower() in ("1", "true", "yes")),
-                    expertise=optional("expertise", lambda v: v.strip().lower() in ("1", "true", "yes")),
-                    age=optional("age", int),
-                )
-            except ValueError as exc:
-                raise ParseError(f"{where}: {exc}") from exc
-            records.append(record)
-    return records
+
+def _rating_table(path: str, lines: list[int], ratings: list[int], values: array) -> RatingTable:
+    """The table of the parsed rows; a row that breaks a rule is a ParseError naming its line."""
+    values = np.array(values, dtype=float).reshape(-1, 11)
+    corner = values[:, :8].reshape(-1, 2, 4)
+    # to center form, as Box.from_corner: x_min + w / 2, y_min + h / 2
+    center = np.concatenate([corner[:, :, :2] + corner[:, :, 2:] / 2, corner[:, :, 2:]], axis=2)
+    try:
+        rating = np.array(ratings, dtype=int)
+    except OverflowError:
+        rating = np.array(ratings, dtype=object)  # exact, for the rating rule to reject
+    try:
+        return RatingTable(rating, center[:, 0], center[:, 1], *values[:, 8:].T)
+    except InvalidRow as exc:
+        raise ParseError(f"{path}: line {lines[exc.row]}: {exc.reason}") from exc
 
 
 def render_table(rows: Sequence[dict], fmt: str = "csv", columns: Optional[Sequence[str]] = None) -> str:

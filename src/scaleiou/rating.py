@@ -9,33 +9,77 @@ classes at that rating, so the gaps at each rating sum to zero.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from dataclasses import dataclass, fields
+from typing import Sequence
 
 import numpy as np
 from scipy import stats as sp_stats
 
-from .criteria import CriterionId, CriterionParams, DEFAULT_PARAMS, boxes_array, check_range, elementwise
+from .criteria import CriterionId, CriterionParams, DEFAULT_PARAMS, check_range, elementwise
 from .errors import DegenerateInput, EmptyCell
-from .geometry import Box, SizeClass, size_class
+from .geometry import Box, SizeClass, size_index
 
 AGE_BUCKETS = ((10, 25), (25, 40), (40, 65))  # half-open (lo, hi] tertiles
+# the groups of each grouping; a row's group is its position here
+_GROUPS = {
+    "size": tuple(s.value for s in SizeClass),
+    "context": ("without-context", "with-context"),
+    "expertise": ("inexperienced", "expert"),
+    "age": tuple(f"({lo}, {hi}]" for lo, hi in AGE_BUCKETS),
+}
 
 
-@dataclass(frozen=True)
-class RatingRecord:
-    """One participant answer: a 1..5 rating of how well proposal_box covers
-    the object annotated by gt_box."""
+class InvalidRow(ValueError):
+    """Raised by RatingTable: row `row` breaks the rule whose error is `reason`."""
 
-    rating: int
-    gt_box: Box
-    proposal_box: Box
-    context: Optional[bool] = None
-    expertise: Optional[bool] = None
-    age: Optional[int] = None
+    def __init__(self, row: int, reason: ValueError):
+        super().__init__(f"row {row}: {reason}")
+        self.row, self.reason = row, reason
+
+
+@dataclass(frozen=True, eq=False)
+class RatingTable:
+    """Rating data as numpy columns, one row per participant answer: a 1..5
+    rating of how well the proposal box covers the object annotated by the
+    gt box. rating is (N,) int; gt and proposal are center-form (N, 4);
+    context, expertise (1 or 0) and age are (N,) float, NaN where absent.
+    The rating follows check_range and each box the Box rule.
+    """
+
+    rating: np.ndarray
+    gt: np.ndarray
+    proposal: np.ndarray
+    context: np.ndarray
+    expertise: np.ndarray
+    age: np.ndarray
 
     def __post_init__(self):
-        check_range("rating", self.rating, 1, 5)
+        if {len(getattr(self, f.name)) for f in fields(self)} != {len(self)}:
+            raise ValueError("the columns of a RatingTable differ in length")
+        # Each rule is an interval on one column (the rating, a box's x, y, w,
+        # h or w*h), so the rows holding the extremes (argmin and argmax land
+        # on the first NaN) pass only if all do. On a failure the rows are
+        # scanned in order, so the error names the first row that breaks a rule.
+        with np.errstate(over="ignore", invalid="ignore"):  # an inf or NaN area is an extreme that fails
+            probes = [self.rating] + [c for b in (self.gt, self.proposal) for c in (*b.T, b[:, 2] * b[:, 3])]
+        extremes = {int(f(c)) for c in probes for f in (np.argmin, np.argmax)} if len(self) else ()
+        try:
+            for i in sorted(extremes):
+                self._check_row(i)
+        except InvalidRow:
+            for i in range(len(self)):
+                self._check_row(i)
+
+    def _check_row(self, i: int) -> None:
+        try:
+            Box(*self.gt[i].tolist())
+            Box(*self.proposal[i].tolist())
+            check_range("rating", self.rating[i].item(), 1, 5)
+        except ValueError as exc:
+            raise InvalidRow(i, exc) from exc
+
+    def __len__(self) -> int:
+        return len(self.rating)
 
 
 def kendall_tau(x: Sequence[float], y: Sequence[float]) -> float:
@@ -52,24 +96,12 @@ def kendall_tau(x: Sequence[float], y: Sequence[float]) -> float:
 
 
 def criterion_values(
-    records: Sequence[RatingRecord],
+    table: RatingTable,
     cid: CriterionId,
     params: CriterionParams = DEFAULT_PARAMS,
-) -> list[float]:
-    proposals = boxes_array(r.proposal_box for r in records)
-    gts = boxes_array(r.gt_box for r in records)
-    return elementwise(cid, proposals, gts, params).tolist()
-
-
-def criterion_rating_correlation(
-    records: Sequence[RatingRecord],
-    cid: CriterionId,
-    params: CriterionParams = DEFAULT_PARAMS,
-) -> float:
-    """Kendall tau-b between per-record criterion values and ratings."""
-    if len(records) < 2:
-        raise ValueError(f"need at least 2 records, got {len(records)}")
-    return kendall_tau(criterion_values(records, cid, params), [r.rating for r in records])
+) -> np.ndarray:
+    """The criterion between each row's proposal and ground-truth box."""
+    return elementwise(cid, table.proposal, table.gt, params)
 
 
 def relative_gap_from_means(
@@ -92,7 +124,7 @@ def relative_gap_from_means(
 
 
 def relative_gap(
-    records: Sequence[RatingRecord],
+    table: RatingTable,
     cid: CriterionId,
     params: CriterionParams = DEFAULT_PARAMS,
 ) -> dict[tuple[SizeClass, int], float]:
@@ -101,63 +133,52 @@ def relative_gap(
     Raises EmptyCell listing any (size, rating) cell with no records among
     the ratings present in the data.
     """
-    sums: dict[tuple[SizeClass, int], float] = {}
-    counts: dict[tuple[SizeClass, int], int] = {}
-    for record, value in zip(records, criterion_values(records, cid, params)):
-        key = (size_class(record.gt_box), record.rating)
-        sums[key] = sums.get(key, 0.0) + value
-        counts[key] = counts.get(key, 0) + 1
-    means = {key: sums[key] / counts[key] for key in sums}
+    cell = 6 * size_index(np.sqrt(table.gt[:, 2] * table.gt[:, 3])) + table.rating
+    sums = np.zeros(18)
+    np.add.at(sums, cell, criterion_values(table, cid, params))  # row by row, left to right
+    counts = np.bincount(cell, minlength=18)
+    sizes = list(SizeClass)
+    means = {(sizes[c // 6], c % 6): float(sums[c] / counts[c]) for c in np.flatnonzero(counts).tolist()}
     return relative_gap_from_means(means)
 
 
-def _group_key(record: RatingRecord, grouping: str):
-    if grouping == "size":
-        return size_class(record.gt_box).value
-    if grouping == "context":
-        return "with-context" if record.context else "without-context"
-    if grouping == "expertise":
-        return "expert" if record.expertise else "inexperienced"
-    if grouping == "age":
-        if record.age is None:
-            return None
-        for lo, hi in AGE_BUCKETS:
-            if lo < record.age <= hi:
-                return f"({lo}, {hi}]"
-        return None
-    raise ValueError(f"unknown grouping {grouping!r}")
+def group_records(table: RatingTable, grouping: str) -> dict[str, np.ndarray]:
+    """Row indices of each non-empty group, keys in sorted order.
 
-
-def group_records(records: Sequence[RatingRecord], grouping: str) -> dict[str, list[int]]:
-    """Indices of the records in each group, keys in sorted order.
-
-    grouping is one of "size", "context", "expertise", "age". Records whose
+    grouping is one of "size", "context", "expertise", "age". Rows whose
     grouping field is absent are skipped.
     """
-    groups: dict[str, list[int]] = {}
-    for i, record in enumerate(records):
-        key = _group_key(record, grouping)
-        if key is not None:
-            groups.setdefault(key, []).append(i)
-    return {key: groups[key] for key in sorted(groups)}
+    if grouping == "size":
+        codes = size_index(np.sqrt(table.gt[:, 2] * table.gt[:, 3]))
+    elif grouping == "age":
+        codes = np.full(len(table), -1)
+        for k, (lo, hi) in enumerate(AGE_BUCKETS):
+            codes[(lo < table.age) & (table.age <= hi)] = k
+    elif grouping in ("context", "expertise"):
+        flag = getattr(table, grouping)
+        codes = np.where(np.isnan(flag), -1, flag != 0)
+    else:
+        raise ValueError(f"unknown grouping {grouping!r}")
+    groups = {name: np.flatnonzero(codes == k) for k, name in enumerate(_GROUPS[grouping])}
+    return {name: groups[name] for name in sorted(groups) if groups[name].size}
 
 
 def group_means(
-    records: Sequence[RatingRecord],
+    table: RatingTable,
     grouping: str,
     cid: CriterionId,
     params: CriterionParams = DEFAULT_PARAMS,
 ) -> list[dict]:
     """Mean rating and mean criterion value per group (see group_records)."""
-    values = criterion_values(records, cid, params)
+    values = criterion_values(table, cid, params)
     return [
         {
             "group": key,
             "n": len(index),
-            "mean_rating": sum(records[i].rating for i in index) / len(index),
-            "mean_criterion": sum(values[i] for i in index) / len(index),
+            "mean_rating": sum(table.rating[index].tolist()) / len(index),
+            "mean_criterion": sum(values[index].tolist()) / len(index),
         }
-        for key, index in group_records(records, grouping).items()
+        for key, index in group_records(table, grouping).items()
     ]
 
 

@@ -28,6 +28,10 @@ from .criteria import check_range, check_size, exponent, kernel, signed_power
 from .errors import InsufficientSamples
 
 CHUNK_SIZE = 1 << 16
+# Upper bounds of a requested count: Monte Carlo samples or random triples
+# (a simulation peaks near 80 B per sample), and histogram or curve points.
+MAX_SAMPLES = 10**8
+MAX_GRID = 10**6
 
 
 class ShiftDirection(Enum):
@@ -109,7 +113,7 @@ def _chunk_seeds(seed: int, n: int):
 
 def sample_shifts(omega: float, model: ShiftModel, n: int, seed: int, n_threads: int = 1) -> np.ndarray:
     """Draw n shifts from N(0, sigma(omega)^2), chunked for reproducible parallelism."""
-    check_range("n", n, 1)
+    check_range("n", n, 1, MAX_SAMPLES)
     sigma = check_range(f"sigma(omega) at omega={omega!r}", model.sigma(omega), POSITIVE)
 
     def draw(item):
@@ -198,6 +202,7 @@ def empirical_pdf(
     lo, hi = bounds
 
     if method is PdfMethod.HISTOGRAM:
+        check_range("bins", bins, 1, MAX_GRID)
         counts, edges = np.histogram(samples, bins=bins, range=(lo, hi))
         widths = np.diff(edges)
         density = counts / (samples.size * widths)
@@ -289,7 +294,7 @@ def order_preservation_counts(
     grow, so every aligned triple is preserved; on the remaining triples the
     smaller-IoU pair has the smaller exponent and the order can flip.
     """
-    check_range("n_triples", n_triples, 1)
+    check_range("n_triples", n_triples, 1, MAX_SAMPLES)
     rng = np.random.default_rng(np.random.SeedSequence([seed]))
     preserved = 0
     n_aligned = 0

@@ -5,9 +5,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import scaleiou
+from scaleiou import ParseError
 from scaleiou.cli import main
 from scaleiou.io import load_boxes, load_ratings
 
@@ -288,11 +290,90 @@ class TestLoaders:
             load_boxes(str(path))
 
     def test_load_ratings_fields(self, ratings_file):
-        records = load_ratings(ratings_file)
-        assert [r.rating for r in records] == [5, 4, 2, 1]
-        assert records[0].context is True and records[0].expertise is False
-        assert records[3].age is None
-        assert records[0].gt_box.x == 10  # corner (0,0,20,20) -> center 10
+        table = load_ratings(ratings_file)
+        assert table.rating.tolist() == [5, 4, 2, 1]
+        assert table.context[0] == 1.0 and table.expertise[0] == 0.0
+        assert np.isnan(table.age[3])
+        assert table.gt[0, 0] == 10  # corner (0,0,20,20) -> center 10
+
+
+RATING_HEADER = "rating,gt_x,gt_y,gt_w,gt_h,px,py,pw,ph,context,expertise,age\n"
+
+
+def write_ratings(tmp_path, *rows):
+    path = tmp_path / "ratings.csv"
+    path.write_text(RATING_HEADER + "".join(row + "\n" for row in rows))
+    return str(path)
+
+
+class TestRatingCsvRules:
+    def test_error_names_the_file_line(self, tmp_path):
+        # two blank lines before the bad row: it is physical line 5, the third record
+        path = write_ratings(tmp_path, "5,0,0,20,20,0,0,20,20,1,0,22", "", "", "3,0,0,20,20,0,0,-1,20,1,0,22")
+        with pytest.raises(ParseError, match=r"line 5: box size out of range"):
+            load_ratings(path)
+
+    def test_conversion_error_names_the_file_line(self, tmp_path):
+        path = write_ratings(tmp_path, "", "5,0,0,20,20,0,0,20,x,1,0,22")
+        with pytest.raises(ParseError, match=r"line 3: could not convert"):
+            load_ratings(path)
+
+    def test_rule_broken_on_an_earlier_row_is_reported_first(self, tmp_path):
+        path = write_ratings(tmp_path, "9,0,0,20,20,0,0,20,20,1,0,22", "3,0,0,20,20,0,0,20,x,1,0,22")
+        with pytest.raises(ParseError, match=r"line 2: rating out of range"):
+            load_ratings(path)
+
+    def test_quoted_newline_counts_its_lines(self, tmp_path):
+        path = write_ratings(tmp_path, '5,0,0,20,20,0,0,20,20,"\n1",0,22', "3,0,0,20,20,0,0,20,20,1,0,abc")
+        with pytest.raises(ParseError, match=r"line 4: invalid age"):
+            load_ratings(path)
+
+    def test_flag_spellings(self, tmp_path):
+        spellings = ["1", "0", "true", "FALSE", " Yes ", "no", "True", " 0"]
+        path = write_ratings(tmp_path, *(f"3,0,0,20,20,0,0,20,20,{s},{s},30" for s in spellings))
+        table = load_ratings(path)
+        expected = [1, 0, 1, 0, 1, 0, 1, 0]
+        assert table.context.tolist() == expected and table.expertise.tolist() == expected
+
+    @pytest.mark.parametrize("column, cells", [("context", "banana,1,30"), ("context", "2,1,30"),
+                                               ("expertise", "1,-1,30"), ("expertise", "1,y,30"),
+                                               ("age", "1,1,thirty"), ("age", "1,1,30.5")])
+    def test_unknown_value_names_line_and_column(self, tmp_path, capsys, column, cells):
+        path = write_ratings(tmp_path, "5,0,0,20,20,0,0,20,20,1,1,30", f"5,0,0,20,20,0,0,20,20,{cells}")
+        with pytest.raises(ParseError, match=rf"line 3: invalid {column} "):
+            load_ratings(path)
+        assert main(["rating", "--ratings", path]) == 2
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("grouping, names", [("context", ["with-context", "without-context"]),
+                                                 ("expertise", ["expert", "inexperienced"]),
+                                                 ("age", ["(10, 25]", "(25, 40]"])])
+    def test_absent_values_are_skipped(self, tmp_path, capsys, grouping, names):
+        path = write_ratings(tmp_path, "5,0,0,20,20,0,0,20,20,1,1,20", "4,0,0,20,20,2,0,20,20,0,0,30",
+                             "2,0,0,20,20,8,0,20,20,,,", "1,0,0,20,20,15,0,20,20, , , ")
+        code, out, _ = run(capsys, "rating", "--ratings", path, "--analysis", "groups", "--grouping", grouping)
+        assert code == 0
+        rows = list(csv.DictReader(out.splitlines()))
+        assert [r["group"] for r in rows] == names
+        assert [r["n"] for r in rows] == ["1", "1"]
+        assert [r["mean_rating"] for r in rows] in (["5", "4"], ["4", "5"])
+
+    @pytest.mark.parametrize("content", [RATING_HEADER.encode() + b"3,0,0,20,20,0,0,20,\xff\n",
+                                         RATING_HEADER.encode() + b"3," + b"1" * 200_000 + b",0,20,20,0,0,20,20\n"])
+    def test_unreadable_csv_is_a_data_error(self, tmp_path, capsys, content):
+        path = tmp_path / "ratings.csv"
+        path.write_bytes(content)
+        with pytest.raises(ParseError):
+            load_ratings(str(path))
+        assert main(["rating", "--ratings", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "Traceback" not in captured.err
+
+    def test_missing_optional_columns_are_absent(self, tmp_path):
+        path = tmp_path / "ratings.csv"
+        path.write_text("rating,gt_x,gt_y,gt_w,gt_h,px,py,pw,ph\n5,0,0,20,20,0,0,20,20\n")
+        table = load_ratings(str(path))
+        assert np.isnan(table.context).all() and np.isnan(table.expertise).all() and np.isnan(table.age).all()
 
 
 def run_module(*argv):

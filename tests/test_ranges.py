@@ -68,6 +68,12 @@ CLI_ROWS = [
     (["theory", "--id", "siou", "--omega", "1e-200", "--sigma", "1e-200"], "omega (area)"),
     (["theory", "--id", "iou", "--omega", "1e-200", "--sigma", "1e-200"], "omega (area)"),
     (["theory", "--id", "iou", "--omega", "8", "--sigma", "1e300"], "sigma"),
+    (["simulate", "--id", "iou", "--omega", "16", "--sigma", "4", "--n", "100", "--seed", "1",
+      "--pdf", "histogram", "--bins", "1000000000000"], "bins"),
+    (["shift-curve", "--id", "iou", "--omega", "8", "--max-shift", "4", "--steps", "1000000000"], "--steps"),
+    (["simulate", "--id", "iou", "--omega", "16", "--sigma", "4", "--n", "1000000000000", "--seed", "1"], "n"),
+    (MOMENTS[:3] + ["--omega", "8", "--sigma", "4", "--n", "1000000000000", "--seed", "1"], "n"),
+    (["order-check", "--n", "1000000000000", "--seed", "1"], "n_triples"),
 ]
 
 

@@ -10,19 +10,39 @@ from scaleiou import (
     CriterionParams,
     DegenerateInput,
     EmptyCell,
-    RatingRecord,
+    RatingTable,
     SizeClass,
-    criterion_rating_correlation,
+    criterion_values,
     group_means,
     kendall_tau,
     one_way_anova,
     relative_gap,
 )
-from scaleiou.rating import relative_gap_from_means
+from scaleiou.criteria import boxes_array
+from scaleiou.rating import InvalidRow, relative_gap_from_means
 
 SMALL = Box(0, 0, 16, 16)
 MEDIUM = Box(0, 0, 64, 64)
 LARGE = Box(0, 0, 128, 128)
+
+
+def table(*rows):
+    """A RatingTable of (rating, gt, proposal[, context, expertise, age])
+    rows of Boxes and optional fields; None or a left-out field is absent."""
+    rows = [tuple(row) + (None,) * (6 - len(row)) for row in rows]
+
+    def optional(k):
+        return np.array([math.nan if row[k] is None else float(row[k]) for row in rows])
+
+    return RatingTable(np.array([row[0] for row in rows]), boxes_array(row[1] for row in rows),
+                       boxes_array(row[2] for row in rows), optional(3), optional(4), optional(5))
+
+
+def flagless(rating, gt, proposal):
+    """A RatingTable of the given columns, with every optional field absent."""
+    absent = np.full(len(rating), math.nan)
+    return RatingTable(np.array(rating), np.array(gt, dtype=float), np.array(proposal, dtype=float),
+                       absent, absent, absent)
 
 
 def tau_b_oracle(x, y):
@@ -103,19 +123,19 @@ class TestCriterionCorrelation:
             proposal = Box(gt.x + offset, gt.y, gt.w, gt.h)
             quality = 1 - offset / gt.w
             rating = max(1, min(5, 1 + round(4 * quality + rnd.uniform(-0.5, 0.5))))
-            records.append(RatingRecord(rating, gt, proposal))
-        return records
+            records.append((rating, gt, proposal))
+        return table(*records)
 
     def test_positive_for_overlap_driven_ratings(self):
         records = self.records_with_signal()
-        tau = criterion_rating_correlation(records, CriterionId.IOU)
+        tau = kendall_tau(criterion_values(records, CriterionId.IOU), records.rating)
         assert tau > 0.5
 
     def test_gamma_zero_matches_iou(self):
         records = self.records_with_signal()
-        tau_iou = criterion_rating_correlation(records, CriterionId.IOU)
-        tau_siou = criterion_rating_correlation(
-            records, CriterionId.SIOU, CriterionParams(gamma=0.0)
+        tau_iou = kendall_tau(criterion_values(records, CriterionId.IOU), records.rating)
+        tau_siou = kendall_tau(
+            criterion_values(records, CriterionId.SIOU, CriterionParams(gamma=0.0)), records.rating
         )
         assert tau_siou == pytest.approx(tau_iou, abs=1e-12)
 
@@ -152,19 +172,19 @@ class TestRelativeGap:
         records = []
         for gt, v in ((SMALL, 0.2), (MEDIUM, 0.25), (LARGE, 0.3)):
             # identical proposal offsets per size give deterministic cell means
-            records.append(RatingRecord(1, gt, Box(gt.x + gt.w * (1 - v) / (1 + v), gt.y, gt.w, gt.h)))
-        gaps = relative_gap(records, CriterionId.IOU)
+            records.append((1, gt, Box(gt.x + gt.w * (1 - v) / (1 + v), gt.y, gt.w, gt.h)))
+        gaps = relative_gap(table(*records), CriterionId.IOU)
         assert set(gaps) == {(s, 1) for s in SizeClass}
         assert gaps[(SizeClass.SMALL, 1)] < 0 < gaps[(SizeClass.LARGE, 1)]
 
 
 class TestGroupMeans:
-    RECORDS = [
-        RatingRecord(5, SMALL, SMALL, context=True, expertise=True, age=20),
-        RatingRecord(3, MEDIUM, Box(10, 0, 64, 64), context=False, expertise=True, age=30),
-        RatingRecord(1, LARGE, Box(60, 0, 128, 128), context=False, expertise=False, age=50),
-        RatingRecord(2, LARGE, Box(80, 0, 128, 128), context=True, expertise=False),
-    ]
+    RECORDS = table(
+        (5, SMALL, SMALL, True, True, 20),
+        (3, MEDIUM, Box(10, 0, 64, 64), False, True, 30),
+        (1, LARGE, Box(60, 0, 128, 128), False, False, 50),
+        (2, LARGE, Box(80, 0, 128, 128), True, False),
+    )
 
     def test_size_grouping(self):
         rows = group_means(self.RECORDS, "size", CriterionId.IOU)
@@ -217,9 +237,73 @@ class TestAnova:
             one_way_anova([[1, 2, 3]])
 
 
-class TestRatingRecord:
+class TestRatingTable:
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
-            RatingRecord(0, SMALL, SMALL)
+            table((0, SMALL, SMALL))
         with pytest.raises(ValueError):
-            RatingRecord(6, SMALL, SMALL)
+            table((6, SMALL, SMALL))
+
+    @pytest.mark.parametrize("first, later", [(2e150, 3e150), (2e150, math.nan), (math.nan, -3e150)])
+    def test_names_the_first_row_that_breaks_a_rule(self, first, later):
+        # the extremes of y lie on row 3; the error names row 1
+        gt = [(0, 0, 16, 16)] * 5
+        gt[1], gt[3] = (0, first, 16, 16), (0, later, 16, 16)
+        with pytest.raises(InvalidRow) as info:
+            flagless([3] * 5, gt, [(1, 0, 16, 16)] * 5)
+        assert info.value.row == 1
+        assert str(info.value.reason).startswith("box field 'y' out of range")
+
+    def test_area_extremes_are_probed(self):
+        # row 1's w and h lie strictly inside their columns' ranges, but its area rounds to 0
+        gt = [(0, 0, 16, 16), (0, 0, 1e-162, 1e-162), (0, 0, 1e-300, 1e150), (0, 0, 1e150, 1e-300)]
+        with pytest.raises(InvalidRow) as info:
+            flagless([3] * 4, gt, [(0, 0, 16, 16)] * 4)
+        assert info.value.row == 1
+        assert str(info.value.reason).startswith("box size (area) out of range")
+
+    def test_rule_order_within_a_row(self):
+        # as Box.from_corner ran before the rating check: gt, proposal, rating
+        nan_box = (0, 0, math.nan, 16)
+        for rating, gt, proposal, message in ((0, nan_box, nan_box, "box size"),
+                                              (0, (0, 0, 16, 16), nan_box, "box size"),
+                                              (0, (0, 0, 16, 16), (0, 0, 16, 16), "rating")):
+            with pytest.raises(InvalidRow) as info:
+                flagless([3, rating], [(0, 0, 16, 16), gt], [(0, 0, 16, 16), proposal])
+            assert info.value.row == 1
+            assert str(info.value.reason).startswith(f"{message} out of range")
+
+    @pytest.mark.parametrize("gt, message", [
+        ((0, math.nan, 16, 16), "box field 'y' out of range"),
+        ((0, 0, 1e-200, 1e-200), "box size (area) out of range"),
+        ((0, 0, 16, math.inf), "box size out of range"),
+        ((-2e150, 0, 16, 16), "box field 'x' out of range"),
+    ])
+    def test_box_rule_is_the_box_rule(self, gt, message):
+        rows = [(0, 0, 16, 16)] * 3 + [gt] + [(0, 0, 16, 16)] * 2
+        with pytest.raises(InvalidRow) as info:
+            flagless([3] * 6, rows, [(1, 0, 16, 16)] * 6)
+        assert info.value.row == 3
+        with pytest.raises(ValueError) as box_error:
+            Box(*gt)
+        assert str(info.value.reason) == str(box_error.value)
+        assert str(info.value.reason).startswith(message)
+
+    def test_columns(self):
+        t = table((5, SMALL, MEDIUM, True, None, 30), (1, LARGE, LARGE))
+        assert len(t) == 2
+        assert t.rating.tolist() == [5, 1]
+        assert t.gt.shape == t.proposal.shape == (2, 4)
+        assert t.proposal[0].tolist() == [0, 0, 64, 64]
+        assert t.context[0] == 1.0 and t.age[0] == 30.0
+        assert np.isnan(t.expertise).all() and np.isnan(t.age[1])
+        
+    def test_empty_table(self):
+        t = flagless(np.zeros(0, dtype=int), np.zeros((0, 4)), np.zeros((0, 4)))
+        assert len(t) == 0
+        assert relative_gap(t, CriterionId.IOU) == {}
+        assert group_means(t, "age", CriterionId.IOU) == []
+
+    def test_column_length_mismatch(self):
+        with pytest.raises(ValueError):
+            flagless([3, 4], [(0, 0, 4, 4)], [(0, 0, 4, 4)] * 2)
