@@ -78,25 +78,27 @@ def _load_config(path: Optional[str]) -> dict:
     if path is None:
         return {}
     try:
-        fh = open(path)
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.readlines()
     except OSError as exc:
         raise ParseError(f"cannot read config {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"config {path}: not UTF-8: {exc}") from exc
     values = {}
-    with fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ParseError(f"{path}: line {line_no}: expected key=value")
-            key, _, raw = line.partition("=")
-            key = key.strip()
-            if key not in _CONFIG_KEYS:
-                raise ParseError(f"{path}: line {line_no}: unknown key {key!r}")
-            try:
-                values[key] = float(raw.strip())
-            except ValueError as exc:
-                raise ParseError(f"{path}: line {line_no}: invalid value {raw!r}") from exc
+    for line_no, line in enumerate(lines, start=1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise ParseError(f"{path}: line {line_no}: expected key=value")
+        key, _, raw = line.partition("=")
+        key = key.strip()
+        if key not in _CONFIG_KEYS:
+            raise ParseError(f"{path}: line {line_no}: unknown key {key!r}")
+        try:
+            values[key] = float(raw.strip())
+        except ValueError as exc:
+            raise ParseError(f"{path}: line {line_no}: invalid value {raw!r}") from exc
     return values
 
 

@@ -51,10 +51,12 @@ def load_boxes(path: str) -> tuple[list[DetectionRecord], list[GroundTruthRecord
     "score"); bbox is corner form [x_min, y_min, w, h].
     """
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(data, dict):
@@ -118,7 +120,7 @@ def load_ratings(path: str) -> RatingTable:
     is 1/0, true/false or yes/no in any case; an empty cell is absent. Errors
     name the file line of the offending row."""
     try:
-        fh = open(path, newline="")
+        fh = open(path, newline="", encoding="utf-8")
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     with fh:
@@ -211,5 +213,5 @@ def write_text(text: str, path: Optional[str]) -> None:
     if path is None:
         sys.stdout.write(text)
     else:
-        with open(path, "w") as fh:
+        with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)

@@ -133,9 +133,9 @@ def _criterion_gradient(cid: CriterionId, b1: Box, b2: Box, params: CriterionPar
     inter, d_inter, union, d_union, hull, d_hull = _area_partials(b1, b2)
     value, d_value = _quotient(inter, d_inter, union, d_union)
     giou_base = cid in (CriterionId.GIOU, CriterionId.GSIOU)
-    if giou_base:  # GIoU = IoU - 1 + union/hull
-        ratio, d_ratio = _quotient(union, d_union, hull, d_hull)
-        value, d_value = value - 1.0 + ratio, tuple(a + b for a, b in zip(d_value, d_ratio))
+    if giou_base:  # GIoU = IoU - (hull - union)/hull, rounded as the kernel does; d(union/hull) is its partial
+        _, d_ratio = _quotient(union, d_union, hull, d_hull)
+        value, d_value = value - (hull - union) / hull, tuple(a + b for a, b in zip(d_value, d_ratio))
     if cid is CriterionId.ALPHA_IOU:
         return _signed_power_partials(value, d_value, params.alpha, _ZERO, False)
     if cid in (CriterionId.SIOU, CriterionId.GSIOU):

@@ -9,11 +9,11 @@ classes at that rating, so the gaps at each rating sum to zero.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 from typing import Sequence
 
 import numpy as np
-from scipy import stats as sp_stats
 
 from .criteria import CriterionId, CriterionParams, DEFAULT_PARAMS, check_range, elementwise
 from .errors import DegenerateInput, EmptyCell
@@ -83,7 +83,12 @@ class RatingTable:
 
 
 def kendall_tau(x: Sequence[float], y: Sequence[float]) -> float:
-    """Tie-corrected Kendall rank correlation (tau-b)."""
+    """Tie-corrected Kendall rank correlation (tau-b, Knight 1966).
+
+    Exact integer pair counts, then the three float steps of
+    scipy.stats.kendalltau(x, y, variant="b"), so the value is bit-identical
+    to scipy's statistic; NaN in either input gives NaN, as there.
+    """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.size != y.size:
@@ -92,7 +97,46 @@ def kendall_tau(x: Sequence[float], y: Sequence[float]) -> float:
         raise ValueError(f"need at least 2 pairs, got {x.size}")
     if np.all(x == x[0]) or np.all(y == y[0]):
         raise DegenerateInput("all values tied in one of the inputs")
-    return float(sp_stats.kendalltau(x, y, variant="b").statistic)
+    if np.isnan(x).any() or np.isnan(y).any():
+        return math.nan
+    order = np.lexsort((y, x))  # by x, ties in x by y
+    x, y = x[order], y[order]
+    x_starts = np.r_[True, x[1:] != x[:-1]]
+    tot = x.size * (x.size - 1) // 2
+    xtie = _tied_pairs(x_starts)
+    y_sorted = np.sort(y)
+    ytie = _tied_pairs(np.r_[True, y_sorted[1:] != y_sorted[:-1]])
+    ntie = _tied_pairs(x_starts | np.r_[True, y[1:] != y[:-1]])  # tied in both
+    con_minus_dis = tot - xtie - ytie + ntie - 2 * _inversions(y)
+    tau = con_minus_dis / np.sqrt(tot - xtie) / np.sqrt(tot - ytie)
+    return float(np.minimum(1.0, max(-1.0, tau)))
+
+
+def _tied_pairs(run_starts: np.ndarray) -> int:
+    """Pairs within the runs of a sorted array, each run's first element marked True."""
+    lengths = np.diff(np.flatnonzero(np.r_[run_starts, True]))
+    return int((lengths * (lengths - 1) // 2).sum())
+
+
+def _inversions(values: np.ndarray) -> int:
+    """Pairs i < j with values[i] > values[j], by a bottom-up merge count: at
+    width w, each element of a right half counts the larger elements of its
+    left half. Stable ranks make equal values no inversion."""
+    n = values.size
+    rank = np.empty(n, dtype=np.int64)
+    rank[np.argsort(values, kind="stable")] = np.arange(n)
+    position = np.arange(n)
+    count, width = 0, 1
+    while width < n:
+        block = position // (2 * width)
+        right = (position // width) % 2 == 1
+        key = block * n + rank  # ranks offset per block, so one sorted array serves all blocks
+        left = np.sort(key[~right])
+        block_end = np.searchsorted(left, (block[right] + 1) * n)
+        not_larger = np.searchsorted(left, key[right], side="right")
+        count += int((block_end - not_larger).sum())
+        width *= 2
+    return count
 
 
 def criterion_values(
@@ -199,5 +243,7 @@ def one_way_anova(groups: Sequence[Sequence[float]]) -> tuple[float, float]:
     if ss_within == 0:
         raise DegenerateInput("zero within-group variance in every group")
     f_stat = (ss_between / df_between) / (ss_within / df_within)
-    p_value = float(sp_stats.f.sf(f_stat, df_between, df_within))
+    from scipy.special import fdtrc  # the F tail that scipy.stats.f.sf calls, without scipy.stats
+
+    p_value = float(fdtrc(df_between, df_within, f_stat))
     return float(f_stat), p_value

@@ -21,7 +21,6 @@ from enum import Enum
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.stats import gaussian_kde
 
 from .criteria import CriterionId, CriterionParams, DEFAULT_PARAMS, FLOAT_MAX, POSITIVE
 from .criteria import check_range, check_size, exponent, kernel, signed_power
@@ -214,6 +213,8 @@ def empirical_pdf(
         std = float(np.std(samples))
         if std <= 0:
             raise InsufficientSamples("KDE needs non-constant samples")
+        from scipy.stats import gaussian_kde  # imported on use: scipy.stats takes ~1 s to load
+
         kde = gaussian_kde(samples, bw_method=bw / std)
         grid = np.linspace(lo - 4 * bw, hi + 4 * bw, grid_size)
         density = kde(grid)

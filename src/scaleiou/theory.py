@@ -21,8 +21,6 @@ import sys
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from scipy.integrate import quad
-
 from .criteria import CriterionId, CriterionParams, DEFAULT_PARAMS, FLOAT_MAX, check_range, check_size, exponent
 from .errors import QuadratureNonConvergence
 from .stats import ShiftModel, simulate_criterion, summarize
@@ -104,6 +102,8 @@ def _profile(cid: CriterionId, setup: TheorySetup):
 
 
 def _quad(f, lo, hi, points=None):
+    from scipy.integrate import quad  # imported on use, so commands without quadrature skip scipy
+
     value, err, *rest = quad(
         f, lo, hi, points=points, epsabs=QUAD_ABS_TOL, epsrel=0.0,
         limit=QUAD_LIMIT, full_output=True,

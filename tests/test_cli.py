@@ -109,6 +109,13 @@ class TestConfigPrecedence:
         assert code == 2
         assert "error:" in err
 
+    def test_non_utf8_config_is_data_error(self, capsys, tmp_path):
+        cfg = tmp_path / "latin1.cfg"
+        cfg.write_bytes(b"\xff=1\n")
+        code, out, err = run(capsys, *self.ARGS, "--config", str(cfg))
+        assert (code, out) == (2, "")
+        assert str(cfg) in err and "not UTF-8" in err
+
     def test_unknown_key_is_data_error(self, capsys, tmp_path):
         config = tmp_path / "sio.cfg"
         config.write_text("power=2\n")
@@ -229,6 +236,13 @@ class TestEvalCommand:
         path.write_text("{not json")
         code, _, _ = run(capsys, "eval", "--boxes", str(path))
         assert code == 2
+
+    def test_non_utf8_file_is_data_error(self, capsys, tmp_path):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(b'{"images": ["a\xff"]}')
+        code, out, err = run(capsys, "eval", "--boxes", str(path))
+        assert (code, out) == (2, "")
+        assert str(path) in err and "not UTF-8" in err
 
 
 class TestRatingCommand:

@@ -1,0 +1,95 @@
+"""Which scipy modules each command loads.
+
+Every command runs in a fresh interpreter through scaleiou.cli.main, which
+then reports the scipy entries of sys.modules. Only quadrature (theory), the
+ANOVA tail (rating --analysis anova) and the KDE (simulate --pdf kde) import
+scipy, each inside the one function that needs it.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import scaleiou
+
+PROBE = """
+import json, sys
+argv = json.loads(sys.argv[1])
+if argv is None:
+    import scaleiou
+    code = 0
+else:
+    from scaleiou.cli import main
+    code = main(argv)
+print(json.dumps([code, sorted(m for m in sys.modules if m.split(".")[0] == "scipy")]))
+"""
+
+BOXES = {
+    "images": ["a"],
+    "annotations": [{"image_id": "a", "category": "cat", "bbox": [10, 10, 16, 16]}],
+    "detections": [{"image_id": "a", "category": "cat", "bbox": [11, 10, 16, 16], "score": 0.9}],
+}
+
+
+def ratings_csv() -> str:
+    """Every (size, rating) cell filled, and ratings that vary within each size."""
+    rows = ["rating,gt_x,gt_y,gt_w,gt_h,px,py,pw,ph"]
+    for side in (16, 64, 128):
+        for rating in range(1, 6):
+            rows.append(f"{rating},0,0,{side},{side},{(5 - rating) * side / 8},0,{side},{side}")
+    return "\n".join(rows) + "\n"
+
+
+SIM = ["simulate", "--id", "siou", "--omega", "16", "--sigma", "4", "--n", "200", "--seed", "1"]
+RATING = ["rating", "--ratings", "{ratings}", "--id", "siou", "--analysis"]
+
+# (argv, whether scipy may load at all, whether scipy.stats may load); None is `import scaleiou`
+COMMANDS = {
+    "import": (None, False, False),
+    "eval": (["eval", "--boxes", "{boxes}", "--id", "siou"], False, False),
+    "criterion": (["criterion", "--id", "gsiou", "--a", "0,0,10,10", "--b", "2,3,10,12"], False, False),
+    "shift-curve": (["shift-curve", "--id", "siou", "--omega", "8", "--max-shift", "4", "--steps", "5"],
+                    False, False),
+    "moments": (["moments", "--id", "iou,gsiou", "--omega", "8,32", "--sigma", "4", "--n", "200",
+                 "--seed", "1"], False, False),
+    "order-check": (["order-check", "--n", "200", "--seed", "1"], False, False),
+    "simulate-histogram": (SIM + ["--pdf", "histogram"], False, False),
+    "rating-correlation": (RATING + ["correlation"], False, False),
+    "rating-groups": (RATING + ["groups"], False, False),
+    "rating-gaps": (RATING + ["gaps"], False, False),
+    "rating-anova": (RATING + ["anova"], True, False),
+    "theory": (["theory", "--id", "iou,gsiou", "--omega", "16", "--sigma", "4"], True, False),
+    "simulate-kde": (SIM + ["--pdf", "kde"], True, True),
+}
+
+
+def loaded_scipy(argv, tmp_path):
+    """The exit code of argv and the scipy modules loaded by its end."""
+    boxes, ratings = tmp_path / "boxes.json", tmp_path / "ratings.csv"
+    boxes.write_text(json.dumps(BOXES))
+    ratings.write_text(ratings_csv())
+    if argv is not None:
+        argv = [a.format(boxes=boxes, ratings=ratings) for a in argv] + ["--out", str(tmp_path / "out")]
+    src = str(Path(scaleiou.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", PROBE, json.dumps(argv)], capture_output=True, text=True,
+                          timeout=120, env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+@pytest.mark.parametrize("name", COMMANDS)
+def test_scipy_footprint(name, tmp_path):
+    argv, scipy_allowed, stats_allowed = COMMANDS[name]
+    code, modules = loaded_scipy(argv, tmp_path)
+    assert code == 0
+    if not scipy_allowed:
+        assert modules == []
+    if not stats_allowed:
+        assert [m for m in modules if m == "scipy.stats" or m.startswith("scipy.stats.")] == []
+    if name == "simulate-kde":  # the probe sees an import when one happens
+        assert "scipy.stats" in modules

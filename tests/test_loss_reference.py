@@ -4,7 +4,9 @@ The reference below kept a separate kink scan, one signed-power derivative
 per criterion and eight scalar kernel calls per finite-difference gradient.
 The gradients now follow criteria.kernel step by step; IoU, GIoU, NWD and
 the finite-difference oracle must match the reference bit for bit, and the
-powered criteria to within rounding of the rearranged power rule.
+powered criteria to within rounding of the rearranged power rule. One line
+of the reference follows the kernel: its GSIoU base is IoU - (hull -
+union)/hull, the value criteria.giou returns.
 """
 
 import math
@@ -24,7 +26,7 @@ from scaleiou import (
     loss_gradient,
     reweight_gradient_ratio,
 )
-from scaleiou.criteria import boxes_array, elementwise, evaluate, exponent_p, signed_power
+from scaleiou.criteria import boxes_array, elementwise, evaluate, exponent_p, giou, signed_power
 
 EXACT = (CriterionId.IOU, CriterionId.GIOU, CriterionId.NWD)
 # times max |gradient| plus the exponent's share (see exponent_share): the
@@ -112,7 +114,7 @@ def _ref_criterion_gradient(cid, b1, b2, params, detach_p):
             return (0.0, 0.0, 0.0, 0.0)
         val = u**p
         return tuple(val * (p / u * gu + math.log(u) * gp) for gu, gp in zip(d_u, d_p))
-    g = u - 1.0 + union / hull
+    g = u - (hull - union) / hull  # the GIoU base as criteria.kernel rounds it
     if g == 0.0:
         if p > 1.0:
             return (0.0, 0.0, 0.0, 0.0)
@@ -216,7 +218,8 @@ def exponent_share(cid, b1, b2, params, detach_p):
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
-@example((Box(250, 250, 1e-6, 1e-6), Box(250, 250, 500, 500)), LOSS_PRESET, False)  # GIoU 0, p > 1
+@example((Box(250, 250, 1e-6, 1e-6), Box(250, 250, 500, 500)), LOSS_PRESET, False)  # GIoU 4e-18, p > 1
+@example((Box.from_corner(-2, -2, 4, 7), Box.from_corner(0, 0, 1, 7)), LOSS_PRESET, False)  # GIoU 0, p > 1
 @given(PAIRS, st.sampled_from([EVALUATION_PRESET, LOSS_PRESET]), st.booleans())
 def test_gradients_match_reference(pair, params, detach_p):
     b1, b2 = pair
@@ -249,9 +252,27 @@ def test_extreme_pair_alpha_iou_finite():
 
 
 @pytest.mark.parametrize("params", [EVALUATION_PRESET, LOSS_PRESET])
-def test_extreme_pair_gsiou_cusp_raises(params):
+def test_extreme_pair_gsiou_finite(params):
+    # GIoU here is the IoU 1e-310: the hull and the union round to the same area
+    g = loss_gradient(CriterionId.GSIOU, TINY, HUGE, params).as_tuple()
+    assert all(math.isfinite(v) for v in g)
+
+
+def test_tiny_nested_box_gsiou_finite():
+    # the kernel's GIoU is 4.0e-18 here; a base of IoU - 1 + union/hull rounded it to 0, a cusp
+    b1, b2 = Box(250, 250, 1e-6, 1e-6), Box(250, 250, 500, 500)
+    assert giou(b1, b2) > 0
+    g = loss_gradient(CriterionId.GSIOU, b1, b2, EVALUATION_PRESET).as_tuple()
+    assert all(math.isfinite(v) for v in g) and g != (0.0, 0.0, 0.0, 0.0)
+
+
+def test_gsiou_cusp_raises_where_giou_is_zero():
+    # IoU 5/30 = (hull - union)/hull 6/36 exactly, so GIoU is 0 in every rounding
+    b1, b2 = Box.from_corner(-2, -2, 4, 7), Box.from_corner(0, 0, 1, 7)
+    assert giou(b1, b2) == 0.0
     with pytest.raises(NonDifferentiablePoint, match="cusp at GIoU = 0"):
-        loss_gradient(CriterionId.GSIOU, TINY, HUGE, params)
+        loss_gradient(CriterionId.GSIOU, b1, b2, EVALUATION_PRESET)
+    assert loss_gradient(CriterionId.GSIOU, b1, b2, LOSS_PRESET).as_tuple() == (0.0,) * 4  # p > 1: flat
 
 
 def test_gradient_ratio_where_the_power_alone_overflows():

@@ -1,8 +1,13 @@
+import importlib.util
 import math
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import stats as sp_stats
 
 from scaleiou import (
     Box,
@@ -19,7 +24,8 @@ from scaleiou import (
     relative_gap,
 )
 from scaleiou.criteria import boxes_array
-from scaleiou.rating import InvalidRow, relative_gap_from_means
+from scaleiou.io import load_ratings
+from scaleiou.rating import InvalidRow, group_records, relative_gap_from_means
 
 SMALL = Box(0, 0, 16, 16)
 MEDIUM = Box(0, 0, 64, 64)
@@ -111,6 +117,10 @@ class TestKendallTau:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             kendall_tau([1, 2], [1, 2, 3])
+
+    def test_nan_gives_nan_as_scipy(self):
+        assert math.isnan(kendall_tau([1, math.nan, 3], [1, 2, 3]))
+        assert math.isnan(scipy_tau_b([1, math.nan, 3], [1, 2, 3]))
 
 
 class TestCriterionCorrelation:
@@ -307,3 +317,69 @@ class TestRatingTable:
     def test_column_length_mismatch(self):
         with pytest.raises(ValueError):
             flagless([3, 4], [(0, 0, 4, 4)], [(0, 0, 4, 4)] * 2)
+
+
+# --- kendall_tau and one_way_anova against the scipy functions they replace
+
+ORDINAL = st.integers(1, 5)
+
+
+@st.composite
+def heavily_tied(draw, n):
+    """n floats drawn from a pool of at most 8 values, or n ratings 1..5."""
+    if draw(st.booleans()):
+        return draw(st.lists(ORDINAL, min_size=n, max_size=n))
+    pool = draw(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=8))
+    return draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n))
+
+
+@st.composite
+def tied_columns(draw):
+    n = draw(st.integers(2, 300))
+    return draw(heavily_tied(n)), draw(heavily_tied(n))
+
+
+def scipy_tau_b(x, y):
+    return float(sp_stats.kendalltau(x, y, variant="b").statistic)
+
+
+def scipy_anova_p(groups, f_stat):
+    return float(sp_stats.f.sf(f_stat, len(groups) - 1, sum(map(len, groups)) - len(groups)))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(tied_columns())
+def test_kendall_tau_is_scipys_tau_b(columns):
+    x, y = columns
+    if len(set(x)) == 1 or len(set(y)) == 1:
+        with pytest.raises(DegenerateInput):
+            kendall_tau(x, y)
+    else:
+        assert kendall_tau(x, y) == scipy_tau_b(x, y)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.lists(st.one_of(st.lists(ORDINAL, min_size=2, max_size=60),
+                          st.lists(st.floats(-1e6, 1e6), min_size=2, max_size=60)),
+                min_size=2, max_size=5))
+def test_anova_p_is_scipys_f_sf(groups):
+    try:
+        f_stat, p_value = one_way_anova(groups)
+    except DegenerateInput:
+        return
+    assert p_value == scipy_anova_p(groups, f_stat)
+
+
+def test_bench_table_matches_scipy(tmp_path):
+    spec = importlib.util.spec_from_file_location("gen", Path(__file__).resolve().parents[1] / "bench" / "gen.py")
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    table = load_ratings(gen.write_pair_inputs(1, tmp_path)["ratings"])
+    assert len(table) == 8000
+    for cid in CriterionId:
+        values = criterion_values(table, cid)
+        assert kendall_tau(values, table.rating) == scipy_tau_b(values, table.rating), cid
+    for grouping in ("size", "context", "expertise", "age"):
+        groups = [table.rating[index] for index in group_records(table, grouping).values()]
+        f_stat, p_value = one_way_anova(groups)
+        assert p_value == scipy_anova_p(groups, f_stat), grouping
