@@ -72,7 +72,6 @@ from .rating import (
     relative_gap,
 )
 from .stats import (
-    BoxSamplerConfig,
     DistributionSummary,
     OrderPreservationCounts,
     PdfMethod,

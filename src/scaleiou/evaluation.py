@@ -57,21 +57,18 @@ class EvalConfig:
             check_range("threshold", t, POSITIVE, 1.0)
 
 
-def _ranked(dets: Sequence[DetectionRecord]) -> list[int]:
-    """Indices of the detections in match order: descending score, ties
-    broken by (image_id, input index) so results are input-order independent."""
-    return sorted(range(len(dets)), key=lambda i: (-dets[i].score, dets[i].image_id, i))
-
-
 class _ScoredGroups:
     """The criterion between every detection and every ground truth of its
     (image, category) group, computed once with one pairwise matrix per group.
 
+    order lists the detection indices in match order: descending score, ties
+    broken by (image_id, input index) so results are input-order independent.
     candidates[i] lists (ground-truth index, criterion value) for detection i,
     in ground-truth input order; size[j] is the size class of ground truth j.
     """
 
     def __init__(self, dets, gts, criterion: CriterionId, params: CriterionParams):
+        self.order = sorted(range(len(dets)), key=lambda i: (-dets[i].score, dets[i].image_id, i))
         groups: dict[tuple[str, str], tuple[list[int], list[int]]] = {}
         for i, det in enumerate(dets):
             groups.setdefault((det.image_id, det.category), ([], []))[0].append(i)
@@ -95,18 +92,18 @@ class _ScoredGroups:
         matched: set[int] = set()
         labels = []
         for i in order:
-            label = MatchLabel.FP
-            for want_in_bucket, bucket_label in ((True, MatchLabel.TP), (False, MatchLabel.IGNORED)):
-                best, best_value = None, -float("inf")
-                for j, value in self.candidates[i]:
-                    in_bucket = size_filter is None or self.size[j] is size_filter
-                    if j not in matched and in_bucket is want_in_bucket and value > best_value:
-                        best, best_value = j, value
-                if best is not None and best_value >= threshold:
-                    matched.add(best)
-                    label = bucket_label
-                    break
-            labels.append(label)
+            # strict >: on equal keys the first ground truth in input order wins
+            best, best_key = None, (False, -float("inf"))
+            for j, value in self.candidates[i]:
+                if value >= threshold and j not in matched:
+                    key = (size_filter is None or self.size[j] is size_filter, value)
+                    if key > best_key:
+                        best, best_key = j, key
+            if best is None:
+                labels.append(MatchLabel.FP)
+            else:
+                matched.add(best)
+                labels.append(MatchLabel.TP if best_key[0] else MatchLabel.IGNORED)
         return labels
 
 
@@ -119,17 +116,17 @@ def match_detections(
     """Greedy matching within each (image, category) group.
 
     Each detection, in rank order, takes the unmatched same-group ground
-    truth with the highest criterion value, provided it clears the threshold.
-    With a size filter, out-of-bucket ground truths act as ignore regions:
-    a detection falls back to them only if no in-bucket match clears the
-    threshold, and it is then labeled Ignored.
+    truth whose criterion value clears the threshold and whose key
+    (in bucket, value) is largest, the first in input order on a tie: it is
+    labeled TP if that ground truth is in the bucket, Ignored if not, and FP
+    if none clears. Without a size filter every ground truth is in the
+    bucket; with one, out-of-bucket ground truths act as ignore regions.
 
     Returns (detection, label) pairs in rank order.
     """
-    order = _ranked(dets)
     groups = _ScoredGroups(dets, gts, config.criterion, config.params)
-    labels = groups.match(order, config.size_filter, threshold)
-    return [(dets[i], label) for i, label in zip(order, labels)]
+    labels = groups.match(groups.order, config.size_filter, threshold)
+    return [(dets[i], label) for i, label in zip(groups.order, labels)]
 
 
 def count_ground_truths(
@@ -178,6 +175,16 @@ _BUCKETS: tuple[tuple[str, Optional[SizeClass]], ...] = (
 )
 
 
+def _mean(aps: Sequence[Optional[float]]) -> Optional[float]:
+    """Mean of the defined APs, summed in order; None if none is defined."""
+    defined = [ap for ap in aps if ap is not None]
+    return sum(defined) / len(defined) if defined else None
+
+
+def _row(category: str, bucket: str, threshold: float | str, ap: Optional[float]) -> dict:
+    return {"category": category, "bucket": bucket, "threshold": threshold, "ap": ap}
+
+
 def map_report(
     dets: Sequence[DetectionRecord],
     gts: Sequence[GroundTruthRecord],
@@ -194,47 +201,19 @@ def map_report(
         (name, sc) for name, sc in _BUCKETS if sc is config.size_filter
     )
     groups = _ScoredGroups(dets, gts, config.criterion, config.params)
-    ranked = _ranked(dets)
-    order_by_category = {c: [i for i in ranked if dets[i].category == c] for c in categories}
+    order_by_category = {c: [i for i in groups.order if dets[i].category == c] for c in categories}
+    gts_by_category = {c: [g for g in gts if g.category == c] for c in categories}
     rows = []
     for bucket_name, bucket in buckets:
-        ap_by_threshold: dict[float, list[float]] = {t: [] for t in config.thresholds}
+        aps_by_threshold: dict[float, list[Optional[float]]] = {t: [] for t in config.thresholds}
         for category in categories:
-            n_gt = count_ground_truths([g for g in gts if g.category == category], bucket)
+            n_gt = count_ground_truths(gts_by_category[category], bucket)
             for threshold in config.thresholds:
-                labels = groups.match(order_by_category[category], bucket, threshold)
-                ap = average_precision(labels, n_gt)
-                rows.append(
-                    {
-                        "category": category,
-                        "bucket": bucket_name,
-                        "threshold": threshold,
-                        "ap": ap,
-                    }
-                )
-                if ap is not None:
-                    ap_by_threshold[threshold].append(ap)
-        mean_aps = []
-        for threshold in config.thresholds:
-            aps = ap_by_threshold[threshold]
-            mean_ap = sum(aps) / len(aps) if aps else None
-            rows.append(
-                {
-                    "category": "mAP",
-                    "bucket": bucket_name,
-                    "threshold": threshold,
-                    "ap": mean_ap,
-                }
-            )
-            if mean_ap is not None:
-                mean_aps.append(mean_ap)
+                ap = average_precision(groups.match(order_by_category[category], bucket, threshold), n_gt)
+                rows.append(_row(category, bucket_name, threshold, ap))
+                aps_by_threshold[threshold].append(ap)
+        mean_aps = [_mean(aps_by_threshold[t]) for t in config.thresholds]
+        rows += [_row("mAP", bucket_name, t, m) for t, m in zip(config.thresholds, mean_aps)]
         if len(config.thresholds) > 1:
-            rows.append(
-                {
-                    "category": "mAP",
-                    "bucket": bucket_name,
-                    "threshold": "mean",
-                    "ap": sum(mean_aps) / len(mean_aps) if mean_aps else None,
-                }
-            )
+            rows.append(_row("mAP", bucket_name, "mean", _mean(mean_aps)))
     return rows

@@ -172,10 +172,8 @@ def _rating_table(path: str, lines: list[int], ratings: list[int], values: array
         raise ParseError(f"{path}: line {lines[exc.row]}: {exc.reason}") from exc
 
 
-def render_table(rows: Sequence[dict], fmt: str = "csv", columns: Optional[Sequence[str]] = None) -> str:
+def render_table(rows: Sequence[dict], fmt: str, columns: Sequence[str]) -> str:
     """Render rows as CSV or JSON text with deterministic formatting."""
-    if columns is None:
-        columns = list(rows[0].keys()) if rows else []
     if fmt == "csv":
         buf = _io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
@@ -197,12 +195,7 @@ def render_table(rows: Sequence[dict], fmt: str = "csv", columns: Optional[Seque
     raise ValueError(f"unknown output format {fmt!r}")
 
 
-def write_table(
-    rows: Sequence[dict],
-    path: Optional[str],
-    fmt: str = "csv",
-    columns: Optional[Sequence[str]] = None,
-) -> None:
+def write_table(rows: Sequence[dict], path: Optional[str], fmt: str, columns: Sequence[str]) -> None:
     """Write a table to path, or stdout when path is None. The text is fully
     rendered before any file is opened, so failures leave no partial output."""
     write_text(render_table(rows, fmt, columns), path)

@@ -87,8 +87,12 @@ def _area_partials(b1: Box, b2: Box):
 
 
 def _quotient(num: float, d_num, den: float, d_den):
-    """num / den and its partials, by the quotient rule."""
-    return num / den, tuple((dn * den - num * dd) / (den * den) for dn, dd in zip(d_num, d_den))
+    """num / den and its partials, by the quotient rule. Past den ~ 1.34e154,
+    den * den overflows; there the rule divides by den twice instead."""
+    q, den2 = num / den, den * den
+    if den2 == math.inf:
+        return q, tuple((dn - q * dd) / den for dn, dd in zip(d_num, d_den))
+    return q, tuple((dn * den - num * dd) / den2 for dn, dd in zip(d_num, d_den))
 
 
 def _exponent_partials(b1: Box, b2: Box, p: float, params: CriterionParams):

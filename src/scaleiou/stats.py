@@ -182,16 +182,15 @@ def silverman_bandwidth(samples: np.ndarray) -> float:
 def empirical_pdf(
     samples: np.ndarray,
     method: PdfMethod = PdfMethod.HISTOGRAM,
-    bandwidth: Optional[float] = None,
     bounds: Optional[tuple[float, float]] = None,
     bins: int = 64,
-    grid_size: int = 256,
 ) -> list[tuple[float, float]]:
     """Density estimate on a uniform grid; the trapezoid integral is ~1.
 
     bounds defaults to the sample range; pass value_range(cid) to pin the
-    criterion's theoretical range. The KDE grid is widened by 4 bandwidths
-    beyond the bounds so leaked boundary mass still integrates to ~1.
+    criterion's theoretical range. The KDE uses Silverman's bandwidth on a
+    256-point grid, widened by 4 bandwidths beyond the bounds so leaked
+    boundary mass still integrates to ~1.
     """
     samples = np.asarray(samples, dtype=float)
     if samples.size < 10:
@@ -209,14 +208,14 @@ def empirical_pdf(
         return list(zip(centers.tolist(), density.tolist()))
 
     if method is PdfMethod.GAUSSIAN_KDE:
-        bw = silverman_bandwidth(samples) if bandwidth is None else bandwidth
+        bw = silverman_bandwidth(samples)
         std = float(np.std(samples))
         if std <= 0:
             raise InsufficientSamples("KDE needs non-constant samples")
         from scipy.stats import gaussian_kde  # imported on use: scipy.stats takes ~1 s to load
 
         kde = gaussian_kde(samples, bw_method=bw / std)
-        grid = np.linspace(lo - 4 * bw, hi + 4 * bw, grid_size)
+        grid = np.linspace(lo - 4 * bw, hi + 4 * bw, 256)
         density = kde(grid)
         return list(zip(grid.tolist(), density.tolist()))
 
@@ -250,19 +249,11 @@ def moment_curve(
     return out
 
 
-@dataclass(frozen=True)
-class BoxSamplerConfig:
-    """Random-box distribution for the order-preservation check: square boxes,
-    centers uniform in a field, widths log-uniform."""
-
-    field_size: float = 512.0
-    width_min: float = 4.0
-    width_max: float = 256.0
-
-    def __post_init__(self):
-        check_range("field_size", self.field_size, POSITIVE)
-        check_size("width_min", self.width_min, self.width_min)
-        check_size("width_max", self.width_max, self.width_max)
+# random boxes of the order-preservation check: square, centers uniform in a
+# field, widths log-uniform
+ORDER_FIELD_SIZE = 512.0
+ORDER_WIDTH_MIN = 4.0
+ORDER_WIDTH_MAX = 256.0
 
 
 @dataclass(frozen=True)
@@ -284,7 +275,6 @@ def order_preservation_counts(
     params: CriterionParams,
     n_triples: int,
     seed: int,
-    sampler: BoxSamplerConfig = BoxSamplerConfig(),
 ) -> OrderPreservationCounts:
     """Count random box triples (b1, b2, b3) on which SIoU ranks the pairs
     (b1,b2) / (b1,b3) in the same order as IoU, overall and on the aligned
@@ -303,11 +293,9 @@ def order_preservation_counts(
     collected = 0
     while collected < n_triples:
         batch = min(4 * (n_triples - collected) + 1024, 1 << 20)
-        xs = rng.uniform(0, sampler.field_size, (3, batch))
-        ys = rng.uniform(0, sampler.field_size, (3, batch))
-        ws = np.exp(
-            rng.uniform(math.log(sampler.width_min), math.log(sampler.width_max), (3, batch))
-        )
+        xs = rng.uniform(0, ORDER_FIELD_SIZE, (3, batch))
+        ys = rng.uniform(0, ORDER_FIELD_SIZE, (3, batch))
+        ws = np.exp(rng.uniform(math.log(ORDER_WIDTH_MIN), math.log(ORDER_WIDTH_MAX), (3, batch)))
         b1, b2, b3 = ((xs[k], ys[k], ws[k], ws[k]) for k in range(3))
         u12 = kernel(CriterionId.IOU, b1, b2)
         u13 = kernel(CriterionId.IOU, b1, b3)
@@ -337,10 +325,9 @@ def order_preservation_rate(
     params: CriterionParams,
     n_triples: int,
     seed: int,
-    sampler: BoxSamplerConfig = BoxSamplerConfig(),
 ) -> float:
     """Fraction of random box triples on which SIoU ranks the pairs (b1,b2) /
     (b1,b3) in the same order as IoU; see `order_preservation_counts`. For
     gamma <= 0 the rate can fall below 1."""
-    counts = order_preservation_counts(params, n_triples, seed, sampler)
+    counts = order_preservation_counts(params, n_triples, seed)
     return counts.preserved / counts.n_triples

@@ -120,6 +120,21 @@ class TestGradients:
             if errs[0] > 1e-10:  # skip configurations with flat curvature
                 assert errs[1] < errs[0] / 2.5
 
+    @pytest.mark.parametrize("cid", GRAD_IDS)
+    def test_huge_union_stays_finite(self, cid):
+        # union ~ 1e300: its square overflows, and the quotient rule must not
+        # turn that into NaN (first pair) or a flushed -0.0 (second pair)
+        gt = Box(0, 0, 1e150, 1e150)
+        inside = Box(3, 2, 1e149, 1e149)
+        grad = loss_gradient(cid, inside, gt, LOSS_PRESET)
+        assert all(math.isfinite(g) for g in grad.as_tuple())
+        fd = finite_difference_gradient(cid, inside, gt, LOSS_PRESET, step=1e-6 * inside.w)
+        assert grad.as_tuple() == pytest.approx(fd.as_tuple(), rel=1e-6)
+        assert grad.d_w == pytest.approx(-1e-151, rel=1e-6)
+        tiny = loss_gradient(cid, Box(0, 0, 1e-5, 1e-5), gt, LOSS_PRESET)
+        assert all(math.isfinite(g) for g in tiny.as_tuple())
+        assert tiny.d_w == tiny.d_h == pytest.approx(-1e-305, rel=1e-6)
+
 
 class TestReweightRatios:
     @pytest.mark.parametrize("p", [0.5, 1.0, 2.0, 4.0])

@@ -19,14 +19,12 @@ from hypothesis import strategies as st
 import scaleiou.theory as theory
 from scaleiou import (
     Box,
-    BoxSamplerConfig,
     CriterionId,
     CriterionParams,
     DEFAULT_PARAMS,
     ShiftModel,
     TheorySetup,
     finite_difference_gradient,
-    order_preservation_counts,
     reweight_gradient_ratio,
     reweight_loss_ratio,
 )
@@ -97,8 +95,6 @@ LIBRARY_ROWS = [
     (lambda: criterion_on_shifts(CriterionId.IOU, NAN, np.zeros(2), np.zeros(2)), "omega"),
     (lambda: shift_curve(CriterionId.IOU, 8.0, [0.0, NAN]), "shifts"),
     (lambda: shift_curve(CriterionId.IOU, 8.0, [-1.0]), "shifts"),
-    (lambda: order_preservation_counts(DEFAULT_PARAMS, 10, 1, BoxSamplerConfig(width_min=NAN)), "width_min"),
-    (lambda: BoxSamplerConfig(field_size=INF), "field_size"),
     (lambda: CriterionParams(gamma=NAN), "gamma"),
     (lambda: CriterionParams(kappa=0.0), "kappa"),
     (lambda: Box(0, 0, 1, 1).scaled(NAN), "scale factor"),
