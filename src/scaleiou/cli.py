@@ -247,6 +247,8 @@ def _shift_model(args) -> ShiftModel:
 def _cmd_simulate(args, params, config):
     cid = _criterion_id(args.id)
     model = _shift_model(args)
+    if args.pdf == "histogram":  # a usage error before any sample is drawn
+        check_range("bins", args.bins, 1, stats.MAX_GRID)
     samples = stats.simulate_criterion(cid, args.omega, model, args.n, args.seed, params, _n_threads())
     summary = stats.summarize(samples, omega=args.omega)
     rows = [
@@ -406,15 +408,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             rows, columns = output
             write_table(rows, args.out, args.format, columns=columns)
         return EXIT_OK
-    except ValueError as exc:
+    except (ValueError, ScaleIoUError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except QuadratureNonConvergence as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    except ScaleIoUError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
+        if isinstance(exc, ValueError):
+            return EXIT_USAGE
+        return EXIT_NUMERICAL if isinstance(exc, QuadratureNonConvergence) else EXIT_DATA
 
 
 def entry_point() -> None:

@@ -12,9 +12,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from itertools import islice
 from typing import Optional, Sequence
 
-from .criteria import POSITIVE, CriterionId, CriterionParams, DEFAULT_PARAMS, boxes_array, check_range, pairwise
+from .criteria import POSITIVE, CriterionId, CriterionParams, DEFAULT_PARAMS, boxes_array, check_range, elementwise
 from .geometry import Box, SizeClass, size_class
 
 
@@ -59,32 +60,25 @@ class EvalConfig:
 
 class _ScoredGroups:
     """The criterion between every detection and every ground truth of its
-    (image, category) group, computed once with one pairwise matrix per group.
+    (image, category) group, scored as one flat list of pairs in one call.
 
-    order lists the detection indices in match order: descending score, ties
-    broken by (image_id, input index) so results are input-order independent.
-    candidates[i] lists (ground-truth index, criterion value) for detection i,
-    in ground-truth input order; size[j] is the size class of ground truth j.
+    order lists the detection indices in match order, ranked by (-score,
+    image_id, input index); on equal (in bucket, value) match keys the first
+    ground truth in input order wins. candidates[i] lists (ground-truth index,
+    criterion value) for detection i, in ground-truth input order; size[j] is
+    the size class of ground truth j.
     """
 
     def __init__(self, dets, gts, criterion: CriterionId, params: CriterionParams):
         self.order = sorted(range(len(dets)), key=lambda i: (-dets[i].score, dets[i].image_id, i))
-        groups: dict[tuple[str, str], tuple[list[int], list[int]]] = {}
-        for i, det in enumerate(dets):
-            groups.setdefault((det.image_id, det.category), ([], []))[0].append(i)
+        groups: dict[tuple[str, str], list[int]] = {}
         for j, gt in enumerate(gts):
-            groups.setdefault((gt.image_id, gt.category), ([], []))[1].append(j)
-        self.candidates: list[list[tuple[int, float]]] = [[] for _ in dets]
-        for det_index, gt_index in groups.values():
-            if det_index and gt_index:
-                values = pairwise(
-                    criterion,
-                    boxes_array(dets[i].box for i in det_index),
-                    boxes_array(gts[j].box for j in gt_index),
-                    params,
-                )
-                for i, row in zip(det_index, values.tolist()):
-                    self.candidates[i] = list(zip(gt_index, row))
+            groups.setdefault((gt.image_id, gt.category), []).append(j)
+        gt_index = [groups.get((det.image_id, det.category), []) for det in dets]
+        det_boxes = boxes_array(det.box for det, js in zip(dets, gt_index) for _ in js)
+        gt_boxes = boxes_array(gts[j].box for js in gt_index for j in js)
+        values = iter(elementwise(criterion, det_boxes, gt_boxes, params).tolist())
+        self.candidates = [list(zip(js, islice(values, len(js)))) for js in gt_index]
         self.size = [size_class(gt.box) for gt in gts]
 
     def match(self, order: Sequence[int], size_filter: Optional[SizeClass], threshold: float):
@@ -124,6 +118,7 @@ def match_detections(
 
     Returns (detection, label) pairs in rank order.
     """
+    check_range("threshold", threshold, POSITIVE, 1.0)
     groups = _ScoredGroups(dets, gts, config.criterion, config.params)
     labels = groups.match(groups.order, config.size_filter, threshold)
     return [(dets[i], label) for i, label in zip(groups.order, labels)]

@@ -220,6 +220,16 @@ class TestMatching:
         assert results[0][1] is MatchLabel.IGNORED
         assert count_ground_truths([large_gt], SizeClass.SMALL) == 0
 
+    @pytest.mark.parametrize("threshold", [float("nan"), -5.0, 0.0, 1.5])
+    def test_rejects_out_of_range_threshold(self, threshold):
+        det = DetectionRecord("a", "cat", Box(50, 50, 20, 20), 0.9)
+        with pytest.raises(ValueError, match="^threshold out of range"):
+            match_detections([det], self.GT, EvalConfig(), threshold)
+
+    def test_threshold_one_matches_an_exact_copy(self):
+        det = DetectionRecord("a", "cat", Box(50, 50, 20, 20), 0.9)
+        assert match_detections([det], self.GT, EvalConfig(), 1.0) == [(det, MatchLabel.TP)]
+
     def test_input_order_independent(self):
         rnd = random.Random(5)
         dets, gts = random_instance(rnd)

@@ -25,9 +25,10 @@ from scaleiou import (
     match_detections,
     size_class,
 )
+import scaleiou.criteria as criteria
 import scaleiou.stats as stats
 from scaleiou.cli import main
-from scaleiou.criteria import boxes_array, elementwise, pairwise
+from scaleiou.criteria import boxes_array, elementwise, kernel, pairwise
 from scaleiou.geometry import MAX_COORDINATE
 from scaleiou.io import load_boxes, load_ratings
 from scaleiou.stats import CHUNK_SIZE, ShiftModel, criterion_on_shifts, sample_shifts
@@ -206,6 +207,25 @@ def test_map_report_equals_match_per_cell():
             labels = [lab for _, lab in match_detections(cat_dets, cat_gts, cell, row["threshold"])]
             n_gt = sum(1 for g in cat_gts if bucket is None or size_class(g.box) is bucket)
             assert row["ap"] == average_precision(labels, n_gt)
+
+
+def test_one_kernel_call_per_scoring(monkeypatch):
+    """map_report and match_detections each score all their same-group pairs
+    in one kernel call, however many images and categories there are."""
+    calls = []
+
+    def counting_kernel(*args):
+        calls.append(args[0])
+        return kernel(*args)
+
+    monkeypatch.setattr(criteria, "kernel", counting_kernel)
+    dets, gts = random_detection_set(0)
+    assert len({(d.image_id, d.category) for d in dets}) > 2
+    config = EvalConfig(criterion=CriterionId.SIOU, thresholds=(0.3, 0.5, 0.7))
+    map_report(dets, gts, config)
+    assert calls == [CriterionId.SIOU]
+    match_detections(dets, gts, config, 0.5)
+    assert calls == [CriterionId.SIOU] * 2
 
 
 # --- rejected input

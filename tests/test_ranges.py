@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import scaleiou.stats as stats
 import scaleiou.theory as theory
 from scaleiou import (
     Box,
@@ -30,7 +31,7 @@ from scaleiou import (
 )
 from scaleiou.cli import main
 from scaleiou.criteria import FLOAT_MAX, POSITIVE, check_range
-from scaleiou.stats import criterion_on_shifts, sample_shifts, shift_curve
+from scaleiou.stats import MAX_GRID, MAX_SAMPLES, criterion_on_shifts, sample_shifts, shift_curve
 
 NAN, INF = float("nan"), float("inf")
 
@@ -72,6 +73,15 @@ CLI_ROWS = [
     (["simulate", "--id", "iou", "--omega", "16", "--sigma", "4", "--n", "1000000000000", "--seed", "1"], "n"),
     (MOMENTS[:3] + ["--omega", "8", "--sigma", "4", "--n", "1000000000000", "--seed", "1"], "n"),
     (["order-check", "--n", "1000000000000", "--seed", "1"], "n_triples"),
+    # one past each named count bound, MAX_SAMPLES and MAX_GRID: rejected before anything is allocated
+    (["simulate", "--id", "iou", "--omega", "16", "--sigma", "4", "--n", str(MAX_SAMPLES + 1), "--seed", "1"], "n"),
+    (MOMENTS[:3] + ["--omega", "8", "--sigma", "4", "--n", str(MAX_SAMPLES + 1), "--seed", "1"], "n"),
+    (["theory", "--id", "iou", "--omega", "8", "--sigma", "1", "--check-mc", "--n", str(MAX_SAMPLES + 1),
+      "--seed", "1"], "n"),
+    (["order-check", "--n", str(MAX_SAMPLES + 1), "--seed", "1"], "n_triples"),
+    (["shift-curve", "--id", "iou", "--omega", "8", "--max-shift", "4", "--steps", str(MAX_GRID + 1)], "--steps"),
+    (["simulate", "--id", "iou", "--omega", "16", "--sigma", "4", "--n", "100", "--seed", "1",
+      "--pdf", "histogram", "--bins", str(MAX_GRID + 1)], "bins"),
 ]
 
 
@@ -111,6 +121,17 @@ def test_out_of_range_library_input_raises_value_error(call, name):
     with pytest.raises(ValueError) as info:
         call()
     assert str(info.value).startswith(f"{name} out of range")
+
+
+def test_histogram_bins_are_checked_before_sampling(monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("shifts were sampled before --bins was checked")
+
+    monkeypatch.setattr(stats, "sample_shifts", never)
+    code, out, err = run_cli(["simulate", "--id", "iou", "--omega", "16", "--sigma", "4", "--n", "100",
+                              "--seed", "1", "--pdf", "histogram", "--bins", str(MAX_GRID + 1)])
+    assert (code, out) == (1, "")
+    assert err.startswith("error: bins out of range")
 
 
 def test_check_range_is_a_closed_interval_test():
