@@ -72,13 +72,14 @@ def criterion_on_shifts(
     cid: CriterionId,
     omega: float,
     dx: np.ndarray,
-    dy: np.ndarray,
+    dy: np.ndarray | float,
     size_ratio: float = 1.0,
     params: CriterionParams = DEFAULT_PARAMS,
 ) -> np.ndarray:
     """Criterion between a predicted square of width omega offset by (dx, dy)
     and a ground-truth square of width size_ratio * omega at the origin;
-    both widths must pass the box size rule."""
+    both widths must pass the box size rule. dx and dy broadcast, so
+    horizontal shifts pass dy = 0.0 and the y extent is computed once."""
     w1 = float(omega)
     w2 = float(size_ratio) * w1
     check_size("omega", w1, w1)
@@ -98,9 +99,8 @@ def shift_curve(
     eps = np.asarray(shifts, dtype=float)
     check_range("shifts", float(np.min(eps, initial=0.0)), 0.0)  # NaN propagates to min and max
     check_range("shifts", float(np.max(eps, initial=0.0)), 0.0)
-    dx = eps
-    dy = eps if direction is ShiftDirection.DIAGONAL else np.zeros_like(eps)
-    values = criterion_on_shifts(cid, omega, dx, dy, size_ratio, params)
+    dy = eps if direction is ShiftDirection.DIAGONAL else 0.0
+    values = criterion_on_shifts(cid, omega, eps, dy, size_ratio, params)
     return list(zip(eps.tolist(), values.tolist()))
 
 
@@ -144,7 +144,7 @@ def simulate_criterion(
     depend on the criterion, so criteria can be compared sample-by-sample.
     """
     shifts = sample_shifts(omega, model, n, seed, n_threads)
-    dy = shifts if model.direction is ShiftDirection.DIAGONAL else np.zeros_like(shifts)
+    dy = shifts if model.direction is ShiftDirection.DIAGONAL else 0.0
     return criterion_on_shifts(cid, omega, shifts, dy, model.size_ratio, params)
 
 

@@ -8,10 +8,12 @@ scalar shift,
     GIoU(x)  = (omega - |x|) / (omega + |x|)
     SIoU(x)  = IoU(x)**p,  GSIoU(x) = sign(GIoU) * |GIoU|**p
 
-and moments E[C(X)^k] are evaluated by adaptive quadrature of these
-one-dimensional integrals. This is the oracle the Monte Carlo sampler is
-checked against. The GIoU density uses the 4*omega prefactor; the testable
-normalization (integral = 1) pins that choice.
+which gives the GIoU density below. Moments E[C(X)^k] are evaluated by
+adaptive quadrature of `criteria.kernel` on the two squares, the function the
+Monte Carlo sampler scores, so this module writes no criterion formula. The
+quadrature is the oracle the sampler is checked against; the formulas above
+are checked against it in the tests. The GIoU density uses the 4*omega
+prefactor; the testable normalization (integral = 1) pins that choice.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import sys
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .criteria import CriterionId, CriterionParams, DEFAULT_PARAMS, FLOAT_MAX, check_range, check_size, exponent
+from .criteria import CriterionId, CriterionParams, DEFAULT_PARAMS, FLOAT_MAX, check_range, check_size, exponent, kernel
 from .errors import QuadratureNonConvergence
 from .stats import ShiftModel, simulate_criterion, summarize
 
@@ -64,7 +66,8 @@ class TheorySetup:
     @property
     def p(self) -> float:
         """Scale-adaptive exponent of two omega-width squares, the one the
-        Monte Carlo sampler uses: 1 - gamma * exp(-omega / kappa) up to rounding."""
+        kernel raises their IoU and GIoU to: 1 - gamma * exp(-omega / kappa)
+        up to rounding."""
         square = (0.0, 0.0, self.omega, self.omega)
         return float(exponent(square, square, self.params))
 
@@ -81,24 +84,10 @@ def giou_pdf(z: float, setup: TheorySetup) -> float:
     )
 
 
-def _profile(cid: CriterionId, setup: TheorySetup):
-    """The criterion as a function of a non-negative horizontal shift."""
-    omega = setup.omega
-    if cid is CriterionId.IOU:
-        return lambda x: max(0.0, (omega - x) / (omega + x))
-    if cid is CriterionId.GIOU:
-        return lambda x: (omega - x) / (omega + x)
-    p = setup.p
-    if cid is CriterionId.SIOU:
-        return lambda x: max(0.0, (omega - x) / (omega + x)) ** p
-    if cid is CriterionId.GSIOU:
-
-        def gsiou_profile(x):
-            g = (omega - x) / (omega + x)
-            return math.copysign(abs(g) ** p, g) if g != 0 else 0.0
-
-        return gsiou_profile
-    raise ValueError(f"no theoretical moment for criterion {cid!r}")
+def _check_moment_criterion(cid: CriterionId) -> None:
+    if cid not in _MOMENT_CRITERIA:
+        name = cid.value if isinstance(cid, CriterionId) else cid
+        raise ValueError(f"no theoretical moment for criterion {name!r}")
 
 
 def _quad(f, lo, hi, points=None):
@@ -125,15 +114,17 @@ def theoretical_moment(cid: CriterionId, order: int, setup: TheorySetup) -> floa
     """
     if order not in (1, 2):
         raise ValueError(f"order must be 1 or 2, got {order}")
-    profile = _profile(cid, setup)
+    _check_moment_criterion(cid)
     omega, sigma = setup.omega, setup.sigma
+    square = (0.0, 0.0, omega, omega)
     norm = 1.0 / (math.sqrt(2.0 * math.pi) * sigma)
 
     def integrand(x):
-        return profile(x) ** order * norm * math.exp(-0.5 * (x / sigma) ** 2)
+        value = float(kernel(cid, (x, 0.0, omega, omega), square, setup.params))
+        return value**order * norm * math.exp(-0.5 * (x / sigma) ** 2)
 
     if cid in (CriterionId.IOU, CriterionId.SIOU):
-        # profile is identically 0 beyond omega; the truncated Gaussian tail
+        # the criterion is identically 0 beyond omega; the truncated Gaussian tail
         # beyond 12 sigma carries negligible mass
         hi = min(omega, TAIL_SIGMAS * sigma)
         points = None
@@ -162,8 +153,11 @@ def moment_consistency_report(
     With every sample equal (std_error 0), z is 0 if the Monte Carlo mean is
     within the quadrature's error bound of the quadrature value, else inf.
 
-    One simulation per (criterion, setup) feeds both moment orders.
+    One simulation per (criterion, setup) feeds both moment orders. A
+    criterion without a theoretical moment is rejected before any of them.
     """
+    for cid in criteria:
+        _check_moment_criterion(cid)
     rows = []
     for setup in setups:
         model = ShiftModel(sigma_base=setup.sigma)

@@ -91,6 +91,9 @@ def test_criterion_on_shifts_bit_equal_to_scalar(cid, omega, ratio, shifts, para
     gt = Box(0.0, 0.0, ratio * omega, ratio * omega)
     scalar = [evaluate(cid, Box(x, y, omega, omega), gt, params) for x, y in shifts]
     assert batched.tolist() == scalar
+    # horizontal shifts: a scalar dy broadcasts to the same bits as zeros
+    horizontal = criterion_on_shifts(cid, omega, dx, np.zeros_like(dx), ratio, params)
+    assert criterion_on_shifts(cid, omega, dx, 0.0, ratio, params).tolist() == horizontal.tolist()
 
 
 @settings(max_examples=100, deadline=None)

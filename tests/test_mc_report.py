@@ -1,0 +1,99 @@
+"""The Monte Carlo and theory commands' output, byte for byte.
+
+`moments`, `simulate` (summary and `--pdf histogram`), `shift-curve` and
+`theory` (with and without `--check-mc`) run through `main([...])` over both
+shift directions, a size ratio other than 1, a positive sigma slope, both
+criterion presets and both output formats; each stdout must equal the text
+in tests/data/mc_report.json. Sample counts stay at n <= 2e4, so a command
+takes milliseconds.
+
+Regenerate the expected text (only for an intended output change) with
+
+    PYTHONPATH=src python tests/test_mc_report.py
+"""
+
+import json
+from pathlib import Path
+
+import pytest
+
+from scaleiou.cli import main
+
+EXPECTED = Path(__file__).parent / "data" / "mc_report.json"
+CRITERIA = ("iou", "giou", "alpha-iou", "nwd", "siou", "gsiou")
+MOMENT_CRITERIA = "iou,giou,siou,gsiou"
+# (direction, size ratio, sigma slope)
+MODELS = (
+    ("horizontal", "1", "0"),
+    ("horizontal", "2", "0.25"),
+    ("diagonal", "1", "0"),
+    ("diagonal", "0.5", "0.1"),
+)
+# flags of the evaluation preset (the default) and the loss preset
+PRESETS = ([], ["--gamma", "-3", "--kappa", "16"])
+FORMATS = ("csv", "json")
+
+
+def commands():
+    out = []
+    for direction, ratio, slope in MODELS:
+        shape = ["--direction", direction, "--size-ratio", ratio]
+        for flags in PRESETS:
+            for fmt in FORMATS:
+                out.append(["moments", "--id", ",".join(CRITERIA), "--omega", "8,32,128", "--sigma", "8",
+                            "--sigma-slope", slope, "--n", "20000", "--seed", "1", *shape, *flags,
+                            "--format", fmt])
+            for i, cid in enumerate(CRITERIA):
+                fmt, other = FORMATS[i % 2], FORMATS[1 - i % 2]
+                out.append(["shift-curve", "--id", cid, "--omega", "8,32", "--max-shift", "40", "--steps", "9",
+                            *shape, *flags, "--format", fmt])
+                simulate = ["simulate", "--id", cid, "--omega", "16", "--sigma", "6", "--sigma-slope", slope,
+                            "--n", "20000", "--seed", "7", *shape, *flags]
+                out.append(simulate + ["--format", fmt])
+                out.append(simulate + ["--pdf", "histogram", "--bins", "12", "--format", other])
+    for sigma in ("4", "16"):
+        for flags in PRESETS:
+            for fmt in FORMATS:
+                theory = ["theory", "--id", MOMENT_CRITERIA, "--omega", "8,16,64", "--sigma", sigma,
+                          *flags, "--format", fmt]
+                out.append(theory)
+                out.append(theory + ["--check-mc", "--n", "20000", "--seed", "3"])
+    return out
+
+
+COMMANDS = commands()
+
+
+def key(argv):
+    return " ".join(argv)
+
+
+@pytest.fixture(scope="module")
+def expected():
+    return json.loads(EXPECTED.read_text(encoding="utf-8"))
+
+
+def test_document_covers_the_commands(expected):
+    assert set(expected) == {key(argv) for argv in COMMANDS}
+    assert len(expected) == len(COMMANDS)
+
+
+@pytest.mark.parametrize("argv", COMMANDS, ids=[key(a).replace(" ", "-") for a in COMMANDS])
+def test_mc_report_bytes(capsys, expected, argv):
+    assert main(argv) == 0
+    assert capsys.readouterr().out == expected[key(argv)]
+
+
+if __name__ == "__main__":
+    import contextlib
+    import io
+
+    record = {}
+    for argv in COMMANDS:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(argv) == 0, argv
+        record[key(argv)] = out.getvalue()
+    EXPECTED.parent.mkdir(exist_ok=True)
+    EXPECTED.write_text(json.dumps(record, indent=0, sort_keys=True) + "\n", encoding="utf-8")
+    print(f"wrote {len(record)} reports to {EXPECTED}")

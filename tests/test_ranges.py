@@ -134,6 +134,19 @@ def test_histogram_bins_are_checked_before_sampling(monkeypatch):
     assert err.startswith("error: bins out of range")
 
 
+def test_moment_criteria_are_checked_before_sampling(monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("shifts were sampled or moments integrated before the criteria were checked")
+
+    monkeypatch.setattr(stats, "sample_shifts", never)
+    monkeypatch.setattr(theory, "theoretical_moment", never)
+    with pytest.raises(ValueError, match="^no theoretical moment for criterion 'alpha-iou'$"):
+        theory.moment_consistency_report([TheorySetup(16, 16)], [CriterionId.IOU, CriterionId.ALPHA_IOU])
+    code, out, err = run_cli(["theory", "--id", "iou,giou,siou,nwd", "--omega", "16,64", "--sigma", "8",
+                              "--check-mc", "--n", "5000000", "--seed", "1"])
+    assert (code, out, err) == (1, "", "error: no theoretical moment for criterion 'nwd'\n")
+
+
 def test_check_range_is_a_closed_interval_test():
     assert check_range("v", 1e150) == 1e150
     assert check_range("v", -1e150) == -1e150

@@ -7,6 +7,8 @@ from scipy.integrate import quad
 from scaleiou import (
     CriterionId,
     CriterionParams,
+    EVALUATION_PRESET,
+    LOSS_PRESET,
     PdfMethod,
     ShiftModel,
     TheorySetup,
@@ -59,17 +61,26 @@ class TestGiouPdf:
 
 
 class TestTheoreticalMoment:
-    def test_matches_trapezoid_oracle(self):
-        # Dense trapezoid integration as an independent numerical route.
-        for cid in (CriterionId.IOU, CriterionId.GIOU):
-            setup = TheorySetup(16, 16)
-            xs = np.linspace(0, 12 * 16, 400_001)
-            prof = (16 - xs) / (16 + xs)
-            if cid is CriterionId.IOU:
-                prof = np.maximum(0.0, prof)
-            dens = np.exp(-0.5 * (xs / 16) ** 2) / (math.sqrt(2 * math.pi) * 16)
-            oracle = 2 * np.trapezoid(prof * dens, xs)
-            assert theoretical_moment(cid, 1, setup) == pytest.approx(oracle, abs=1e-6)
+    @pytest.mark.parametrize("params", [EVALUATION_PRESET, LOSS_PRESET], ids=["evaluation", "loss"])
+    def test_matches_trapezoid_oracle(self, params):
+        # Dense trapezoid integration of the closed-form profiles, written
+        # here, as an independent numerical route.
+        omega = sigma = 16
+        setup = TheorySetup(omega, sigma, params)
+        xs = np.linspace(0, 12 * sigma, 400_001)
+        g = (omega - xs) / (omega + xs)
+        p = 1 - params.gamma * math.exp(-omega / params.kappa)
+        profiles = {
+            CriterionId.IOU: np.maximum(0.0, g),
+            CriterionId.GIOU: g,
+            CriterionId.SIOU: np.maximum(0.0, g) ** p,
+            CriterionId.GSIOU: np.sign(g) * np.abs(g) ** p,
+        }
+        dens = np.exp(-0.5 * (xs / sigma) ** 2) / (math.sqrt(2 * math.pi) * sigma)
+        for cid, prof in profiles.items():
+            for order in (1, 2):
+                oracle = 2 * np.trapezoid(prof**order * dens, xs)
+                assert theoretical_moment(cid, order, setup) == pytest.approx(oracle, abs=1e-6)
 
     def test_no_noise_limit_is_one(self):
         setup = TheorySetup(64, 0.01)
