@@ -66,6 +66,13 @@ def _parse_floats(text: str) -> list[float]:
         raise ValueError(f"invalid number list {text!r}") from exc
 
 
+def _parse_omegas(text: str) -> list[float]:
+    omegas = _parse_floats(text)
+    if not omegas:
+        raise ValueError("omega grid must be non-empty")
+    return omegas
+
+
 def _criterion_id(text: str) -> CriterionId:
     for cid in CriterionId:
         if cid.value == text.lower():
@@ -229,7 +236,7 @@ def _cmd_shift_curve(args, params, config):
     check_range("--max-shift", args.max_shift, POSITIVE)
     shifts = [args.max_shift * i / (args.steps - 1) for i in range(args.steps)]
     rows = []
-    for omega in _parse_floats(args.omega):
+    for omega in _parse_omegas(args.omega):
         for shift, value in stats.shift_curve(cid, omega, shifts, direction, args.size_ratio, params):
             rows.append({"criterion": cid.value, "omega": omega, "shift": shift, "value": value})
     return rows, ("criterion", "omega", "shift", "value")
@@ -275,10 +282,10 @@ def _cmd_simulate(args, params, config):
 
 def _cmd_moments(args, params, config):
     model = _shift_model(args)
-    omegas = _parse_floats(args.omega)
+    omegas = _parse_omegas(args.omega)
+    criteria = [_criterion_id(raw) for raw in args.id.split(",")]
     rows = []
-    for raw in args.id.split(","):
-        cid = _criterion_id(raw)
+    for cid in criteria:
         for summary in stats.moment_curve(cid, omegas, model, args.n, args.seed, params, _n_threads()):
             rows.append(
                 {
@@ -295,7 +302,7 @@ def _cmd_moments(args, params, config):
 
 def _cmd_theory(args, params, config):
     criteria = [_criterion_id(raw) for raw in args.id.split(",")]
-    setups = [theory.TheorySetup(omega, args.sigma, params) for omega in _parse_floats(args.omega)]
+    setups = [theory.TheorySetup(omega, args.sigma, params) for omega in _parse_omegas(args.omega)]
     if args.check_mc:
         if args.seed is None:
             raise ValueError("--seed is required with --check-mc")

@@ -23,7 +23,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .criteria import CriterionId, CriterionParams, DEFAULT_PARAMS, FLOAT_MAX, POSITIVE
-from .criteria import check_range, check_size, exponent, kernel, signed_power
+from .criteria import check_range, check_size, kernel
 from .errors import InsufficientSamples
 
 CHUNK_SIZE = 1 << 16
@@ -114,6 +114,7 @@ def sample_shifts(omega: float, model: ShiftModel, n: int, seed: int, n_threads:
     """Draw n shifts from N(0, sigma(omega)^2), chunked for reproducible parallelism."""
     check_range("n", n, 1, MAX_SAMPLES)
     sigma = check_range(f"sigma(omega) at omega={omega!r}", model.sigma(omega), POSITIVE)
+    check_range("seed", seed, 0, math.inf)
 
     def draw(item):
         ss, size = item
@@ -224,6 +225,7 @@ def empirical_pdf(
 
 def derive_seed(master_seed: int, index: int) -> int:
     """Counter-based sub-seed split, stable across evaluation order."""
+    check_range("seed", master_seed, 0, math.inf)
     return int(np.random.SeedSequence([master_seed, index]).generate_state(1)[0])
 
 
@@ -280,12 +282,15 @@ def order_preservation_counts(
     (b1,b2) / (b1,b3) in the same order as IoU, overall and on the aligned
     subset.
 
-    Triples where both IoUs are exactly zero are resampled (the ordering is
-    vacuous there). For gamma <= 0 the exponent p >= 1 shrinks as the boxes
-    grow, so every aligned triple is preserved; on the remaining triples the
-    smaller-IoU pair has the smaller exponent and the order can flip.
+    Triples where both IoUs are exactly zero are skipped, since the ordering
+    is vacuous there: of the triples with a nonzero IoU, the first n_triples
+    in draw order count. For gamma <= 0 the exponent p >= 1 shrinks as the
+    boxes grow, so every aligned triple is preserved; on the remaining
+    triples the smaller-IoU pair has the smaller exponent and the order can
+    flip.
     """
     check_range("n_triples", n_triples, 1, MAX_SAMPLES)
+    check_range("seed", seed, 0, math.inf)
     rng = np.random.default_rng(np.random.SeedSequence([seed]))
     preserved = 0
     n_aligned = 0
@@ -299,25 +304,19 @@ def order_preservation_counts(
         b1, b2, b3 = ((xs[k], ys[k], ws[k], ws[k]) for k in range(3))
         u12 = kernel(CriterionId.IOU, b1, b2)
         u13 = kernel(CriterionId.IOU, b1, b3)
-        keep = ~((u12 == 0) & (u13 == 0))
-        u12, u13 = u12[keep], u13[keep]
-        xs, ys, ws = xs[:, keep], ys[:, keep], ws[:, keep]
-        b1, b2, b3 = ((xs[k], ys[k], ws[k], ws[k]) for k in range(3))
-        s12 = signed_power(u12, exponent(b1, b2, params))
-        s13 = signed_power(u13, exponent(b1, b3, params))
-        lo_is_12 = u12 <= u13
-        s_lo = np.where(lo_is_12, s12, s13)
-        s_hi = np.where(lo_is_12, s13, s12)
-        ok = s_lo <= s_hi + 1e-12
+        counted = np.flatnonzero((u12 != 0) | (u13 != 0))[: n_triples - collected]
+        ws = ws[:, counted]
+        b1, b2, b3 = ((xs[k, counted], ys[k, counted], ws[k], ws[k]) for k in range(3))
+        s12 = kernel(CriterionId.SIOU, b1, b2, params)
+        s13 = kernel(CriterionId.SIOU, b1, b3, params)
+        lo_is_12 = u12[counted] <= u13[counted]
+        ok = np.where(lo_is_12, s12 <= s13 + 1e-12, s13 <= s12 + 1e-12)
         a1, a2, a3 = ws * ws
-        tau12, tau13 = a1 + a2, a1 + a3
-        aligned = np.where(lo_is_12, tau12 <= tau13, tau13 <= tau12)
-        take = min(ok.size, n_triples - collected)
-        ok, aligned = ok[:take], aligned[:take]
+        aligned = np.where(lo_is_12, a1 + a2 <= a1 + a3, a1 + a3 <= a1 + a2)
         preserved += int(np.count_nonzero(ok))
         n_aligned += int(np.count_nonzero(aligned))
         aligned_preserved += int(np.count_nonzero(ok & aligned))
-        collected += take
+        collected += counted.size
     return OrderPreservationCounts(n_triples, preserved, n_aligned, aligned_preserved)
 
 

@@ -82,6 +82,11 @@ CLI_ROWS = [
     (["shift-curve", "--id", "iou", "--omega", "8", "--max-shift", "4", "--steps", str(MAX_GRID + 1)], "--steps"),
     (["simulate", "--id", "iou", "--omega", "16", "--sigma", "4", "--n", "100", "--seed", "1",
       "--pdf", "histogram", "--bins", str(MAX_GRID + 1)], "bins"),
+    # a negative seed, on every command that takes one
+    (["simulate", "--id", "iou", "--omega", "16", "--sigma", "4", "--n", "100", "--seed", "-1"], "seed"),
+    (MOMENTS[:5] + ["--omega", "8", "--sigma", "4", "--seed", "-1"], "seed"),
+    (["theory", "--id", "iou", "--omega", "8", "--sigma", "1", "--check-mc", "--n", "100", "--seed", "-1"], "seed"),
+    (["order-check", "--n", "10", "--seed", "-1"], "seed"),
 ]
 
 
@@ -113,6 +118,10 @@ LIBRARY_ROWS = [
                                         DEFAULT_PARAMS, step=NAN), "step"),
     (lambda: Box(0, 0, 1e-200, 1e-200), "box size (area)"),
     (lambda: Box(0, 0, INF, 1), "box size"),
+    (lambda: sample_shifts(8.0, ShiftModel(), 10, seed=-1), "seed"),
+    (lambda: stats.derive_seed(-1, 0), "seed"),
+    (lambda: stats.moment_curve(CriterionId.IOU, [8.0], ShiftModel(), 10, seed=-1), "seed"),
+    (lambda: stats.order_preservation_counts(DEFAULT_PARAMS, 10, seed=-1), "seed"),
 ]
 
 
@@ -145,6 +154,38 @@ def test_moment_criteria_are_checked_before_sampling(monkeypatch):
     code, out, err = run_cli(["theory", "--id", "iou,giou,siou,nwd", "--omega", "16,64", "--sigma", "8",
                               "--check-mc", "--n", "5000000", "--seed", "1"])
     assert (code, out, err) == (1, "", "error: no theoretical moment for criterion 'nwd'\n")
+
+
+def test_every_non_negative_integer_seed_is_accepted():
+    for seed in (0, np.int64(7), 2**64, 10**400):
+        assert sample_shifts(8.0, ShiftModel(), 2, seed).shape == (2,)
+        assert stats.derive_seed(seed, 0) >= 0
+        assert stats.order_preservation_counts(DEFAULT_PARAMS, 1, seed).n_triples == 1
+
+
+def test_moments_criteria_are_parsed_before_sampling(monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("shifts were sampled before every criterion id was parsed")
+
+    monkeypatch.setattr(stats, "sample_shifts", never)
+    code, out, err = run_cli(["moments", "--id", "iou,bogus", "--omega", "8,32", "--sigma", "8",
+                              "--n", "3000000", "--seed", "1"])
+    assert (code, out) == (1, "")
+    assert err.startswith("error: unknown criterion 'bogus'")
+
+
+EMPTY_OMEGA_GRID = [
+    ["shift-curve", "--id", "iou", "--omega", ",", "--max-shift", "4"],
+    MOMENTS + ["--omega", ",", "--sigma", "4"],
+    ["theory", "--id", "iou", "--omega", ",", "--sigma", "4"],
+    ["theory", "--id", "iou", "--omega", ",", "--sigma", "nan"],
+    ["theory", "--id", "iou", "--omega", ",", "--sigma", "4", "--check-mc", "--n", "100", "--seed", "1"],
+]
+
+
+@pytest.mark.parametrize("argv", EMPTY_OMEGA_GRID, ids=[" ".join(a) for a in EMPTY_OMEGA_GRID])
+def test_empty_omega_grid_is_a_usage_error(argv):
+    assert run_cli(argv) == (1, "", "error: omega grid must be non-empty\n")
 
 
 def test_check_range_is_a_closed_interval_test():

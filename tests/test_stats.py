@@ -8,6 +8,7 @@ from scaleiou import (
     CriterionId,
     CriterionParams,
     InsufficientSamples,
+    OrderPreservationCounts,
     PdfMethod,
     ShiftDirection,
     ShiftModel,
@@ -259,3 +260,64 @@ class TestOrderPreservation:
     def test_rejects_bad_n(self):
         with pytest.raises(ValueError):
             order_preservation_rate(DEFAULT, 0, 0)
+
+
+# (gamma, kappa, n_triples, seed, preserved, n_aligned, aligned_preserved):
+# counts pinned before the sampler was rewritten. About 13 % of drawn triples
+# have a nonzero IoU, so n_triples = 20000 spans several batches.
+PINNED_COUNTS = [
+    (-3.0, 4.0, 1, 0, 1, 1, 1),
+    (-3.0, 4.0, 1, 2718, 1, 1, 1),
+    (-3.0, 4.0, 7, 0, 7, 6, 6),
+    (-3.0, 4.0, 7, 2718, 7, 3, 3),
+    (-3.0, 4.0, 20000, 0, 20000, 14656, 14656),
+    (-3.0, 4.0, 20000, 2718, 20000, 14643, 14643),
+    (-3.0, 64.0, 1, 0, 1, 1, 1),
+    (-3.0, 64.0, 1, 2718, 1, 1, 1),
+    (-3.0, 64.0, 7, 0, 7, 6, 6),
+    (-3.0, 64.0, 7, 2718, 7, 3, 3),
+    (-3.0, 64.0, 20000, 0, 19878, 14656, 14656),
+    (-3.0, 64.0, 20000, 2718, 19894, 14643, 14643),
+    (-2.0, 4.0, 1, 0, 1, 1, 1),
+    (-2.0, 4.0, 1, 2718, 1, 1, 1),
+    (-2.0, 4.0, 7, 0, 7, 6, 6),
+    (-2.0, 4.0, 7, 2718, 7, 3, 3),
+    (-2.0, 4.0, 20000, 0, 20000, 14656, 14656),
+    (-2.0, 4.0, 20000, 2718, 20000, 14643, 14643),
+    (-2.0, 64.0, 1, 0, 1, 1, 1),
+    (-2.0, 64.0, 1, 2718, 1, 1, 1),
+    (-2.0, 64.0, 7, 0, 7, 6, 6),
+    (-2.0, 64.0, 7, 2718, 7, 3, 3),
+    (-2.0, 64.0, 20000, 0, 19909, 14656, 14656),
+    (-2.0, 64.0, 20000, 2718, 19916, 14643, 14643),
+    (0.0, 4.0, 1, 0, 1, 1, 1),
+    (0.0, 4.0, 1, 2718, 1, 1, 1),
+    (0.0, 4.0, 7, 0, 7, 6, 6),
+    (0.0, 4.0, 7, 2718, 7, 3, 3),
+    (0.0, 4.0, 20000, 0, 20000, 14656, 14656),
+    (0.0, 4.0, 20000, 2718, 20000, 14643, 14643),
+    (0.0, 64.0, 1, 0, 1, 1, 1),
+    (0.0, 64.0, 1, 2718, 1, 1, 1),
+    (0.0, 64.0, 7, 0, 7, 6, 6),
+    (0.0, 64.0, 7, 2718, 7, 3, 3),
+    (0.0, 64.0, 20000, 0, 20000, 14656, 14656),
+    (0.0, 64.0, 20000, 2718, 20000, 14643, 14643),
+    (0.9, 4.0, 1, 0, 1, 1, 1),
+    (0.9, 4.0, 1, 2718, 1, 1, 1),
+    (0.9, 4.0, 7, 0, 7, 6, 6),
+    (0.9, 4.0, 7, 2718, 7, 3, 3),
+    (0.9, 4.0, 20000, 0, 20000, 14656, 14656),
+    (0.9, 4.0, 20000, 2718, 20000, 14643, 14643),
+    (0.9, 64.0, 1, 0, 1, 1, 1),
+    (0.9, 64.0, 1, 2718, 1, 1, 1),
+    (0.9, 64.0, 7, 0, 7, 6, 6),
+    (0.9, 64.0, 7, 2718, 7, 3, 3),
+    (0.9, 64.0, 20000, 0, 19968, 14656, 14624),
+    (0.9, 64.0, 20000, 2718, 19970, 14643, 14613),
+]
+
+
+@pytest.mark.parametrize("gamma, kappa, n, seed, preserved, n_aligned, aligned_preserved", PINNED_COUNTS)
+def test_order_preservation_counts_pinned(gamma, kappa, n, seed, preserved, n_aligned, aligned_preserved):
+    counts = order_preservation_counts(CriterionParams(gamma=gamma, kappa=kappa), n, seed)
+    assert counts == OrderPreservationCounts(n, preserved, n_aligned, aligned_preserved)
