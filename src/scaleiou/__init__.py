@@ -79,9 +79,11 @@ from .stats import (
     ShiftModel,
     empirical_pdf,
     moment_curve,
+    moment_curves,
     order_preservation_counts,
     order_preservation_rate,
     shift_curve,
+    simulate_criteria,
     simulate_criterion,
     summarize,
 )

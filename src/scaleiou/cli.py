@@ -285,8 +285,9 @@ def _cmd_moments(args, params, config):
     omegas = _parse_omegas(args.omega)
     criteria = [_criterion_id(raw) for raw in args.id.split(",")]
     rows = []
-    for cid in criteria:
-        for summary in stats.moment_curve(cid, omegas, model, args.n, args.seed, params, _n_threads()):
+    curves = stats.moment_curves(criteria, omegas, model, args.n, args.seed, params, _n_threads())
+    for cid, curve in zip(criteria, curves):
+        for summary in curve:
             rows.append(
                 {
                     "criterion": cid.value,

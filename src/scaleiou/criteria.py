@@ -125,8 +125,14 @@ def signed_power(base, p):
     return np.copysign(np.power(np.abs(base), p), base)
 
 
-def kernel(cid: CriterionId, a, b, params: CriterionParams = DEFAULT_PARAMS):
-    """Criterion values on broadcastable center-form components a and b."""
+# the criteria whose formula reads the hull area (arXiv 1902.09630)
+HULL_CRITERIA = (CriterionId.GIOU, CriterionId.GSIOU)
+
+
+def from_areas(cid: CriterionId, geometry, a, b, params: CriterionParams = DEFAULT_PARAMS):
+    """Criterion values of a and b given geometry = areas(a, b, hull), with
+    the hull if cid is in HULL_CRITERIA. NWD reads only a and b, so its
+    geometry may be None. Many criteria can share one areas call."""
     if not isinstance(cid, CriterionId):
         raise ValueError(f"unknown criterion {cid!r}")
     if cid is CriterionId.NWD:
@@ -137,15 +143,21 @@ def kernel(cid: CriterionId, a, b, params: CriterionParams = DEFAULT_PARAMS):
         with np.errstate(over="ignore"):  # W2 / C -> inf is the exact limit: exp(-inf) = 0
             scaled = -np.sqrt(dx * dx + dy * dy + (dw * dw + dh * dh)) / params.nwd_constant
         return np.exp(scaled)
-    inter, union, hull = areas(a, b, hull=cid in (CriterionId.GIOU, CriterionId.GSIOU))
+    inter, union, hull = geometry
     value = inter / union
-    if hull is not None:  # GIoU (arXiv 1902.09630)
+    if cid in HULL_CRITERIA:  # GIoU
         value = value - (hull - union) / hull
     if cid is CriterionId.ALPHA_IOU:  # arXiv 2110.13675
         return signed_power(value, params.alpha)
     if cid in (CriterionId.SIOU, CriterionId.GSIOU):
         return signed_power(value, exponent(a, b, params))
     return value
+
+
+def kernel(cid: CriterionId, a, b, params: CriterionParams = DEFAULT_PARAMS):
+    """Criterion values on broadcastable center-form components a and b."""
+    geometry = None if cid is CriterionId.NWD else areas(a, b, hull=cid in HULL_CRITERIA)
+    return from_areas(cid, geometry, a, b, params)
 
 
 def boxes_array(boxes: Iterable[Box]) -> np.ndarray:

@@ -8,7 +8,10 @@ affine inaccuracy settings.
 
 Sampling is chunked with counter-based sub-seeds, so serial and parallel runs
 produce bit-identical sample streams, and two criteria simulated with the
-same (seed, model, n, omega) see exactly the same shift sequence.
+same (seed, model, n, omega) see exactly the same shift sequence. So
+`simulate_criteria` scores every requested criterion on one draw per omega,
+and on one `criteria.areas` result for that draw; `simulate_criterion` and
+`moment_curve` are its one-criterion forms, with the same samples.
 """
 
 from __future__ import annotations
@@ -18,12 +21,12 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .criteria import CriterionId, CriterionParams, DEFAULT_PARAMS, FLOAT_MAX, POSITIVE
-from .criteria import check_range, check_size, kernel
+from .criteria import CriterionId, CriterionParams, DEFAULT_PARAMS, FLOAT_MAX, HULL_CRITERIA, POSITIVE
+from .criteria import areas, check_range, check_size, from_areas, kernel
 from .errors import InsufficientSamples
 
 CHUNK_SIZE = 1 << 16
@@ -68,6 +71,17 @@ class DistributionSummary:
     n_samples: int
 
 
+def _squares(omega: float, dx, dy, size_ratio: float):
+    """Center-form components of a predicted square of width omega offset by
+    (dx, dy) and a ground-truth square of width size_ratio * omega at the
+    origin; both widths must pass the box size rule."""
+    w1 = float(omega)
+    w2 = float(size_ratio) * w1
+    check_size("omega", w1, w1)
+    check_size("size_ratio * omega", w2, w2)
+    return (dx, dy, w1, w1), (0.0, 0.0, w2, w2)
+
+
 def criterion_on_shifts(
     cid: CriterionId,
     omega: float,
@@ -77,14 +91,10 @@ def criterion_on_shifts(
     params: CriterionParams = DEFAULT_PARAMS,
 ) -> np.ndarray:
     """Criterion between a predicted square of width omega offset by (dx, dy)
-    and a ground-truth square of width size_ratio * omega at the origin;
-    both widths must pass the box size rule. dx and dy broadcast, so
-    horizontal shifts pass dy = 0.0 and the y extent is computed once."""
-    w1 = float(omega)
-    w2 = float(size_ratio) * w1
-    check_size("omega", w1, w1)
-    check_size("size_ratio * omega", w2, w2)
-    return kernel(cid, (dx, dy, w1, w1), (0.0, 0.0, w2, w2), params)
+    and a ground-truth square of width size_ratio * omega at the origin.
+    dx and dy broadcast, so horizontal shifts pass dy = 0.0 and the y extent
+    is computed once."""
+    return kernel(cid, *_squares(omega, dx, dy, size_ratio), params)
 
 
 def shift_curve(
@@ -110,11 +120,16 @@ def _chunk_seeds(seed: int, n: int):
     return [(np.random.SeedSequence([seed, i]), sz) for i, sz in enumerate(sizes)]
 
 
+def _check_seed(seed) -> None:
+    if not (isinstance(seed, (int, np.integer)) and seed >= 0):
+        raise ValueError(f"seed out of range: must be a non-negative integer, got {seed!r}")
+
+
 def sample_shifts(omega: float, model: ShiftModel, n: int, seed: int, n_threads: int = 1) -> np.ndarray:
     """Draw n shifts from N(0, sigma(omega)^2), chunked for reproducible parallelism."""
     check_range("n", n, 1, MAX_SAMPLES)
     sigma = check_range(f"sigma(omega) at omega={omega!r}", model.sigma(omega), POSITIVE)
-    check_range("seed", seed, 0, math.inf)
+    _check_seed(seed)
 
     def draw(item):
         ss, size = item
@@ -130,6 +145,34 @@ def sample_shifts(omega: float, model: ShiftModel, n: int, seed: int, n_threads:
     return np.concatenate(parts)
 
 
+def simulate_criteria(
+    cids: Sequence[CriterionId],
+    omega: float,
+    model: ShiftModel,
+    n: int,
+    seed: int,
+    params: CriterionParams = DEFAULT_PARAMS,
+    n_threads: int = 1,
+) -> Iterator[np.ndarray]:
+    """n i.i.d. draws of each criterion in cids under the shift model, one
+    array per entry of cids, in order and repeats included.
+
+    Deterministic given (seed, model, n, omega). Every criterion is scored
+    on the same shift sequence, drawn once, and on one `areas` result, with
+    the hull only if a criterion reads it; so criteria can be compared
+    sample-by-sample. The draw is made by this call; each array is scored
+    when the iterator reaches it, so a caller that reduces one array before
+    taking the next holds one at a time.
+    """
+    shifts = sample_shifts(omega, model, n, seed, n_threads)
+    dy = shifts if model.direction is ShiftDirection.DIAGONAL else 0.0
+    a, b = _squares(omega, shifts, dy, model.size_ratio)
+    geometry = None
+    if any(cid is not CriterionId.NWD for cid in cids):
+        geometry = areas(a, b, hull=any(cid in HULL_CRITERIA for cid in cids))
+    return (from_areas(cid, geometry, a, b, params) for cid in cids)
+
+
 def simulate_criterion(
     cid: CriterionId,
     omega: float,
@@ -139,14 +182,9 @@ def simulate_criterion(
     params: CriterionParams = DEFAULT_PARAMS,
     n_threads: int = 1,
 ) -> np.ndarray:
-    """n i.i.d. draws of the criterion under the shift model.
-
-    Deterministic given (seed, model, n, omega); the shift sequence does not
-    depend on the criterion, so criteria can be compared sample-by-sample.
-    """
-    shifts = sample_shifts(omega, model, n, seed, n_threads)
-    dy = shifts if model.direction is ShiftDirection.DIAGONAL else 0.0
-    return criterion_on_shifts(cid, omega, shifts, dy, model.size_ratio, params)
+    """n i.i.d. draws of the criterion under the shift model: the samples
+    `simulate_criteria` gives it in any list of criteria."""
+    return next(simulate_criteria([cid], omega, model, n, seed, params, n_threads))
 
 
 def summarize(samples: np.ndarray, omega: float = float("nan")) -> DistributionSummary:
@@ -225,8 +263,29 @@ def empirical_pdf(
 
 def derive_seed(master_seed: int, index: int) -> int:
     """Counter-based sub-seed split, stable across evaluation order."""
-    check_range("seed", master_seed, 0, math.inf)
+    _check_seed(master_seed)
     return int(np.random.SeedSequence([master_seed, index]).generate_state(1)[0])
+
+
+def moment_curves(
+    cids: Sequence[CriterionId],
+    omegas: Sequence[float],
+    model: ShiftModel,
+    n: int,
+    seed: int,
+    params: CriterionParams = DEFAULT_PARAMS,
+    n_threads: int = 1,
+) -> list[list[DistributionSummary]]:
+    """For each entry of cids, one DistributionSummary per omega. Each omega
+    gets a sub-seed derived from the master seed by counter, and one
+    `simulate_criteria` draw shared by every criterion."""
+    if len(omegas) == 0:
+        raise ValueError("omega grid must be non-empty")
+    per_omega = []
+    for i, omega in enumerate(omegas):
+        samples = simulate_criteria(cids, omega, model, n, derive_seed(seed, i), params, n_threads)
+        per_omega.append([summarize(s, omega=omega) for s in samples])
+    return [list(curve) for curve in zip(*per_omega)]
 
 
 def moment_curve(
@@ -238,17 +297,8 @@ def moment_curve(
     params: CriterionParams = DEFAULT_PARAMS,
     n_threads: int = 1,
 ) -> list[DistributionSummary]:
-    """One DistributionSummary per omega, with per-omega sub-seeds derived
-    from the master seed by counter."""
-    if len(omegas) == 0:
-        raise ValueError("omega grid must be non-empty")
-    out = []
-    for i, omega in enumerate(omegas):
-        samples = simulate_criterion(
-            cid, omega, model, n, derive_seed(seed, i), params, n_threads
-        )
-        out.append(summarize(samples, omega=omega))
-    return out
+    """One DistributionSummary per omega: `moment_curves` of one criterion."""
+    return moment_curves([cid], omegas, model, n, seed, params, n_threads)[0]
 
 
 # random boxes of the order-preservation check: square, centers uniform in a
@@ -290,7 +340,7 @@ def order_preservation_counts(
     flip.
     """
     check_range("n_triples", n_triples, 1, MAX_SAMPLES)
-    check_range("seed", seed, 0, math.inf)
+    _check_seed(seed)
     rng = np.random.default_rng(np.random.SeedSequence([seed]))
     preserved = 0
     n_aligned = 0

@@ -25,7 +25,7 @@ from typing import Sequence
 
 from .criteria import CriterionId, CriterionParams, DEFAULT_PARAMS, FLOAT_MAX, check_range, check_size, exponent, kernel
 from .errors import QuadratureNonConvergence
-from .stats import ShiftModel, simulate_criterion, summarize
+from .stats import ShiftModel, simulate_criteria, summarize
 
 # Gaussian mass beyond 12 sigma is < 1e-30; criteria are bounded by 1, so
 # truncating the tail there is exact at the working tolerance.
@@ -153,18 +153,17 @@ def moment_consistency_report(
     With every sample equal (std_error 0), z is 0 if the Monte Carlo mean is
     within the quadrature's error bound of the quadrature value, else inf.
 
-    One simulation per (criterion, setup) feeds both moment orders. A
-    criterion without a theoretical moment is rejected before any of them.
+    One `simulate_criteria` draw per setup feeds every criterion and both
+    moment orders. A criterion without a theoretical moment is rejected
+    before any draw.
     """
     for cid in criteria:
         _check_moment_criterion(cid)
     rows = []
     for setup in setups:
         model = ShiftModel(sigma_base=setup.sigma)
-        for cid in criteria:
-            samples = simulate_criterion(
-                cid, setup.omega, model, n, seed, setup.params, n_threads
-            )
+        drawn = simulate_criteria(criteria, setup.omega, model, n, seed, setup.params, n_threads)
+        for cid, samples in zip(criteria, drawn):
             for order in (1, 2):
                 theory = theoretical_moment(cid, order, setup)
                 mc = summarize(samples if order == 1 else samples * samples)

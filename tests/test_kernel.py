@@ -28,7 +28,7 @@ from scaleiou import (
 import scaleiou.criteria as criteria
 import scaleiou.stats as stats
 from scaleiou.cli import main
-from scaleiou.criteria import boxes_array, elementwise, kernel, pairwise
+from scaleiou.criteria import areas, boxes_array, elementwise, from_areas, kernel, pairwise
 from scaleiou.geometry import MAX_COORDINATE
 from scaleiou.io import load_boxes, load_ratings
 from scaleiou.stats import CHUNK_SIZE, ShiftModel, criterion_on_shifts, sample_shifts
@@ -94,6 +94,17 @@ def test_criterion_on_shifts_bit_equal_to_scalar(cid, omega, ratio, shifts, para
     # horizontal shifts: a scalar dy broadcasts to the same bits as zeros
     horizontal = criterion_on_shifts(cid, omega, dx, np.zeros_like(dx), ratio, params)
     assert criterion_on_shifts(cid, omega, dx, 0.0, ratio, params).tolist() == horizontal.tolist()
+
+
+@pytest.mark.parametrize("cid", [cid for cid in ALL_IDS if cid is not CriterionId.NWD])
+@settings(max_examples=60, deadline=None)
+@given(pairs=st.lists(box_pairs(), min_size=1, max_size=6), params=params_st)
+def test_from_areas_with_the_hull_bit_equal_to_kernel(cid, pairs, params):
+    # one areas call with the hull serves every criterion: the hull never leaks into IoU
+    a = boxes_array([p[0] for p in pairs]).T
+    b = boxes_array([p[1] for p in pairs]).T
+    shared = from_areas(cid, areas(a, b, hull=True), a, b, params)
+    assert shared.tobytes() == kernel(cid, a, b, params).tobytes()
 
 
 @settings(max_examples=100, deadline=None)

@@ -3,9 +3,11 @@
 `moments`, `simulate` (summary and `--pdf histogram`), `shift-curve` and
 `theory` (with and without `--check-mc`) run through `main([...])` over both
 shift directions, a size ratio other than 1, a positive sigma slope, both
-criterion presets and both output formats; each stdout must equal the text
-in tests/data/mc_report.json. Sample counts stay at n <= 2e4, so a command
-takes milliseconds.
+criterion presets and both output formats, and with a criterion listed twice;
+each stdout must equal the text in tests/data/mc_report.json. Sample counts
+stay at n <= 2e4, so a command takes milliseconds, except for one `moments`
+run of three CHUNK_SIZE chunks, pinned at SCALEIOU_THREADS 1 and 2, so the
+threaded draw is pinned too.
 
 Regenerate the expected text (only for an intended output change) with
 
@@ -58,14 +60,26 @@ def commands():
                           *flags, "--format", fmt]
                 out.append(theory)
                 out.append(theory + ["--check-mc", "--n", "20000", "--seed", "3"])
+    # a criterion listed twice keeps its place and prints its rows twice
+    for direction in ("horizontal", "diagonal"):
+        out.append(["moments", "--id", "iou,nwd,iou,alpha-iou", "--omega", "8,32", "--sigma", "8",
+                    "--n", "20000", "--seed", "2", "--direction", direction])
+    out.append(["theory", "--id", "siou,siou", "--omega", "8,32", "--sigma", "4",
+                "--check-mc", "--n", "20000", "--seed", "3"])
     return out
 
 
 COMMANDS = commands()
+# (SCALEIOU_THREADS, argv): 150000 samples span three CHUNK_SIZE chunks
+THREADED = [
+    (threads, ["moments", "--id", ",".join(CRITERIA), "--omega", "8,32,128", "--sigma", "8",
+               "--n", "150000", "--seed", "1", "--direction", "diagonal"])
+    for threads in ("1", "2")
+]
 
 
-def key(argv):
-    return " ".join(argv)
+def key(argv, threads=None):
+    return " ".join(argv) if threads is None else f"SCALEIOU_THREADS={threads} " + " ".join(argv)
 
 
 @pytest.fixture(scope="module")
@@ -74,8 +88,9 @@ def expected():
 
 
 def test_document_covers_the_commands(expected):
-    assert set(expected) == {key(argv) for argv in COMMANDS}
-    assert len(expected) == len(COMMANDS)
+    keys = [key(argv) for argv in COMMANDS] + [key(argv, threads) for threads, argv in THREADED]
+    assert set(expected) == set(keys)
+    assert len(expected) == len(keys)
 
 
 @pytest.mark.parametrize("argv", COMMANDS, ids=[key(a).replace(" ", "-") for a in COMMANDS])
@@ -84,16 +99,29 @@ def test_mc_report_bytes(capsys, expected, argv):
     assert capsys.readouterr().out == expected[key(argv)]
 
 
+@pytest.mark.parametrize("threads, argv", THREADED, ids=[key(a, t).replace(" ", "-") for t, a in THREADED])
+def test_mc_report_bytes_threaded(capsys, monkeypatch, expected, threads, argv):
+    monkeypatch.setenv("SCALEIOU_THREADS", threads)
+    assert main(argv) == 0
+    assert capsys.readouterr().out == expected[key(argv, threads)]
+
+
+def test_threaded_runs_print_the_serial_text(expected):
+    assert len({expected[key(argv, threads)] for threads, argv in THREADED}) == 1
+
+
 if __name__ == "__main__":
     import contextlib
     import io
+    import os
 
     record = {}
-    for argv in COMMANDS:
+    for threads, argv in [(None, argv) for argv in COMMANDS] + THREADED:
+        os.environ["SCALEIOU_THREADS"] = threads or "1"
         out = io.StringIO()
         with contextlib.redirect_stdout(out):
             assert main(argv) == 0, argv
-        record[key(argv)] = out.getvalue()
+        record[key(argv, threads)] = out.getvalue()
     EXPECTED.parent.mkdir(exist_ok=True)
     EXPECTED.write_text(json.dumps(record, indent=0, sort_keys=True) + "\n", encoding="utf-8")
     print(f"wrote {len(record)} reports to {EXPECTED}")

@@ -122,6 +122,10 @@ LIBRARY_ROWS = [
     (lambda: stats.derive_seed(-1, 0), "seed"),
     (lambda: stats.moment_curve(CriterionId.IOU, [8.0], ShiftModel(), 10, seed=-1), "seed"),
     (lambda: stats.order_preservation_counts(DEFAULT_PARAMS, 10, seed=-1), "seed"),
+    # a seed is an integer: numpy rejects any other number with a TypeError
+    (lambda: sample_shifts(8.0, ShiftModel(), 10, seed=1.5), "seed"),
+    (lambda: stats.derive_seed(INF, 0), "seed"),
+    (lambda: stats.order_preservation_counts(DEFAULT_PARAMS, 10, NAN), "seed"),
 ]
 
 
@@ -130,6 +134,12 @@ def test_out_of_range_library_input_raises_value_error(call, name):
     with pytest.raises(ValueError) as info:
         call()
     assert str(info.value).startswith(f"{name} out of range")
+
+
+@pytest.mark.parametrize("seed", [1.5, INF, NAN, -1])
+def test_seed_message_asks_for_a_non_negative_integer(seed):
+    with pytest.raises(ValueError, match="must be a non-negative integer"):
+        stats.derive_seed(seed, 0)
 
 
 def test_histogram_bins_are_checked_before_sampling(monkeypatch):
@@ -215,7 +225,7 @@ def test_check_mc_z_score_is_zero_on_exact_agreement():
 
 
 def test_check_mc_z_score_is_inf_when_constant_samples_disagree(monkeypatch):
-    monkeypatch.setattr(theory, "simulate_criterion", lambda *args: np.full(4, 0.5))
+    monkeypatch.setattr(theory, "simulate_criteria", lambda *args: [np.full(4, 0.5)])
     rows = theory.moment_consistency_report([TheorySetup(8, 1e-300)], [CriterionId.IOU], n=4, seed=1)
     assert [(r["std_error"], r["z_score"], r["flagged"]) for r in rows] == [(0.0, INF, True)] * 2
 

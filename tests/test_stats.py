@@ -1,8 +1,13 @@
+import contextlib
+import io
 import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import scaleiou.stats as stats
 from scaleiou import (
     Box,
     CriterionId,
@@ -18,11 +23,13 @@ from scaleiou import (
     order_preservation_counts,
     order_preservation_rate,
     shift_curve,
+    simulate_criteria,
     simulate_criterion,
     summarize,
     value_range,
 )
 from scaleiou import iou, siou
+from scaleiou.cli import main
 from scaleiou.stats import criterion_on_shifts, sample_shifts
 from tests.conftest import random_box
 
@@ -321,3 +328,48 @@ PINNED_COUNTS = [
 def test_order_preservation_counts_pinned(gamma, kappa, n, seed, preserved, n_aligned, aligned_preserved):
     counts = order_preservation_counts(CriterionParams(gamma=gamma, kappa=kappa), n, seed)
     assert counts == OrderPreservationCounts(n, preserved, n_aligned, aligned_preserved)
+
+
+ALL_IDS = list(CriterionId)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    cids=st.lists(st.sampled_from(ALL_IDS), min_size=1, max_size=8),
+    direction=st.sampled_from(list(ShiftDirection)),
+    omega=st.floats(0.5, 256.0),
+    ratio=st.floats(0.25, 4.0),
+    sigma=st.floats(0.5, 64.0),
+    seed=st.integers(0, 2**32),
+)
+@example(cids=ALL_IDS + ALL_IDS[::-1], direction=ShiftDirection.HORIZONTAL, omega=8.0, ratio=2.5, sigma=6.0, seed=1)
+@example(cids=ALL_IDS + ALL_IDS[::-1], direction=ShiftDirection.DIAGONAL, omega=8.0, ratio=0.5, sigma=6.0, seed=1)
+def test_simulate_criteria_bit_equal_to_criterion_on_shifts(cids, direction, omega, ratio, sigma, seed):
+    model = ShiftModel(direction, sigma_base=sigma, size_ratio=ratio)
+    params = CriterionParams(gamma=-2.0, kappa=16.0)
+    samples = list(simulate_criteria(cids, omega, model, 300, seed, params))
+    shifts = sample_shifts(omega, model, 300, seed)
+    dy = shifts if direction is ShiftDirection.DIAGONAL else 0.0
+    assert len(samples) == len(cids)
+    for cid, got in zip(cids, samples):
+        assert got.tobytes() == criterion_on_shifts(cid, omega, shifts, dy, ratio, params).tobytes()
+
+
+@pytest.mark.parametrize("argv, draws", [
+    (["moments", "--id", "iou,giou,siou,gsiou", "--omega", "8,32,128", "--sigma", "8", "--n", "1000",
+      "--seed", "1"], 3),
+    (["theory", "--id", "iou,giou,siou,gsiou", "--omega", "16,64", "--sigma", "8", "--check-mc",
+      "--n", "1000", "--seed", "1"], 2),
+])
+def test_one_shift_draw_per_omega(monkeypatch, argv, draws):
+    drawn = []
+    real = stats.sample_shifts
+
+    def counting(*args, **kwargs):
+        drawn.append(args[0])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(stats, "sample_shifts", counting)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv) == 0
+    assert len(drawn) == draws
