@@ -284,8 +284,8 @@ def _cmd_moments(args, params, config):
     model = _shift_model(args)
     omegas = _parse_omegas(args.omega)
     criteria = [_criterion_id(raw) for raw in args.id.split(",")]
-    rows = []
     curves = stats.moment_curves(criteria, omegas, model, args.n, args.seed, params, _n_threads())
+    rows = []
     for cid, curve in zip(criteria, curves):
         for summary in curve:
             rows.append(
