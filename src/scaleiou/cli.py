@@ -21,10 +21,10 @@ from typing import Optional, Sequence
 
 from . import stats, theory
 from .criteria import POSITIVE, CriterionId, CriterionParams, DEFAULT_PARAMS, check_range, evaluate, value_range
-from .errors import ParseError, QuadratureNonConvergence, ScaleIoUError
+from .errors import QuadratureNonConvergence, ScaleIoUError
 from .evaluation import EvalConfig, map_report
-from .geometry import Box, SizeClass
-from .io import load_boxes, load_ratings, write_table, write_text
+from .geometry import SizeClass
+from .io import corner_box, load_boxes, load_config, load_ratings, write_table, write_text
 from .rating import criterion_values, group_means, group_records, kendall_tau, one_way_anova, relative_gap
 from .stats import PdfMethod, ShiftDirection, ShiftModel
 
@@ -49,16 +49,6 @@ class _Parser(argparse.ArgumentParser):
         return super()._get_values(action, arg_strings)
 
 
-def _parse_corner_box(text: str) -> Box:
-    parts = text.split(",")
-    if len(parts) != 4:
-        raise ValueError(f"box must be x_min,y_min,w,h, got {text!r}")
-    try:
-        return Box.from_corner(*(float(v) for v in parts))
-    except ValueError as exc:
-        raise ValueError(f"invalid box {text!r}: {exc}") from exc
-
-
 def _parse_floats(text: str) -> list[float]:
     try:
         return [float(v) for v in text.split(",") if v != ""]
@@ -79,34 +69,6 @@ def _criterion_id(text: str) -> CriterionId:
             return cid
     raise ValueError(f"unknown criterion {text!r}; choose from "
                      + ", ".join(c.value for c in CriterionId))
-
-
-def _load_config(path: Optional[str]) -> dict:
-    if path is None:
-        return {}
-    try:
-        with open(path, encoding="utf-8") as fh:
-            lines = fh.readlines()
-    except OSError as exc:
-        raise ParseError(f"cannot read config {path}: {exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"config {path}: not UTF-8: {exc}") from exc
-    values = {}
-    for line_no, line in enumerate(lines, start=1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise ParseError(f"{path}: line {line_no}: expected key=value")
-        key, _, raw = line.partition("=")
-        key = key.strip()
-        if key not in _CONFIG_KEYS:
-            raise ParseError(f"{path}: line {line_no}: unknown key {key!r}")
-        try:
-            values[key] = float(raw.strip())
-        except ValueError as exc:
-            raise ParseError(f"{path}: line {line_no}: invalid value {raw!r}") from exc
-    return values
 
 
 def _resolve_params(args, config: dict) -> CriterionParams:
@@ -225,7 +187,7 @@ def build_parser() -> _Parser:
 
 
 def _cmd_criterion(args, params, config):
-    value = evaluate(_criterion_id(args.id), _parse_corner_box(args.a), _parse_corner_box(args.b), params)
+    value = evaluate(_criterion_id(args.id), corner_box(args.a.split(",")), corner_box(args.b.split(",")), params)
     return f"{value:.6f}\n"
 
 
@@ -257,6 +219,10 @@ def _cmd_simulate(args, params, config):
     if args.pdf == "histogram":  # a usage error before any sample is drawn
         check_range("bins", args.bins, 1, stats.MAX_GRID)
     samples = stats.simulate_criterion(cid, args.omega, model, args.n, args.seed, params, _n_threads())
+    if args.pdf is not None:
+        pdf = stats.empirical_pdf(samples, PdfMethod(args.pdf), bounds=value_range(cid), bins=args.bins)
+        rows = [{"criterion": cid.value, "omega": args.omega, "z": z, "density": d} for z, d in pdf]
+        return rows, ("criterion", "omega", "z", "density")
     summary = stats.summarize(samples, omega=args.omega)
     rows = [
         {
@@ -269,15 +235,7 @@ def _cmd_simulate(args, params, config):
             "std_error": summary.std_error,
         }
     ]
-    columns = ("criterion", "omega", "sigma", "n", "mean", "std_dev", "std_error")
-    if args.pdf is not None:
-        pdf = stats.empirical_pdf(samples, PdfMethod(args.pdf), bounds=value_range(cid), bins=args.bins)
-        rows = [
-            {"criterion": cid.value, "omega": args.omega, "z": z, "density": d}
-            for z, d in pdf
-        ]
-        columns = ("criterion", "omega", "z", "density")
-    return rows, columns
+    return rows, ("criterion", "omega", "sigma", "n", "mean", "std_dev", "std_error")
 
 
 def _cmd_moments(args, params, config):
@@ -408,7 +366,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        config = _load_config(args.config)
+        config = {} if args.config is None else load_config(args.config, _CONFIG_KEYS)
         output = _COMMANDS[args.command](args, _resolve_params(args, config), config)
         if isinstance(output, str):  # criterion's one value, in every --format
             write_text(output, args.out)

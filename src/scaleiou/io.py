@@ -1,7 +1,9 @@
-"""File I/O for the CLI: detection/GT JSON, rating CSV, and table output.
+"""File I/O for the CLI: detection/GT JSON, rating CSV, config file, and
+table output.
 
-External box coordinates are corner form (x_min, y_min, w, h) and converted
-to the internal center form at this boundary. Tables are written with a fixed
+Every input file is read whole as UTF-8 by `_read_text`. External box
+coordinates are corner form (x_min, y_min, w, h) and converted to the
+internal center form at this boundary. Tables are written with a fixed
 column order and 9-significant-digit number formatting so identical inputs
 produce byte-identical files.
 """
@@ -34,13 +36,49 @@ def format_number(value) -> str:
     return format(value, ".9g")
 
 
-def _corner_box(bbox, where: str) -> Box:
+def _read_text(path: str, newline: Optional[str] = None) -> str:
+    """The whole file at path, decoded as UTF-8 with open()'s newline mode;
+    a file that cannot be read or decoded is a ParseError naming it."""
+    try:
+        with open(path, encoding="utf-8", newline=newline) as fh:
+            return fh.read()
+    except OSError as exc:
+        raise ParseError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8: {exc}") from exc
+
+
+def load_config(path: str, keys: Sequence[str]) -> dict:
+    """The key=value lines of a config file as {key: float}, for the given
+    keys. Blank lines and lines starting with # are skipped; an error names
+    the line."""
+    values = {}
+    for line_no, line in enumerate(_read_text(path).split("\n"), start=1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise ParseError(f"{path}: line {line_no}: expected key=value")
+        key, _, raw = line.partition("=")
+        key = key.strip()
+        if key not in keys:
+            raise ParseError(f"{path}: line {line_no}: unknown key {key!r}")
+        try:
+            values[key] = float(raw.strip())
+        except ValueError as exc:
+            raise ParseError(f"{path}: line {line_no}: invalid value {raw!r}") from exc
+    return values
+
+
+def corner_box(bbox) -> Box:
+    """A Box from corner form [x_min, y_min, w, h]: a list of four numbers,
+    or of four number strings. A ValueError names the box."""
     if not isinstance(bbox, (list, tuple)) or len(bbox) != 4:
-        raise ParseError(f"{where}: bbox must be [x_min, y_min, w, h], got {bbox!r}")
+        raise ValueError(f"box must be [x_min, y_min, w, h], got {bbox!r}")
     try:
         return Box.from_corner(*(float(v) for v in bbox))
     except (TypeError, ValueError) as exc:
-        raise ParseError(f"{where}: invalid bbox {bbox!r}: {exc}") from exc
+        raise ValueError(f"invalid box {bbox!r}: {exc}") from exc
 
 
 def load_boxes(path: str) -> tuple[list[DetectionRecord], list[GroundTruthRecord]]:
@@ -48,56 +86,57 @@ def load_boxes(path: str) -> tuple[list[DetectionRecord], list[GroundTruthRecord
 
     Schema: an object with arrays "images" (ids or {"id": ...} objects),
     "annotations" ({image_id, category, bbox}), and "detections" (same plus
-    "score"); bbox is corner form [x_min, y_min, w, h].
+    "score"); bbox is corner form [x_min, y_min, w, h]. Each array may be
+    left out, and is then empty.
     """
     try:
-        with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
-    except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"{path}: not UTF-8: {exc}") from exc
-    except json.JSONDecodeError as exc:
+        data = json.loads(_read_text(path))
+    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deep
         raise ParseError(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ParseError(f"{path}: top level must be a JSON object")
+    sections = {key: data.get(key, []) for key in ("images", "annotations", "detections")}
+    for key, section in sections.items():
+        if not isinstance(section, list):
+            raise ParseError(f"{path}: {key!r} must be an array")
 
     image_ids = set()
-    for i, image in enumerate(data.get("images", [])):
+    for i, image in enumerate(sections["images"]):
         if isinstance(image, dict) and "id" not in image:
             raise ParseError(f"{path}: images[{i}]: missing field 'id'")
         image_ids.add(str(image["id"]) if isinstance(image, dict) else str(image))
 
-    def common_fields(entry, where):
-        if not isinstance(entry, dict):
-            raise ParseError(f"{where}: must be an object, got {entry!r}")
-        for key in ("image_id", "category", "bbox"):
-            if key not in entry:
-                raise ParseError(f"{where}: missing field {key!r}")
-        image_id = str(entry["image_id"])
-        if image_ids and image_id not in image_ids:
-            raise ParseError(f"{where}: unknown image_id {image_id!r}")
-        return image_id, str(entry["category"]), _corner_box(entry["bbox"], where)
+    records = {"annotations": [], "detections": []}
+    for key, found in records.items():
+        for i, entry in enumerate(sections[key]):
+            try:
+                found.append(_record(entry, image_ids, scored=key == "detections"))
+            except ValueError as exc:
+                raise ParseError(f"{path}: {key}[{i}]: {exc}") from exc
+    return records["detections"], records["annotations"]
 
-    ground_truths = []
-    for i, entry in enumerate(data.get("annotations", [])):
-        where = f"{path}: annotations[{i}]"
-        image_id, category, box = common_fields(entry, where)
-        ground_truths.append(GroundTruthRecord(image_id, category, box))
 
-    detections = []
-    for i, entry in enumerate(data.get("detections", [])):
-        where = f"{path}: detections[{i}]"
-        image_id, category, box = common_fields(entry, where)
-        if "score" not in entry:
-            raise ParseError(f"{where}: missing field 'score'")
-        try:
-            score = check_range("score", float(entry["score"]), -FLOAT_MAX, FLOAT_MAX)
-        except (TypeError, ValueError) as exc:
-            raise ParseError(f"{where}: invalid score {entry['score']!r}: {exc}") from exc
-        detections.append(DetectionRecord(image_id, category, box, score))
-
-    return detections, ground_truths
+def _record(entry, image_ids: set, scored: bool):
+    """A boxes-file entry as a GroundTruthRecord, or when scored a
+    DetectionRecord; a ValueError says what is wrong with it."""
+    if not isinstance(entry, dict):
+        raise ValueError(f"must be an object, got {entry!r}")
+    for key in ("image_id", "category", "bbox"):
+        if key not in entry:
+            raise ValueError(f"missing field {key!r}")
+    image_id = str(entry["image_id"])
+    if image_ids and image_id not in image_ids:
+        raise ValueError(f"unknown image_id {image_id!r}")
+    fields = (image_id, str(entry["category"]), corner_box(entry["bbox"]))
+    if not scored:
+        return GroundTruthRecord(*fields)
+    if "score" not in entry:
+        raise ValueError("missing field 'score'")
+    try:
+        score = check_range("score", float(entry["score"]), -FLOAT_MAX, FLOAT_MAX)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"invalid score {entry['score']!r}: {exc}") from exc
+    return DetectionRecord(*fields, score)
 
 
 _RATING_REQUIRED = ("rating", "gt_x", "gt_y", "gt_w", "gt_h", "px", "py", "pw", "ph")
@@ -119,40 +158,35 @@ def load_ratings(path: str) -> RatingTable:
     and optional context,expertise,age. Box columns are corner form. A flag
     is 1/0, true/false or yes/no in any case; an empty cell is absent. Errors
     name the file line of the offending row."""
+    reader = csv.reader(_io.StringIO(_read_text(path, newline=""), newline=""))
     try:
-        fh = open(path, newline="", encoding="utf-8")
-    except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc}") from exc
-    with fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader, None)
-            if header is None:
-                raise ParseError(f"{path}: missing CSV header")
-            column = {name: i for i, name in enumerate(header)}  # a repeated name means its last column
-            for col in _RATING_REQUIRED:
-                if col not in column:
-                    raise ParseError(f"{path}: missing column {col!r}")
-            numbers = [column[c] for c in _RATING_REQUIRED[1:]]
-            optional = [(name, column.get(name)) for name in _RATING_OPTIONAL]
-            # per row: 8 corner-form box fields, then the 3 optionals
-            lines, ratings, values = [], [], array("d")
-            for row in reader:
-                if not row:
-                    continue  # a blank line
-                row += [""] * (len(header) - len(row))
-                try:
-                    rating = int(row[column["rating"]])
-                    fields = [float(row[i]) for i in numbers]
-                    fields += [math.nan if i is None else _optional_cell(name, row[i]) for name, i in optional]
-                except ValueError as exc:
-                    _rating_table(path, lines, ratings, values)  # a rule broken on an earlier row comes first
-                    raise ParseError(f"{path}: line {reader.line_num}: {exc}") from exc
-                lines.append(reader.line_num)
-                ratings.append(rating)
-                values.extend(fields)
-        except (csv.Error, UnicodeDecodeError) as exc:  # an oversized field, or bytes that are not UTF-8
-            raise ParseError(f"{path}: {exc}") from exc
+        header = next(reader, None)
+        if header is None:
+            raise ParseError(f"{path}: missing CSV header")
+        column = {name: i for i, name in enumerate(header)}  # a repeated name means its last column
+        for col in _RATING_REQUIRED:
+            if col not in column:
+                raise ParseError(f"{path}: missing column {col!r}")
+        numbers = [column[c] for c in _RATING_REQUIRED[1:]]
+        optional = [(name, column.get(name)) for name in _RATING_OPTIONAL]
+        # per row: 8 corner-form box fields, then the 3 optionals
+        lines, ratings, values = [], [], array("d")
+        for row in reader:
+            if not row:
+                continue  # a blank line
+            row += [""] * (len(header) - len(row))
+            try:
+                rating = int(row[column["rating"]])
+                fields = [float(row[i]) for i in numbers]
+                fields += [math.nan if i is None else _optional_cell(name, row[i]) for name, i in optional]
+            except ValueError as exc:
+                _rating_table(path, lines, ratings, values)  # a rule broken on an earlier row comes first
+                raise ParseError(f"{path}: line {reader.line_num}: {exc}") from exc
+            lines.append(reader.line_num)
+            ratings.append(rating)
+            values.extend(fields)
+    except csv.Error as exc:  # an oversized field
+        raise ParseError(f"{path}: {exc}") from exc
     return _rating_table(path, lines, ratings, values)
 
 

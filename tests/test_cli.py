@@ -77,6 +77,10 @@ class TestCriterionCommand:
         assert code == 1
         assert "error:" in err
 
+    def test_bad_box_message_is_the_boxes_file_one(self, capsys):
+        code, out, err = run(capsys, "criterion", "--id", "iou", "--a", "0,0,10", "--b", "5,0,10,10")
+        assert (code, out, err) == (1, "", "error: box must be [x_min, y_min, w, h], got ['0', '0', '10']\n")
+
     def test_siou_gamma_zero_matches_iou(self, capsys):
         args = ("--a", "0,0,10,10", "--b", "3,2,12,9")
         _, out_iou, _ = run(capsys, "criterion", "--id", "iou", *args)
@@ -108,13 +112,6 @@ class TestConfigPrecedence:
         code, _, err = run(capsys, *self.ARGS, "--config", str(config))
         assert code == 2
         assert "error:" in err
-
-    def test_non_utf8_config_is_data_error(self, capsys, tmp_path):
-        cfg = tmp_path / "latin1.cfg"
-        cfg.write_bytes(b"\xff=1\n")
-        code, out, err = run(capsys, *self.ARGS, "--config", str(cfg))
-        assert (code, out) == (2, "")
-        assert str(cfg) in err and "not UTF-8" in err
 
     def test_unknown_key_is_data_error(self, capsys, tmp_path):
         config = tmp_path / "sio.cfg"
@@ -227,22 +224,35 @@ class TestEvalCommand:
         rows = list(csv.DictReader(out.splitlines()))
         assert {r["bucket"] for r in rows} == {"small"}
 
-    def test_missing_file_is_data_error(self, capsys, tmp_path):
-        code, _, _ = run(capsys, "eval", "--boxes", str(tmp_path / "nope.json"))
-        assert code == 2
-
     def test_invalid_json_is_data_error(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{not json")
         code, _, _ = run(capsys, "eval", "--boxes", str(path))
         assert code == 2
 
-    def test_non_utf8_file_is_data_error(self, capsys, tmp_path):
-        path = tmp_path / "latin1.json"
-        path.write_bytes(b'{"images": ["a\xff"]}')
+    @pytest.mark.parametrize("document, key", [('{"detections": 5}', "detections"),
+                                               ('{"annotations": null}', "annotations"),
+                                               ('{"images": "ab"}', "images")])
+    def test_section_that_is_not_an_array_is_a_data_error(self, capsys, tmp_path, document, key):
+        path = tmp_path / "boxes.json"
+        path.write_text(document)
         code, out, err = run(capsys, "eval", "--boxes", str(path))
         assert (code, out) == (2, "")
-        assert str(path) in err and "not UTF-8" in err
+        assert err == f"error: {path}: '{key}' must be an array\n"
+
+    def test_json_nested_too_deep_is_a_data_error(self, capsys, tmp_path):
+        path = tmp_path / "boxes.json"
+        path.write_text("[" * 100_000)
+        code, out, err = run(capsys, "eval", "--boxes", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {path}: invalid JSON: maximum recursion depth exceeded")
+
+    def test_bad_box_names_the_entry(self, capsys, tmp_path):
+        path = tmp_path / "boxes.json"
+        path.write_text(json.dumps({**BOXES, "detections": [{**BOXES["detections"][0], "bbox": [1, 2, 3]}]}))
+        code, out, err = run(capsys, "eval", "--boxes", str(path))
+        assert (code, out) == (2, "")
+        assert err == f"error: {path}: detections[0]: box must be [x_min, y_min, w, h], got [1, 2, 3]\n"
 
 
 class TestRatingCommand:
@@ -314,6 +324,30 @@ class TestLoaders:
 RATING_HEADER = "rating,gt_x,gt_y,gt_w,gt_h,px,py,pw,ph,context,expertise,age\n"
 
 
+# each input reader: its argv for a path, and bytes of its format that are not UTF-8
+READERS = {
+    "boxes": (lambda path: ["eval", "--boxes", path], b'{"images": ["a\xff"]}'),
+    "ratings": (lambda path: ["rating", "--ratings", path],
+                RATING_HEADER.encode() + b"3,0,0,20,20,0,0,20,\xff\n"),
+    "config": (lambda path: [*TestConfigPrecedence.ARGS, "--config", path], b"\xff=1\n"),
+}
+
+
+@pytest.mark.parametrize("fault", ["missing", "directory", "not-utf8"])
+@pytest.mark.parametrize("reader", READERS)
+def test_unreadable_input_is_a_data_error(capsys, tmp_path, reader, fault):
+    argv, not_utf8 = READERS[reader]
+    path = tmp_path / "input"
+    if fault == "directory":
+        path.mkdir()
+    elif fault == "not-utf8":
+        path.write_bytes(not_utf8)
+    code, out, err = run(capsys, *argv(str(path)))
+    assert (code, out) == (2, "")
+    prefix = f"error: {path}: not UTF-8: " if fault == "not-utf8" else f"error: cannot read {path}: "
+    assert err.startswith(prefix) and "Traceback" not in err
+
+
 def write_ratings(tmp_path, *rows):
     path = tmp_path / "ratings.csv"
     path.write_text(RATING_HEADER + "".join(row + "\n" for row in rows))
@@ -372,16 +406,22 @@ class TestRatingCsvRules:
         assert [r["n"] for r in rows] == ["1", "1"]
         assert [r["mean_rating"] for r in rows] in (["5", "4"], ["4", "5"])
 
-    @pytest.mark.parametrize("content", [RATING_HEADER.encode() + b"3,0,0,20,20,0,0,20,\xff\n",
-                                         RATING_HEADER.encode() + b"3," + b"1" * 200_000 + b",0,20,20,0,0,20,20\n"])
-    def test_unreadable_csv_is_a_data_error(self, tmp_path, capsys, content):
+    def test_oversized_field_is_a_data_error(self, tmp_path, capsys):
         path = tmp_path / "ratings.csv"
-        path.write_bytes(content)
+        path.write_bytes(RATING_HEADER.encode() + b"3," + b"1" * 200_000 + b",0,20,20,0,0,20,20\n")
         with pytest.raises(ParseError):
             load_ratings(str(path))
         assert main(["rating", "--ratings", str(path)]) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and "Traceback" not in captured.err
+
+    def test_bytes_that_are_not_utf8_come_before_a_row_error(self, tmp_path):
+        # the bad row is line 2; the byte 0xff sits past the first 8 KB of the file
+        path = tmp_path / "ratings.csv"
+        rows = "x5,0,0,20,20,0,0,20,20\n" + "5,0,0,20,20,0,0,20,20\n" * 1000
+        path.write_bytes(RATING_HEADER.encode() + rows.encode() + b"5,0,0,20,20,0,0,20,20,\xff\n")
+        with pytest.raises(ParseError, match="not UTF-8"):
+            load_ratings(str(path))
 
     def test_missing_optional_columns_are_absent(self, tmp_path):
         path = tmp_path / "ratings.csv"
@@ -424,6 +464,25 @@ def test_criterion_out_writes_the_file(capsys, tmp_path):
     code, stdout, _ = run(capsys, "criterion", "--id", "iou", "--a", "0,0,10,10", "--b", "2,3,10,12",
                           "--out", str(out))
     assert (code, stdout, out.read_bytes()) == (0, "", b"0.341463\n")
+
+
+def test_simulate_pdf_computes_no_summary(capsys, monkeypatch):
+    import scaleiou.stats as stats
+
+    def no_summary(*args, **kwargs):
+        raise AssertionError("summarize called on the --pdf path")
+
+    monkeypatch.setattr(stats, "summarize", no_summary)
+    code, out, _ = run(capsys, "simulate", "--id", "siou", "--omega", "16", "--sigma", "4",
+                       "--n", "100", "--seed", "1", "--pdf", "histogram", "--bins", "4")
+    assert code == 0 and out.startswith("criterion,omega,z,density\n")
+
+
+@pytest.mark.parametrize("pdf", ["histogram", "kde"])
+def test_simulate_pdf_single_sample_names_the_pdf_minimum(capsys, pdf):
+    code, out, err = run(capsys, "simulate", "--id", "siou", "--omega", "16", "--sigma", "4",
+                         "--n", "1", "--seed", "1", "--pdf", pdf)
+    assert (code, out, err) == (2, "", "error: need at least 10 samples, got 1\n")
 
 
 def test_theory_check_mc_single_sample_is_data_error(capsys):

@@ -337,8 +337,8 @@ def test_config_file_read_once_per_command(tmp_path, capsys, monkeypatch):
     config = tmp_path / "c.cfg"
     config.write_text("threshold=0.6\ngamma=0.1\n")
     reads = []
-    original = cli._load_config
-    monkeypatch.setattr(cli, "_load_config", lambda path: reads.append(path) or original(path))
+    original = cli.load_config
+    monkeypatch.setattr(cli, "load_config", lambda path, keys: reads.append(path) or original(path, keys))
     assert eval_exit(write_boxes(tmp_path, one_pair()), "--config", str(config)) == 0
     assert reads == [str(config)]
     assert "c,all,0.6,1\n" in capsys.readouterr().out

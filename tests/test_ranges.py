@@ -283,11 +283,27 @@ def json_values():
                      st.none(), st.booleans())
 
 
+def any_json():
+    """Any JSON value: a scalar, or an array or object of a few values."""
+    def nest(inner):
+        return st.one_of(st.lists(inner, max_size=3), st.dictionaries(st.text(max_size=3), inner, max_size=3))
+
+    return st.recursive(json_values(), nest, max_leaves=5)
+
+
 @st.composite
 def boxes_json(draw):
     def box():
         return draw(st.one_of(st.lists(json_values(), min_size=4, max_size=4),
                               st.just([1.0, 2.0, 10.0, 12.0]), json_values()))
+
+    def section(entries):
+        """The entries as an array, one in five of them replaced by any JSON
+        value; or, one time in five, any JSON value in place of the array."""
+        def other():
+            return draw(st.integers(0, 4)) == 0
+
+        return draw(any_json()) if other() else [draw(any_json()) if other() else e for e in entries]
 
     images = draw(st.sampled_from([["a"], [{"id": "a"}, "b"], [{"file": "x"}], []]))
     annotations = [{"image_id": draw(st.sampled_from(["a", "b", 3])), "category": "c", "bbox": box()}
@@ -295,7 +311,8 @@ def boxes_json(draw):
     detections = [{"image_id": "a", "category": draw(st.sampled_from(["c", "d"])), "bbox": box(),
                    "score": draw(json_values())}
                   for _ in range(draw(st.integers(0, 3)))]
-    return json.dumps({"images": images, "annotations": annotations, "detections": detections})
+    return json.dumps({"images": section(images), "annotations": section(annotations),
+                       "detections": section(detections)})
 
 
 @st.composite

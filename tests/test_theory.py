@@ -161,6 +161,26 @@ class TestConsistencyReport:
     def test_empty_grid(self):
         assert moment_consistency_report([]) == []
 
+    def test_each_criterion_samples_are_dropped_before_the_next(self, monkeypatch):
+        import weakref
+
+        import scaleiou.theory as theory_mod
+
+        drawn = []
+
+        def simulate_criteria(cids, omega, model, n, seed, params, n_threads):
+            for _ in cids:
+                assert not drawn or drawn[-1]() is None, "the previous criterion's samples are alive"
+                samples = np.linspace(0.0, 1.0, n)
+                drawn.append(weakref.ref(samples))
+                yield samples
+                del samples
+
+        monkeypatch.setattr(theory_mod, "simulate_criteria", simulate_criteria)
+        criteria = [CriterionId.IOU, CriterionId.GIOU, CriterionId.SIOU]
+        rows = moment_consistency_report([TheorySetup(16, 16)], criteria, n=100, seed=1)
+        assert len(drawn) == 3 and len(rows) == 6
+
 
 class TestSetupValidation:
     def test_rejects_nonpositive(self):
