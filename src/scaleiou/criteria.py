@@ -162,7 +162,7 @@ def kernel(cid: CriterionId, a, b, params: CriterionParams = DEFAULT_PARAMS):
 
 def boxes_array(boxes: Iterable[Box]) -> np.ndarray:
     """Center-form (N, 4) float array of the boxes' (x, y, w, h)."""
-    return np.array([(b.x, b.y, b.w, b.h) for b in boxes], dtype=float).reshape(-1, 4)
+    return np.array([b.components() for b in boxes], dtype=float).reshape(-1, 4)
 
 
 def _components(boxes) -> np.ndarray:
@@ -187,7 +187,7 @@ def pairwise(cid: CriterionId, a, b, params: CriterionParams = DEFAULT_PARAMS) -
     return kernel(cid, a[:, :, None], b[:, None, :], params)
 
 
-# Scalar API: the kernel on (1, 4) arrays, one box each.
+# Scalar API: the kernel on each box's own floats.
 
 
 def evaluate(cid: CriterionId, b1: Box, b2: Box, params: CriterionParams = DEFAULT_PARAMS) -> float:
@@ -196,12 +196,12 @@ def evaluate(cid: CriterionId, b1: Box, b2: Box, params: CriterionParams = DEFAU
     Bit-equal to elementwise and pairwise, which score many pairs per call
     at a small fraction of this call's cost per pair.
     """
-    return float(elementwise(cid, boxes_array([b1]), boxes_array([b2]), params)[0])
+    return float(kernel(cid, b1.components(), b2.components(), params))
 
 
 def exponent_p(b1: Box, b2: Box, params: CriterionParams) -> float:
     """Scale-adaptive exponent p = 1 - gamma * exp(-sqrt(w1h1 + w2h2)/(sqrt(2) kappa))."""
-    return float(exponent(boxes_array([b1]).T, boxes_array([b2]).T, params)[0])
+    return float(exponent(b1.components(), b2.components(), params))
 
 
 def iou(b1: Box, b2: Box) -> float:

@@ -2,7 +2,7 @@
 
 Boxes are stored as (x, y, w, h) with (x, y) the center. Dataset files commonly
 use corner form (x_min, y_min, w, h); conversion helpers live on the Box class
-and the CLI converts at the boundary.
+and `io` converts at the input boundary.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .criteria import FLOAT_MAX, MAX_COORDINATE, POSITIVE, areas, boxes_array, check_range, check_size
+from .criteria import FLOAT_MAX, MAX_COORDINATE, POSITIVE, areas, check_range, check_size
 
 
 class SizeClass(Enum):
@@ -65,6 +65,10 @@ class Box:
         """Build a box from corner form (x_min, y_min, w, h)."""
         return cls(x_min + w / 2, y_min + h / 2, w, h)
 
+    def components(self) -> tuple[float, float, float, float]:
+        """Return (x, y, w, h), the box as operands of the criteria kernel."""
+        return (self.x, self.y, self.w, self.h)
+
     def to_corner(self) -> tuple[float, float, float, float]:
         """Return (x_min, y_min, w, h)."""
         return (self.x_min, self.y_min, self.w, self.h)
@@ -80,24 +84,19 @@ def area(b: Box) -> float:
     return b.w * b.h
 
 
-def _pair_areas(b1: Box, b2: Box) -> tuple[float, float, float]:
-    inter, union, hull = areas(boxes_array([b1]).T, boxes_array([b2]).T, hull=True)
-    return float(inter[0]), float(union[0]), float(hull[0])
-
-
 def intersection_area(b1: Box, b2: Box) -> float:
     """Area of the rectangular overlap; 0 when the boxes are disjoint."""
-    return _pair_areas(b1, b2)[0]
+    return float(areas(b1.components(), b2.components())[0])
 
 
 def union_area(b1: Box, b2: Box) -> float:
     """area(b1) + area(b2) - intersection_area(b1, b2)."""
-    return _pair_areas(b1, b2)[1]
+    return float(areas(b1.components(), b2.components())[1])
 
 
 def enclosing_hull_area(b1: Box, b2: Box) -> float:
     """Area of the smallest axis-aligned rectangle containing both boxes."""
-    return _pair_areas(b1, b2)[2]
+    return float(areas(b1.components(), b2.components(), hull=True)[2])
 
 
 def size_index(s):

@@ -70,13 +70,20 @@ def load_config(path: str, keys: Sequence[str]) -> dict:
     return values
 
 
+def _number(value) -> float:
+    """float(value) for a number or a number string; a boolean is not a number."""
+    if isinstance(value, bool):
+        raise TypeError(f"{value!r} is a boolean, not a number")
+    return float(value)
+
+
 def corner_box(bbox) -> Box:
     """A Box from corner form [x_min, y_min, w, h]: a list of four numbers,
     or of four number strings. A ValueError names the box."""
     if not isinstance(bbox, (list, tuple)) or len(bbox) != 4:
         raise ValueError(f"box must be [x_min, y_min, w, h], got {bbox!r}")
     try:
-        return Box.from_corner(*(float(v) for v in bbox))
+        return Box.from_corner(*(_number(v) for v in bbox))
     except (TypeError, ValueError) as exc:
         raise ValueError(f"invalid box {bbox!r}: {exc}") from exc
 
@@ -87,11 +94,12 @@ def load_boxes(path: str) -> tuple[list[DetectionRecord], list[GroundTruthRecord
     Schema: an object with arrays "images" (ids or {"id": ...} objects),
     "annotations" ({image_id, category, bbox}), and "detections" (same plus
     "score"); bbox is corner form [x_min, y_min, w, h]. Each array may be
-    left out, and is then empty.
+    left out, and is then empty. An id or category is a string or an
+    integer, keyed by its text: one text may not come as both.
     """
     try:
         data = json.loads(_read_text(path))
-    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deep
+    except (ValueError, RecursionError) as exc:  # beyond JSONDecodeError: a too long integer, too deep nesting
         raise ParseError(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ParseError(f"{path}: top level must be a JSON object")
@@ -100,40 +108,70 @@ def load_boxes(path: str) -> tuple[list[DetectionRecord], list[GroundTruthRecord
         if not isinstance(section, list):
             raise ParseError(f"{path}: {key!r} must be an array")
 
-    image_ids = set()
+    image_ids, categories = {}, {}  # key -> (value, entry) of its first use
     for i, image in enumerate(sections["images"]):
-        if isinstance(image, dict) and "id" not in image:
-            raise ParseError(f"{path}: images[{i}]: missing field 'id'")
-        image_ids.add(str(image["id"]) if isinstance(image, dict) else str(image))
+        where = f"images[{i}]"
+        try:
+            if isinstance(image, dict):
+                if "id" not in image:
+                    raise ValueError("missing field 'id'")
+                image = image["id"]
+            _key("id", image, image_ids, where)
+        except ValueError as exc:
+            raise ParseError(f"{path}: {where}: {exc}") from exc
 
+    listed = bool(image_ids)
     records = {"annotations": [], "detections": []}
     for key, found in records.items():
         for i, entry in enumerate(sections[key]):
+            where = f"{key}[{i}]"
             try:
-                found.append(_record(entry, image_ids, scored=key == "detections"))
+                found.append(_record(entry, where, image_ids, listed, categories, scored=key == "detections"))
             except ValueError as exc:
-                raise ParseError(f"{path}: {key}[{i}]: {exc}") from exc
+                raise ParseError(f"{path}: {where}: {exc}") from exc
     return records["detections"], records["annotations"]
 
 
-def _record(entry, image_ids: set, scored: bool):
+_KEY_TYPES = {str: "string", int: "integer"}
+
+
+def _key(name: str, value, first: dict, where: str, listed: bool = False) -> str:
+    """The key of an image id or a category: the text of value, which must be
+    a JSON string or integer. first maps each key seen to its value and entry;
+    a new key joins it, or with listed set is unknown. The text of an earlier
+    value of the other type is a ValueError that names that entry."""
+    if type(value) not in _KEY_TYPES:
+        raise ValueError(f"invalid {name} {value!r}: must be a string or an integer")
+    key = str(value)
+    found = first.get(key)
+    if found is None:
+        if listed:
+            raise ValueError(f"unknown {name} {key!r}")
+        first[key] = (value, where)
+    elif found[0] != value:
+        earlier, earlier_where = found
+        raise ValueError(f"{name} {value!r} has the text of the {_KEY_TYPES[type(earlier)]} "
+                         f"{earlier!r} in {earlier_where}")
+    return key
+
+
+def _record(entry, where: str, image_ids: dict, listed: bool, categories: dict, scored: bool):
     """A boxes-file entry as a GroundTruthRecord, or when scored a
-    DetectionRecord; a ValueError says what is wrong with it."""
+    DetectionRecord; its ids are keyed by _key, listed when the file lists
+    its images. A ValueError says what is wrong with it."""
     if not isinstance(entry, dict):
         raise ValueError(f"must be an object, got {entry!r}")
     for key in ("image_id", "category", "bbox"):
         if key not in entry:
             raise ValueError(f"missing field {key!r}")
-    image_id = str(entry["image_id"])
-    if image_ids and image_id not in image_ids:
-        raise ValueError(f"unknown image_id {image_id!r}")
-    fields = (image_id, str(entry["category"]), corner_box(entry["bbox"]))
+    fields = (_key("image_id", entry["image_id"], image_ids, where, listed),
+              _key("category", entry["category"], categories, where), corner_box(entry["bbox"]))
     if not scored:
         return GroundTruthRecord(*fields)
     if "score" not in entry:
         raise ValueError("missing field 'score'")
     try:
-        score = check_range("score", float(entry["score"]), -FLOAT_MAX, FLOAT_MAX)
+        score = check_range("score", _number(entry["score"]), -FLOAT_MAX, FLOAT_MAX)
     except (TypeError, ValueError) as exc:
         raise ValueError(f"invalid score {entry['score']!r}: {exc}") from exc
     return DetectionRecord(*fields, score)

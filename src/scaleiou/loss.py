@@ -20,9 +20,9 @@ from .criteria import (
     POSITIVE,
     boxes_array,
     check_range,
-    elementwise,
     evaluate,
     exponent_p,
+    kernel,
     signed_power,
 )
 from .errors import NonDifferentiablePoint
@@ -179,7 +179,7 @@ def finite_difference_gradient(
     while the box is perturbed, matching loss_gradient's detached mode.
     """
     check_range("step", step, POSITIVE)
-    origin = (b1.x, b1.y, b1.w, b1.h)
+    origin = b1.components()
     probes = [  # +step then -step along x, y, w, h; each a valid Box
         Box(*(v + (delta if i == axis else 0.0) for i, v in enumerate(origin)))
         for axis in range(4)
@@ -188,7 +188,7 @@ def finite_difference_gradient(
     base_id = cid
     if detach_p and cid in (CriterionId.SIOU, CriterionId.GSIOU):
         base_id = CriterionId.IOU if cid is CriterionId.SIOU else CriterionId.GIOU
-    values = elementwise(base_id, boxes_array(probes), boxes_array([b2]), params)
+    values = kernel(base_id, boxes_array(probes).T, b2.components(), params)
     if base_id is not cid:  # the exponent frozen at its value for (b1, b2)
         values = signed_power(values, exponent_p(b1, b2, params))
     loss = 1.0 - values

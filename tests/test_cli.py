@@ -33,6 +33,17 @@ BOXES = {
     ],
 }
 
+
+def gt(**fields):
+    """A ground-truth entry of image "a", category "c", with fields replaced."""
+    return {"image_id": "a", "category": "c", "bbox": [0, 0, 10, 10], **fields}
+
+
+def det(**fields):
+    """A detection entry like gt, scored 0.9 unless fields say otherwise."""
+    return {"score": 0.9, **gt(**fields)}
+
+
 RATING_CSV = "\n".join(
     ["rating,gt_x,gt_y,gt_w,gt_h,px,py,pw,ph,context,expertise,age"]
     + [
@@ -240,12 +251,14 @@ class TestEvalCommand:
         assert (code, out) == (2, "")
         assert err == f"error: {path}: '{key}' must be an array\n"
 
-    def test_json_nested_too_deep_is_a_data_error(self, capsys, tmp_path):
+    @pytest.mark.parametrize("document, reason", [("[" * 100_000, "maximum recursion depth exceeded"),
+                                                  ('{"images": [' + "1" * 5000 + "]}", "Exceeds the limit")])
+    def test_json_python_cannot_hold_is_a_data_error(self, capsys, tmp_path, document, reason):
         path = tmp_path / "boxes.json"
-        path.write_text("[" * 100_000)
+        path.write_text(document)
         code, out, err = run(capsys, "eval", "--boxes", str(path))
         assert (code, out) == (2, "")
-        assert err.startswith(f"error: {path}: invalid JSON: maximum recursion depth exceeded")
+        assert err.startswith(f"error: {path}: invalid JSON: {reason}")
 
     def test_bad_box_names_the_entry(self, capsys, tmp_path):
         path = tmp_path / "boxes.json"
@@ -253,6 +266,56 @@ class TestEvalCommand:
         code, out, err = run(capsys, "eval", "--boxes", str(path))
         assert (code, out) == (2, "")
         assert err == f"error: {path}: detections[0]: box must be [x_min, y_min, w, h], got [1, 2, 3]\n"
+
+    @pytest.mark.parametrize("bbox, score, message", [
+        ([0, 0, True, 10], True, "invalid box [0, 0, True, 10]: True is a boolean, not a number"),
+        ([0, 0, 10, 10], True, "invalid score True: True is a boolean, not a number"),
+        ([0, 0, 10, False], 0.9, "invalid box [0, 0, 10, False]: False is a boolean, not a number"),
+    ])
+    def test_boolean_is_not_a_number(self, capsys, tmp_path, bbox, score, message):
+        path = tmp_path / "boxes.json"
+        detection = det(bbox=bbox, score=score)
+        path.write_text(json.dumps({"images": ["a"], "annotations": [gt()], "detections": [detection]}))
+        code, out, err = run(capsys, "eval", "--boxes", str(path), "--thresholds", "0.1")
+        assert (code, out) == (2, "")
+        assert err == f"error: {path}: detections[0]: {message}\n"
+
+    @pytest.mark.parametrize("document, message", [
+        # the same text as an integer and as a string: one image or category before
+        ({"images": [3], "annotations": [gt(image_id=3)], "detections": [det(image_id="3")]},
+         "detections[0]: image_id '3' has the text of the integer 3 in images[0]"),
+        ({"annotations": [gt(image_id=3)], "detections": [det(image_id="3")]},
+         "detections[0]: image_id '3' has the text of the integer 3 in annotations[0]"),
+        ({"images": [3, "3"], "annotations": [gt(image_id=3)]},
+         "images[1]: id '3' has the text of the integer 3 in images[0]"),
+        ({"images": ["3"], "annotations": [gt(image_id=3)]},
+         "annotations[0]: image_id 3 has the text of the string '3' in images[0]"),
+        ({"annotations": [gt(category=1)], "detections": [det(category="1")]},
+         "detections[0]: category '1' has the text of the integer 1 in annotations[0]"),
+        # neither a string nor an integer: before, the text of the Python value
+        ({"images": ["[1, 2]"], "annotations": [gt(image_id="[1, 2]")], "detections": [det(image_id=[1, 2])]},
+         "detections[0]: invalid image_id [1, 2]: must be a string or an integer"),
+        ({"images": [{"id": 3.0}]}, "images[0]: invalid id 3.0: must be a string or an integer"),
+        ({"images": [True]}, "images[0]: invalid id True: must be a string or an integer"),
+        ({"annotations": [gt(image_id={"a": 1})]},
+         "annotations[0]: invalid image_id {'a': 1}: must be a string or an integer"),
+        ({"annotations": [gt(category=False)]},
+         "annotations[0]: invalid category False: must be a string or an integer"),
+    ])
+    def test_ids_and_categories_by_json_type(self, capsys, tmp_path, document, message):
+        path = tmp_path / "boxes.json"
+        path.write_text(json.dumps(document))
+        code, out, err = run(capsys, "eval", "--boxes", str(path), "--thresholds", "0.1")
+        assert (code, out) == (2, "")
+        assert err == f"error: {path}: {message}\n"
+
+    def test_integer_ids_and_categories_keep_their_text(self, capsys, tmp_path):
+        path = tmp_path / "boxes.json"
+        path.write_text(json.dumps({"images": [{"id": 7}], "annotations": [gt(image_id=7, category=1)],
+                                    "detections": [det(image_id=7, category=1)]}))
+        code, out, _ = run(capsys, "eval", "--boxes", str(path), "--thresholds", "0.1", "--size", "small")
+        assert code == 0
+        assert out == "category,bucket,threshold,ap\n1,small,0.1,1\nmAP,small,0.1,1\n"
 
 
 class TestRatingCommand:

@@ -295,6 +295,7 @@ def any_json():
 def boxes_json(draw):
     def box():
         return draw(st.one_of(st.lists(json_values(), min_size=4, max_size=4),
+                              st.lists(st.one_of(st.sampled_from([0, 1, 10]), st.booleans()), min_size=4, max_size=4),
                               st.just([1.0, 2.0, 10.0, 12.0]), json_values()))
 
     def section(entries):
@@ -305,11 +306,13 @@ def boxes_json(draw):
 
         return draw(any_json()) if other() else [draw(any_json()) if other() else e for e in entries]
 
-    images = draw(st.sampled_from([["a"], [{"id": "a"}, "b"], [{"file": "x"}], []]))
-    annotations = [{"image_id": draw(st.sampled_from(["a", "b", 3])), "category": "c", "bbox": box()}
+    images = draw(st.sampled_from([["a"], [{"id": "a"}, "b"], [{"file": "x"}], [], [3], [3, "3"], [3.0]]))
+    annotations = [{"image_id": draw(st.sampled_from(["a", "b", 3, "3", True])),
+                    "category": draw(st.sampled_from(["c", 1])), "bbox": box()}
                    for _ in range(draw(st.integers(0, 3)))]
-    detections = [{"image_id": "a", "category": draw(st.sampled_from(["c", "d"])), "bbox": box(),
-                   "score": draw(json_values())}
+    detections = [{"image_id": draw(st.sampled_from(["a", 3, [3]])),
+                   "category": draw(st.sampled_from(["c", "d", "1", 1.0])), "bbox": box(),
+                   "score": draw(st.one_of(st.booleans(), st.just(0.5), json_values()))}
                   for _ in range(draw(st.integers(0, 3)))]
     return json.dumps({"images": section(images), "annotations": section(annotations),
                        "detections": section(detections)})
@@ -381,6 +384,20 @@ def write(path, text):
     return []
 
 
+def mistyped(text):
+    """The values of a boxes document that eval reads by the wrong JSON type:
+    a boolean in a bbox or a score, an id or category that is not a string
+    or an integer, and the text of one that also comes as the other type."""
+    doc = json.loads(text)
+    entries = doc.get("annotations", []) + doc.get("detections", [])
+    numbers = [v for e in entries for v in [*e["bbox"], e.get("score")] if isinstance(v, bool)]
+    ids = [i["id"] if isinstance(i, dict) else i for i in doc.get("images", [])] + [e["image_id"] for e in entries]
+    categories = [e["category"] for e in entries]
+    keys = [v for values in (ids, categories) for v in values
+            if type(v) not in (str, int) or type(v) is int and str(v) in values]
+    return numbers + keys
+
+
 NON_FINITE = re.compile(r"\b(nan|inf|infinity)\b", re.IGNORECASE)
 
 
@@ -415,6 +432,8 @@ def test_cli_boundary(name, tmp_path_factory):
         assert "Traceback" not in err
         if code == 0:
             assert not undocumented_non_finite(argv, out), (argv, out)
+            if name == "eval":
+                assert not mistyped(path.read_text()), (argv, path.read_text())
         else:
             assert out == ""
 
