@@ -7,14 +7,13 @@ byte-reproducible. Exit codes: 0 success, 1 usage error, 2 data error,
 
 Parameter precedence: command-line flags > config file (key=value lines,
 via --config) > built-in defaults (gamma=0.2, kappa=64, alpha=3, C=32,
-threshold=0.5). SCALEIOU_THREADS sets the simulation thread count (1 forces
-serial execution; parallel output is identical by construction).
+threshold=0.5). Monte Carlo draws run on one thread per CPU the process may
+use (limit them with taskset); the output does not depend on the count.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from dataclasses import fields
 from typing import Optional, Sequence
@@ -31,6 +30,7 @@ from .stats import PdfMethod, ShiftDirection, ShiftModel
 # config-file keys: the criterion parameters and the single eval threshold
 _PARAM_NAMES = tuple(f.name for f in fields(CriterionParams))
 _CONFIG_KEYS = (*_PARAM_NAMES, "threshold")
+_SIOU_PARAMS = ("gamma", "kappa")  # theory and order-check read no other parameter
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -90,23 +90,13 @@ def _resolve_thresholds(args, config: dict) -> tuple[float, ...]:
     return EvalConfig().thresholds
 
 
-def _n_threads() -> int:
-    raw = os.environ.get("SCALEIOU_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ValueError(f"SCALEIOU_THREADS must be an integer, got {raw!r}")
-    return check_range("SCALEIOU_THREADS", n, 1)
-
-
-def _add_common(sub, seed_required=False):
+def _add_common(sub, params=_PARAM_NAMES, table=True, seed_required=False):
     sub.add_argument("--config", help="optional key=value config file")
-    sub.add_argument("--gamma", type=float, default=None)
-    sub.add_argument("--kappa", type=float, default=None)
-    sub.add_argument("--alpha", type=float, default=None)
-    sub.add_argument("--nwd-constant", dest="nwd_constant", type=float, default=None)
+    for name in params:
+        sub.add_argument("--" + name.replace("_", "-"), dest=name, type=float, default=None)
     sub.add_argument("--out", default=None, help="output path (default: stdout)")
-    sub.add_argument("--format", choices=("csv", "json"), default="csv")
+    if table:
+        sub.add_argument("--format", choices=("csv", "json"), default="csv")
     if seed_required:
         sub.add_argument("--seed", type=int, required=True)
 
@@ -119,7 +109,7 @@ def build_parser() -> _Parser:
     sub.add_argument("--a", required=True, help="corner-form box x_min,y_min,w,h")
     sub.add_argument("--b", required=True, help="corner-form box x_min,y_min,w,h")
     sub.add_argument("--id", required=True, help="criterion id")
-    _add_common(sub)
+    _add_common(sub, table=False)
 
     sub = subs.add_parser("shift-curve", help="deterministic shift-response curve")
     sub.add_argument("--id", required=True)
@@ -159,7 +149,7 @@ def build_parser() -> _Parser:
     sub.add_argument("--check-mc", action="store_true", help="add Monte Carlo z-scores")
     sub.add_argument("--n", type=int, default=1_000_000)
     sub.add_argument("--seed", type=int, default=None)
-    _add_common(sub)
+    _add_common(sub, params=_SIOU_PARAMS)
 
     sub = subs.add_parser("eval", help="criterion-thresholded mAP report")
     sub.add_argument("--boxes", required=True, help="detection/ground-truth JSON file")
@@ -170,18 +160,19 @@ def build_parser() -> _Parser:
 
     sub = subs.add_parser("rating", help="rating-data statistics")
     sub.add_argument("--ratings", required=True, help="rating CSV file")
-    sub.add_argument("--id", default="iou")
+    sub.add_argument("--id", default="iou", help="criterion id; anova reads neither it nor the parameters")
     sub.add_argument(
         "--analysis",
         choices=("correlation", "groups", "gaps", "anova"),
         default="correlation",
     )
-    sub.add_argument("--grouping", choices=("size", "context", "expertise", "age"), default="size")
+    sub.add_argument("--grouping", choices=("size", "context", "expertise", "age"), default="size",
+                     help="groups and anova only")
     _add_common(sub)
 
     sub = subs.add_parser("order-check", help="order-preservation rate over random triples")
     sub.add_argument("--n", type=int, required=True)
-    _add_common(sub, seed_required=True)
+    _add_common(sub, params=_SIOU_PARAMS, seed_required=True)
 
     return parser
 
@@ -218,7 +209,7 @@ def _cmd_simulate(args, params, config):
     model = _shift_model(args)
     if args.pdf == "histogram":  # a usage error before any sample is drawn
         check_range("bins", args.bins, 1, stats.MAX_GRID)
-    samples = stats.simulate_criterion(cid, args.omega, model, args.n, args.seed, params, _n_threads())
+    samples = stats.simulate_criterion(cid, args.omega, model, args.n, args.seed, params)
     if args.pdf is not None:
         pdf = stats.empirical_pdf(samples, PdfMethod(args.pdf), bounds=value_range(cid), bins=args.bins)
         rows = [{"criterion": cid.value, "omega": args.omega, "z": z, "density": d} for z, d in pdf]
@@ -242,7 +233,7 @@ def _cmd_moments(args, params, config):
     model = _shift_model(args)
     omegas = _parse_omegas(args.omega)
     criteria = [_criterion_id(raw) for raw in args.id.split(",")]
-    curves = stats.moment_curves(criteria, omegas, model, args.n, args.seed, params, _n_threads())
+    curves = stats.moment_curves(criteria, omegas, model, args.n, args.seed, params)
     rows = []
     for cid, curve in zip(criteria, curves):
         for summary in curve:
@@ -265,9 +256,7 @@ def _cmd_theory(args, params, config):
     if args.check_mc:
         if args.seed is None:
             raise ValueError("--seed is required with --check-mc")
-        rows = theory.moment_consistency_report(
-            setups, criteria, n=args.n, seed=args.seed, n_threads=_n_threads()
-        )
+        rows = theory.moment_consistency_report(setups, criteria, n=args.n, seed=args.seed)
         columns = ("criterion", "omega", "sigma", "a", "order", "theory", "mc", "std_error", "z_score", "flagged")
     else:
         rows = []
@@ -368,7 +357,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         args = parser.parse_args(argv)
         config = {} if args.config is None else load_config(args.config, _CONFIG_KEYS)
         output = _COMMANDS[args.command](args, _resolve_params(args, config), config)
-        if isinstance(output, str):  # criterion's one value, in every --format
+        if isinstance(output, str):  # criterion prints one value, not a table
             write_text(output, args.out)
         else:
             rows, columns = output

@@ -63,17 +63,16 @@ class _ScoredGroups:
     (image, category) group, scored as one flat list of pairs in one call.
 
     order lists the detection indices in match order, ranked by (-score,
-    image_id, input index); on equal (in bucket, value) match keys the first
-    ground truth in input order wins. candidates[i] lists (ground-truth index,
-    criterion value) for detection i, in ground-truth input order; size[j] is
-    the size class of ground truth j.
+    image_id, box). candidates[i] lists (ground-truth index, criterion value)
+    for detection i, by ground-truth box, so the smaller box wins equal (in
+    bucket, value) keys; size[j] is the size class of ground truth j.
     """
 
     def __init__(self, dets, gts, criterion: CriterionId, params: CriterionParams):
-        self.order = sorted(range(len(dets)), key=lambda i: (-dets[i].score, dets[i].image_id, i))
+        self.order = sorted(range(len(dets)), key=lambda i: (-dets[i].score, dets[i].image_id, dets[i].box.components()))
         groups: dict[tuple[str, str], list[int]] = {}
-        for j, gt in enumerate(gts):
-            groups.setdefault((gt.image_id, gt.category), []).append(j)
+        for j in sorted(range(len(gts)), key=lambda j: gts[j].box.components()):
+            groups.setdefault((gts[j].image_id, gts[j].category), []).append(j)
         gt_index = [groups.get((det.image_id, det.category), []) for det in dets]
         det_boxes = boxes_array(det.box for det, js in zip(dets, gt_index) for _ in js)
         gt_boxes = boxes_array(gts[j].box for js in gt_index for j in js)
@@ -86,7 +85,7 @@ class _ScoredGroups:
         matched: set[int] = set()
         labels = []
         for i in order:
-            # strict >: on equal keys the first ground truth in input order wins
+            # strict >: on equal keys the first candidate, the smaller box, wins
             best, best_key = None, (False, -float("inf"))
             for j, value in self.candidates[i]:
                 if value >= threshold and j not in matched:
@@ -111,12 +110,14 @@ def match_detections(
 
     Each detection, in rank order, takes the unmatched same-group ground
     truth whose criterion value clears the threshold and whose key
-    (in bucket, value) is largest, the first in input order on a tie: it is
+    (in bucket, value) is largest, the smaller box on a tie: it is
     labeled TP if that ground truth is in the bucket, Ignored if not, and FP
     if none clears. Without a size filter every ground truth is in the
     bucket; with one, out-of-bucket ground truths act as ignore regions.
 
-    Returns (detection, label) pairs in rank order.
+    Returns (detection, label) pairs in rank order: by descending score, then
+    image id, then box. Boxes compare as (x, y, w, h) tuples, and equal boxes
+    are interchangeable, so the input order changes no label.
     """
     check_range("threshold", threshold, POSITIVE, 1.0)
     groups = _ScoredGroups(dets, gts, config.criterion, config.params)

@@ -6,8 +6,8 @@ N(0, sigma(omega)^2), applied horizontally or to both axes (diagonal).
 sigma(omega) = sigma_base + sigma_slope * omega covers both the fixed and the
 affine inaccuracy settings.
 
-Sampling is chunked with counter-based sub-seeds, so serial and parallel runs
-produce bit-identical sample streams, and two criteria simulated with the
+Sampling is chunked with counter-based sub-seeds, so the samples do not
+depend on how many threads draw them, and two criteria simulated with the
 same (seed, model, n, omega) see exactly the same shift sequence. So
 `simulate_criteria` scores every requested criterion on one draw per omega,
 and on one `criteria.areas` result for that draw; `simulate_criterion` and
@@ -125,8 +125,14 @@ def _check_seed(seed) -> None:
         raise ValueError(f"seed out of range: must be a non-negative integer, got {seed!r}")
 
 
-def sample_shifts(omega: float, model: ShiftModel, n: int, seed: int, n_threads: int = 1) -> np.ndarray:
-    """Draw n shifts from N(0, sigma(omega)^2), chunked for reproducible parallelism."""
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the platform has one."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
+def sample_shifts(omega: float, model: ShiftModel, n: int, seed: int, n_threads: Optional[int] = None) -> np.ndarray:
+    """Draw n shifts from N(0, sigma(omega)^2) in seeded chunks, the same for any thread
+    count, on one thread per usable CPU, capped by the chunk count and n_threads if given."""
     check_range("n", n, 1, MAX_SAMPLES)
     sigma = check_range(f"sigma(omega) at omega={omega!r}", model.sigma(omega), POSITIVE)
     _check_seed(seed)
@@ -136,7 +142,7 @@ def sample_shifts(omega: float, model: ShiftModel, n: int, seed: int, n_threads:
         return np.random.default_rng(ss).normal(0.0, sigma, size)
 
     chunks = _chunk_seeds(seed, n)
-    n_workers = min(n_threads, len(chunks), os.cpu_count() or 1)
+    n_workers = min(len(chunks), _usable_cpus(), len(chunks) if n_threads is None else n_threads)
     if n_workers > 1:
         with ThreadPoolExecutor(max_workers=n_workers) as pool:
             parts = list(pool.map(draw, chunks))
@@ -152,7 +158,7 @@ def simulate_criteria(
     n: int,
     seed: int,
     params: CriterionParams = DEFAULT_PARAMS,
-    n_threads: int = 1,
+    n_threads: Optional[int] = None,
 ) -> Iterator[np.ndarray]:
     """n i.i.d. draws of each criterion in cids under the shift model, one
     array per entry of cids, in order and repeats included.
@@ -180,7 +186,7 @@ def simulate_criterion(
     n: int,
     seed: int,
     params: CriterionParams = DEFAULT_PARAMS,
-    n_threads: int = 1,
+    n_threads: Optional[int] = None,
 ) -> np.ndarray:
     """n i.i.d. draws of the criterion under the shift model: the samples
     `simulate_criteria` gives it in any list of criteria."""
@@ -274,7 +280,7 @@ def moment_curves(
     n: int,
     seed: int,
     params: CriterionParams = DEFAULT_PARAMS,
-    n_threads: int = 1,
+    n_threads: Optional[int] = None,
 ) -> list[list[DistributionSummary]]:
     """For each entry of cids, one DistributionSummary per omega. Each omega
     gets a sub-seed derived from the master seed by counter, and one
@@ -295,7 +301,7 @@ def moment_curve(
     n: int,
     seed: int,
     params: CriterionParams = DEFAULT_PARAMS,
-    n_threads: int = 1,
+    n_threads: Optional[int] = None,
 ) -> list[DistributionSummary]:
     """One DistributionSummary per omega: `moment_curves` of one criterion."""
     return moment_curves([cid], omegas, model, n, seed, params, n_threads)[0]

@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Optional, Sequence
 
 from .criteria import CriterionId, CriterionParams, DEFAULT_PARAMS, FLOAT_MAX, check_range, check_size, exponent, kernel
 from .errors import QuadratureNonConvergence
@@ -154,7 +154,7 @@ def moment_consistency_report(
     criteria: Sequence[CriterionId] = _MOMENT_CRITERIA,
     n: int = 1_000_000,
     seed: int = 0,
-    n_threads: int = 1,
+    n_threads: Optional[int] = None,
 ) -> list[dict]:
     """Paired quadrature/Monte Carlo moments with z-scores; |z| > 4 is flagged.
     With every sample equal (std_error 0), z is 0 if the Monte Carlo mean is

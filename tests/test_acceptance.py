@@ -40,6 +40,7 @@ from scaleiou import (
     siou,
     theoretical_moment,
 )
+import scaleiou.stats as stats
 from scaleiou.cli import main
 from scaleiou.evaluation import EvalConfig
 from scaleiou.rating import relative_gap_from_means
@@ -270,27 +271,29 @@ def test_09_rating_statistics():
 
 
 def test_10_cli_determinism(capsys, monkeypatch, tmp_path):
-    """Every stochastic subcommand is byte-identical across reruns and across
-    forced-serial vs parallel execution."""
+    """Every stochastic subcommand is byte-identical across reruns and
+    between a one-CPU (serial) and a four-CPU (threaded) run. The Monte Carlo
+    commands draw 70000 samples, two CHUNK_SIZE chunks, so four CPUs draw
+    them on two threads."""
     commands = [
         ["simulate", "--id", "gsiou", "--omega", "16", "--sigma", "16",
-         "--n", "50000", "--seed", "5"],
+         "--n", "70000", "--seed", "5"],
         ["simulate", "--id", "iou", "--omega", "16", "--sigma", "16",
-         "--n", "50000", "--seed", "5", "--pdf", "kde"],
+         "--n", "70000", "--seed", "5", "--pdf", "kde"],
         ["moments", "--id", "iou,siou", "--omega", "8,32", "--sigma", "16",
-         "--n", "20000", "--seed", "5"],
+         "--n", "70000", "--seed", "5"],
         ["theory", "--id", "giou", "--omega", "16", "--sigma", "16",
-         "--check-mc", "--n", "50000", "--seed", "5"],
+         "--check-mc", "--n", "70000", "--seed", "5"],
         ["order-check", "--n", "20000", "--seed", "5"],
     ]
     for argv in commands:
         outputs = {}
-        for threads in ("1", "4"):
-            monkeypatch.setenv("SCALEIOU_THREADS", threads)
+        for threads in (1, 4):
+            monkeypatch.setattr(stats, "_usable_cpus", lambda: threads)
             runs = []
             for _ in range(2):
                 assert main(argv) == 0
                 runs.append(capsys.readouterr().out)
             assert runs[0] == runs[1], argv
             outputs[threads] = runs[0]
-        assert outputs["1"] == outputs["4"], argv
+        assert outputs[1] == outputs[4], argv

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import scaleiou
+import scaleiou.stats as stats
 from scaleiou import ParseError
 from scaleiou.cli import main
 from scaleiou.io import load_boxes, load_ratings
@@ -131,6 +132,30 @@ class TestConfigPrecedence:
         assert code == 2
 
 
+THEORY = ("theory", "--id", "iou,siou", "--omega", "16", "--sigma", "4")
+ORDER_CHECK = ("order-check", "--n", "50", "--seed", "1")
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (("criterion", "--id", "iou", "--a", "0,0,10,10", "--b", "5,0,10,10"), ("--format", "json")),
+    (THEORY, ("--alpha", "2")), (THEORY, ("--nwd-constant", "8")),
+    (ORDER_CHECK, ("--alpha", "2")), (ORDER_CHECK, ("--nwd-constant", "8")),
+])
+def test_flag_the_command_does_not_read_is_a_usage_error(capsys, argv, flag):
+    code, out, err = run(capsys, *argv, *flag)
+    assert (code, out) == (1, "")
+    assert f"unrecognized arguments: {' '.join(flag)}" in err
+
+
+@pytest.mark.parametrize("argv", [THEORY, ORDER_CHECK])
+def test_config_keys_are_shared_by_every_command(capsys, tmp_path, argv):
+    config = tmp_path / "all.cfg"
+    config.write_text("alpha=2\nnwd_constant=8\n")
+    _, plain, _ = run(capsys, *argv)
+    code, configured, _ = run(capsys, *argv, "--config", str(config))
+    assert (code, configured) == (0, plain)
+
+
 class TestDeterminism:
     SIM = ("simulate", "--id", "siou", "--omega", "16", "--sigma", "16",
            "--n", "20000", "--seed", "9")
@@ -148,16 +173,13 @@ class TestDeterminism:
         assert first != other
 
     def test_serial_equals_parallel(self, capsys, monkeypatch):
-        monkeypatch.setenv("SCALEIOU_THREADS", "1")
-        _, serial, _ = run(capsys, *self.SIM)
-        monkeypatch.setenv("SCALEIOU_THREADS", "4")
-        _, parallel, _ = run(capsys, *self.SIM)
+        # 150000 samples span three CHUNK_SIZE chunks, so four CPUs draw them on three threads
+        sim = ("simulate", "--id", "siou", "--omega", "16", "--sigma", "16", "--n", "150000", "--seed", "9")
+        monkeypatch.setattr(stats, "_usable_cpus", lambda: 1)
+        _, serial, _ = run(capsys, *sim)
+        monkeypatch.setattr(stats, "_usable_cpus", lambda: 4)
+        _, parallel, _ = run(capsys, *sim)
         assert serial == parallel
-
-    def test_invalid_thread_env_is_usage_error(self, capsys, monkeypatch):
-        monkeypatch.setenv("SCALEIOU_THREADS", "zero")
-        code, _, _ = run(capsys, *self.SIM)
-        assert code == 1
 
     def test_siou_gamma_zero_equals_iou_simulation(self, capsys):
         _, siou_out, _ = run(capsys, *self.SIM, "--gamma", "0")

@@ -1,3 +1,6 @@
+import contextlib
+import io
+import json
 import random
 from fractions import Fraction
 
@@ -21,11 +24,14 @@ from scaleiou import (
     match_detections,
     size_class,
 )
+from scaleiou.cli import main
 
 
 def oracle_match(dets, gts, cid, params, threshold, size_filter=None):
-    """Brute-force greedy matcher: flat loops, no grouping structures."""
-    order = sorted(range(len(dets)), key=lambda i: (-dets[i].score, dets[i].image_id, i))
+    """Brute-force greedy matcher: flat loops, no grouping structures. Ties
+    go to the detection, then the ground truth, with the smaller box."""
+    order = sorted(range(len(dets)), key=lambda i: (-dets[i].score, dets[i].image_id, dets[i].box.components()))
+    gt_order = sorted(range(len(gts)), key=lambda j: gts[j].box.components())
     taken = [False] * len(gts)
     labels = []
     for i in order:
@@ -33,7 +39,8 @@ def oracle_match(dets, gts, cid, params, threshold, size_filter=None):
 
         def best(want_in_bucket):
             best_j, best_v = -1, -float("inf")
-            for j, gt in enumerate(gts):
+            for j in gt_order:
+                gt = gts[j]
                 if taken[j] or gt.image_id != det.image_id or gt.category != det.category:
                     continue
                 in_bucket = size_filter is None or size_class(gt.box) is size_filter
@@ -314,3 +321,65 @@ class TestEvalConfig:
             EvalConfig(thresholds=(0.0,))
         with pytest.raises(ValueError):
             EvalConfig(thresholds=(1.5,))
+
+
+def eval_stdout(path, doc, *flags):
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["eval", "--boxes", str(path), *flags]) == 0
+    return out.getvalue()
+
+
+def one_image(gts, dets):
+    """A boxes document of image "i", category "c": corner-form ground-truth
+    boxes and (corner-form box, score) detections."""
+    return {"images": [{"id": "i"}],
+            "annotations": [{"image_id": "i", "category": "c", "bbox": b} for b in gts],
+            "detections": [{"image_id": "i", "category": "c", "bbox": b, "score": s} for b, s in dets]}
+
+
+@pytest.mark.parametrize("gts, dets", [
+    # two detections with equal scores, each the better match of one ground truth
+    ([[0, 0, 10, 10], [4, 0, 10, 10]], [([1, 0, 10, 10], 0.9), ([-2, 0, 10, 10], 0.9)]),
+    # a detection with equal values on two ground truths, one of which the next detection needs
+    ([[-3, 0, 10, 10], [3, 0, 10, 10]], [([0, 0, 10, 10], 0.9), ([-4, 0, 10, 10], 0.8)]),
+])
+def test_tied_entries_give_one_report_in_either_order(tmp_path, gts, dets):
+    path = tmp_path / "boxes.json"
+    reports = {eval_stdout(path, one_image(g, d), "--thresholds", "0.5")
+               for g in (gts, gts[::-1]) for d in (dets, dets[::-1])}
+    assert len(reports) == 1
+
+
+@st.composite
+def tied_document(draw):
+    """Boxes on a coarse grid with two scores, so exact score ties, equal
+    criterion values (a detection midway between two ground truths) and
+    duplicate boxes are common; small and medium sizes both occur."""
+    def entry():
+        side = draw(st.sampled_from([10, 40]))
+        return {"image_id": draw(st.sampled_from(["a", "b"])), "category": draw(st.sampled_from(["cat", "dog"])),
+                "bbox": [draw(st.sampled_from([-4, -3, -2, 0, 1, 3, 4])), draw(st.sampled_from([0, 2])), side, side]}
+
+    annotations = [entry() for _ in range(draw(st.integers(1, 5)))]
+    detections = [{**entry(), "score": draw(st.sampled_from([0.5, 0.9]))} for _ in range(draw(st.integers(1, 6)))]
+    return {"images": [{"id": "a"}, {"id": "b"}], "annotations": annotations, "detections": detections}
+
+
+@pytest.mark.parametrize("cid", [c.value for c in CriterionId])
+def test_eval_output_ignores_entry_order(tmp_path_factory, cid):
+    """Permuting the annotations and the detections of a boxes file leaves
+    every byte of the eval report as it was."""
+    path = tmp_path_factory.mktemp("permuted") / "boxes.json"
+    flags = ("--id", cid, "--thresholds", "0.3,0.5,0.7")
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.data())
+    def check(data):
+        doc = data.draw(tied_document())
+        permuted = {**doc, "annotations": data.draw(st.permutations(doc["annotations"])),
+                    "detections": data.draw(st.permutations(doc["detections"]))}
+        assert eval_stdout(path, permuted, *flags) == eval_stdout(path, doc, *flags)
+
+    check()

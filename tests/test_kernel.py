@@ -133,8 +133,10 @@ def test_shape_errors():
 
 
 def scalar_greedy(dets, gts, cid, params, threshold, size_filter):
-    """Labels in rank order from flat loops and one scalar criterion call per pair."""
-    order = sorted(range(len(dets)), key=lambda i: (-dets[i].score, dets[i].image_id, i))
+    """Labels in rank order from flat loops and one scalar criterion call per
+    pair; ties go to the detection, then the ground truth, with the smaller box."""
+    order = sorted(range(len(dets)), key=lambda i: (-dets[i].score, dets[i].image_id, dets[i].box.components()))
+    gt_order = sorted(range(len(gts)), key=lambda j: gts[j].box.components())
     taken = set()
     labels = []
     for i in order:
@@ -142,7 +144,8 @@ def scalar_greedy(dets, gts, cid, params, threshold, size_filter):
         label = MatchLabel.FP
         for want_in_bucket, candidate_label in ((True, MatchLabel.TP), (False, MatchLabel.IGNORED)):
             best_j, best_v = None, -float("inf")
-            for j, gt in enumerate(gts):
+            for j in gt_order:
+                gt = gts[j]
                 if j in taken or (gt.image_id, gt.category) != (det.image_id, det.category):
                     continue
                 in_bucket = size_filter is None or size_class(gt.box) is size_filter
@@ -194,9 +197,10 @@ def test_match_detections_equals_scalar_greedy(cid, size_filter):
 
 
 def test_match_tie_goes_to_the_first_ground_truth():
-    """A detection equidistant from two ground truths takes the first listed
-    (strict >), which leaves the second for the next detection."""
-    gts = [GroundTruthRecord("i", "c", Box(0, 0, 20, 20)), GroundTruthRecord("i", "c", Box(10, 0, 20, 20))]
+    """A detection equidistant from two ground truths takes the first in box
+    order (x, y, w, h), here listed second, which leaves the other one for
+    the next detection."""
+    gts = [GroundTruthRecord("i", "c", Box(10, 0, 20, 20)), GroundTruthRecord("i", "c", Box(0, 0, 20, 20))]
     dets = [DetectionRecord("i", "c", Box(5, 0, 20, 20), 0.9), DetectionRecord("i", "c", Box(0, 0, 20, 20), 0.8)]
     config = EvalConfig(criterion=CriterionId.IOU)
     labels = [label for _, label in match_detections(dets, gts, config, 0.5)]
@@ -372,14 +376,29 @@ class SerialPool:
 @pytest.mark.parametrize(
     "n_chunks, n_threads, cpus, expected",
     [(2, 100_000, 4, [2]), (8, 100_000, 3, [3]), (8, 2, 64, [2]), (8, 100_000, 1, []),
-     (1, 8, 8, []), (8, 1, 8, [])],
+     (1, 8, 8, []), (8, 1, 8, []),
+     (2, None, 4, [2]), (8, None, 3, [3]), (8, None, 1, []), (1, None, 8, [])],
 )
 def test_sample_shifts_caps_its_pool(monkeypatch, n_chunks, n_threads, cpus, expected):
+    """One thread per usable CPU by default, capped by the chunk count and by
+    an explicit n_threads; serial for one chunk or one CPU."""
     monkeypatch.setattr(stats, "ThreadPoolExecutor", SerialPool)
-    monkeypatch.setattr(stats.os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(stats, "_usable_cpus", lambda: cpus)
     SerialPool.requested = []
     model = ShiftModel(sigma_base=4.0)
     n = n_chunks * CHUNK_SIZE
     samples = sample_shifts(8.0, model, n, seed=3, n_threads=n_threads)
     assert SerialPool.requested == expected
     assert np.array_equal(samples, sample_shifts(8.0, model, n, seed=3, n_threads=1))
+
+
+def test_usable_cpus_reads_the_affinity_mask(monkeypatch):
+    """The pool is sized by the CPUs the process may run on (so taskset limits
+    it), or by the CPU count where the platform has no affinity mask."""
+    monkeypatch.setattr(stats.os, "sched_getaffinity", lambda pid: {0, 5, 7}, raising=False)
+    monkeypatch.setattr(stats.os, "cpu_count", lambda: 64)
+    assert stats._usable_cpus() == 3
+    monkeypatch.delattr(stats.os, "sched_getaffinity")
+    assert stats._usable_cpus() == 64
+    monkeypatch.setattr(stats.os, "cpu_count", lambda: None)
+    assert stats._usable_cpus() == 1

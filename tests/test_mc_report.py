@@ -6,8 +6,8 @@ shift directions, a size ratio other than 1, a positive sigma slope, both
 criterion presets and both output formats, and with a criterion listed twice;
 each stdout must equal the text in tests/data/mc_report.json. Sample counts
 stay at n <= 2e4, so a command takes milliseconds, except for one `moments`
-run of three CHUNK_SIZE chunks, pinned at SCALEIOU_THREADS 1 and 2, so the
-threaded draw is pinned too.
+run of three CHUNK_SIZE chunks, pinned with the CPU count the sampler
+measures set to 1 and to 2, so the threaded draw is pinned too.
 
 Regenerate the expected text (only for an intended output change) with
 
@@ -19,6 +19,7 @@ from pathlib import Path
 
 import pytest
 
+import scaleiou.stats as stats
 from scaleiou.cli import main
 
 EXPECTED = Path(__file__).parent / "data" / "mc_report.json"
@@ -70,16 +71,16 @@ def commands():
 
 
 COMMANDS = commands()
-# (SCALEIOU_THREADS, argv): 150000 samples span three CHUNK_SIZE chunks
+# (usable CPUs, argv): 150000 samples span three CHUNK_SIZE chunks
 THREADED = [
-    (threads, ["moments", "--id", ",".join(CRITERIA), "--omega", "8,32,128", "--sigma", "8",
-               "--n", "150000", "--seed", "1", "--direction", "diagonal"])
-    for threads in ("1", "2")
+    (cpus, ["moments", "--id", ",".join(CRITERIA), "--omega", "8,32,128", "--sigma", "8",
+            "--n", "150000", "--seed", "1", "--direction", "diagonal"])
+    for cpus in (1, 2)
 ]
 
 
-def key(argv, threads=None):
-    return " ".join(argv) if threads is None else f"SCALEIOU_THREADS={threads} " + " ".join(argv)
+def key(argv, cpus=None):
+    return " ".join(argv) if cpus is None else f"cpus={cpus} " + " ".join(argv)
 
 
 @pytest.fixture(scope="module")
@@ -88,7 +89,7 @@ def expected():
 
 
 def test_document_covers_the_commands(expected):
-    keys = [key(argv) for argv in COMMANDS] + [key(argv, threads) for threads, argv in THREADED]
+    keys = [key(argv) for argv in COMMANDS] + [key(argv, cpus) for cpus, argv in THREADED]
     assert set(expected) == set(keys)
     assert len(expected) == len(keys)
 
@@ -99,29 +100,28 @@ def test_mc_report_bytes(capsys, expected, argv):
     assert capsys.readouterr().out == expected[key(argv)]
 
 
-@pytest.mark.parametrize("threads, argv", THREADED, ids=[key(a, t).replace(" ", "-") for t, a in THREADED])
-def test_mc_report_bytes_threaded(capsys, monkeypatch, expected, threads, argv):
-    monkeypatch.setenv("SCALEIOU_THREADS", threads)
+@pytest.mark.parametrize("cpus, argv", THREADED, ids=[key(a, c).replace(" ", "-") for c, a in THREADED])
+def test_mc_report_bytes_threaded(capsys, monkeypatch, expected, cpus, argv):
+    monkeypatch.setattr(stats, "_usable_cpus", lambda: cpus)
     assert main(argv) == 0
-    assert capsys.readouterr().out == expected[key(argv, threads)]
+    assert capsys.readouterr().out == expected[key(argv, cpus)]
 
 
 def test_threaded_runs_print_the_serial_text(expected):
-    assert len({expected[key(argv, threads)] for threads, argv in THREADED}) == 1
+    assert len({expected[key(argv, cpus)] for cpus, argv in THREADED}) == 1
 
 
 if __name__ == "__main__":
     import contextlib
     import io
-    import os
 
     record = {}
-    for threads, argv in [(None, argv) for argv in COMMANDS] + THREADED:
-        os.environ["SCALEIOU_THREADS"] = threads or "1"
+    for cpus, argv in [(None, argv) for argv in COMMANDS] + THREADED:
+        stats._usable_cpus = lambda: cpus or 1
         out = io.StringIO()
         with contextlib.redirect_stdout(out):
             assert main(argv) == 0, argv
-        record[key(argv, threads)] = out.getvalue()
+        record[key(argv, cpus)] = out.getvalue()
     EXPECTED.parent.mkdir(exist_ok=True)
     EXPECTED.write_text(json.dumps(record, indent=0, sort_keys=True) + "\n", encoding="utf-8")
     print(f"wrote {len(record)} reports to {EXPECTED}")

@@ -271,7 +271,8 @@ def flags(draw, spec):
     return argv
 
 
-PARAMS = {"--gamma": numbers(), "--kappa": numbers(), "--alpha": numbers(), "--nwd-constant": numbers()}
+SIOU_PARAMS = {"--gamma": numbers(), "--kappa": numbers()}
+PARAMS = {**SIOU_PARAMS, "--alpha": numbers(), "--nwd-constant": numbers()}
 FORMAT = {"--format": st.sampled_from(["csv", "json"])}
 MODEL = {"--sigma-slope": numbers(), "--size-ratio": numbers(),
          "--direction": st.sampled_from(["horizontal", "diagonal"])}
@@ -337,8 +338,7 @@ def command(name, path):
     ident = st.one_of(st.sampled_from(IDS), st.just("bogus"))
     if name == "criterion":
         corner = st.lists(numbers(), min_size=4, max_size=4).map(",".join)
-        return st.tuples(st.just(["criterion"]), flags({"--id": ident, "--a": corner, "--b": corner,
-                                                        **PARAMS, **FORMAT}))
+        return st.tuples(st.just(["criterion"]), flags({"--id": ident, "--a": corner, "--b": corner, **PARAMS}))
     if name == "shift-curve":
         return st.tuples(st.just(["shift-curve", "--steps=3"]),
                          flags({"--id": ident, "--omega": number_lists(), "--max-shift": numbers(),
@@ -358,7 +358,7 @@ def command(name, path):
         return st.tuples(st.just(["theory", "--n=100"]),
                          flags({"--id": theory_ids.map(",".join), "--omega": number_lists(),
                                 "--sigma": numbers(), "--check-mc": st.just(""), "--n": counts(),
-                                "--seed": seeds(), **PARAMS, **FORMAT}).map(
+                                "--seed": seeds(), **SIOU_PARAMS, **FORMAT}).map(
                              lambda argv: ["--check-mc" if a == "--check-mc=" else a for a in argv]))
     if name == "eval":
         thresholds = st.lists(numbers(), min_size=1, max_size=3).map(",".join)
@@ -376,7 +376,7 @@ def command(name, path):
                                 **PARAMS, **FORMAT}))
     assert name == "order-check"
     return st.tuples(st.just(["order-check", "--n=100", "--seed=1"]),
-                     flags({"--n": counts(), "--seed": seeds(), **PARAMS, **FORMAT}))
+                     flags({"--n": counts(), "--seed": seeds(), **SIOU_PARAMS, **FORMAT}))
 
 
 def write(path, text):
