@@ -85,7 +85,9 @@ from .stats import (
     shift_curve,
     simulate_criteria,
     simulate_criterion,
+    simulate_histogram,
     summarize,
+    summarize_criteria,
 )
 from .theory import (
     TheorySetup,

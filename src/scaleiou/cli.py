@@ -207,14 +207,15 @@ def _shift_model(args) -> ShiftModel:
 def _cmd_simulate(args, params, config):
     cid = _criterion_id(args.id)
     model = _shift_model(args)
-    if args.pdf == "histogram":  # a usage error before any sample is drawn
-        check_range("bins", args.bins, 1, stats.MAX_GRID)
-    samples = stats.simulate_criterion(cid, args.omega, model, args.n, args.seed, params)
     if args.pdf is not None:
-        pdf = stats.empirical_pdf(samples, PdfMethod(args.pdf), bounds=value_range(cid), bins=args.bins)
+        if PdfMethod(args.pdf) is PdfMethod.HISTOGRAM:
+            pdf = stats.simulate_histogram(cid, args.omega, model, args.n, args.seed, params, args.bins)
+        else:  # the KDE is the one Monte Carlo output that keeps every sample
+            samples = stats.simulate_criterion(cid, args.omega, model, args.n, args.seed, params)
+            pdf = stats.empirical_pdf(samples, PdfMethod.GAUSSIAN_KDE, bounds=value_range(cid))
         rows = [{"criterion": cid.value, "omega": args.omega, "z": z, "density": d} for z, d in pdf]
         return rows, ("criterion", "omega", "z", "density")
-    summary = stats.summarize(samples, omega=args.omega)
+    ((summary,),) = stats.summarize_criteria([cid], args.omega, model, args.n, args.seed, params)
     rows = [
         {
             "criterion": cid.value,

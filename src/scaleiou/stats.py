@@ -8,10 +8,15 @@ affine inaccuracy settings.
 
 Sampling is chunked with counter-based sub-seeds, so the samples do not
 depend on how many threads draw them, and two criteria simulated with the
-same (seed, model, n, omega) see exactly the same shift sequence. So
-`simulate_criteria` scores every requested criterion on one draw per omega,
-and on one `criteria.areas` result for that draw; `simulate_criterion` and
-`moment_curve` are its one-criterion forms, with the same samples.
+same (seed, model, n, omega) see exactly the same shift sequence. One chunk
+driver, `_map_chunks`, runs a function on each seeded chunk in a thread pool
+and returns the results in chunk order. Each chunk is drawn, scored for every
+requested criterion from one `criteria.areas` call, and reduced inside its
+worker: `summarize_criteria` merges per-chunk (count, mean, M2) left to right
+(Chan, Golub & LeVeque 1979) and `simulate_histogram` adds per-chunk counts on
+fixed edges. So `moments`, `theory --check-mc` and `simulate` hold about one
+chunk per thread, not the whole draw. `simulate_criteria` concatenates the
+scored chunks for callers that need every sample.
 """
 
 from __future__ import annotations
@@ -26,14 +31,19 @@ from typing import Iterator, Optional, Sequence
 import numpy as np
 
 from .criteria import CriterionId, CriterionParams, DEFAULT_PARAMS, FLOAT_MAX, HULL_CRITERIA, POSITIVE
-from .criteria import areas, check_range, check_size, from_areas, kernel
+from .criteria import areas, check_range, check_size, from_areas, kernel, value_range
 from .errors import InsufficientSamples
 
 CHUNK_SIZE = 1 << 16
-# Upper bounds of a requested count: Monte Carlo samples or random triples
-# (a simulation peaks near 80 B per sample), and histogram or curve points.
+# Upper bounds of a requested count: Monte Carlo samples or random triples,
+# and histogram or curve points. The streamed reductions hold about one chunk
+# per thread whatever the count; only the callers that keep every sample
+# (`simulate_criteria`, `simulate --pdf kde`) grow with it.
 MAX_SAMPLES = 10**8
 MAX_GRID = 10**6
+# fewest samples of a summary (an unbiased std) and of a density estimate
+MIN_SUMMARY_SAMPLES = 2
+MIN_PDF_SAMPLES = 10
 
 
 class ShiftDirection(Enum):
@@ -130,9 +140,20 @@ def _usable_cpus() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
-def sample_shifts(omega: float, model: ShiftModel, n: int, seed: int, n_threads: Optional[int] = None) -> np.ndarray:
-    """Draw n shifts from N(0, sigma(omega)^2) in seeded chunks, the same for any thread
-    count, on one thread per usable CPU, capped by the chunk count and n_threads if given."""
+def _map_chunks(fn, n: int, seed: int, n_threads: Optional[int] = None) -> list:
+    """fn applied to each (SeedSequence, size) chunk of n samples, the results in chunk
+    order, on one thread per usable CPU, capped by the chunk count and n_threads if given."""
+    chunks = _chunk_seeds(seed, n)
+    n_workers = min(len(chunks), _usable_cpus(), len(chunks) if n_threads is None else n_threads)
+    if n_workers > 1:
+        with ThreadPoolExecutor(max_workers=n_workers) as pool:
+            return list(pool.map(fn, chunks))
+    return [fn(c) for c in chunks]
+
+
+def _shift_draw(omega: float, model: ShiftModel, n: int, seed: int):
+    """Check the draw's inputs; return the function that draws one seeded chunk of
+    shifts from N(0, sigma(omega)^2)."""
     check_range("n", n, 1, MAX_SAMPLES)
     sigma = check_range(f"sigma(omega) at omega={omega!r}", model.sigma(omega), POSITIVE)
     _check_seed(seed)
@@ -141,14 +162,39 @@ def sample_shifts(omega: float, model: ShiftModel, n: int, seed: int, n_threads:
         ss, size = item
         return np.random.default_rng(ss).normal(0.0, sigma, size)
 
-    chunks = _chunk_seeds(seed, n)
-    n_workers = min(len(chunks), _usable_cpus(), len(chunks) if n_threads is None else n_threads)
-    if n_workers > 1:
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            parts = list(pool.map(draw, chunks))
-    else:
-        parts = [draw(c) for c in chunks]
-    return np.concatenate(parts)
+    return draw
+
+
+def sample_shifts(omega: float, model: ShiftModel, n: int, seed: int, n_threads: Optional[int] = None) -> np.ndarray:
+    """Draw n shifts from N(0, sigma(omega)^2) in seeded chunks, the same for any thread
+    count, on one thread per usable CPU, capped by the chunk count and n_threads if given."""
+    return np.concatenate(_map_chunks(_shift_draw(omega, model, n, seed), n, seed, n_threads))
+
+
+def _scorer(
+    cids: Sequence[CriterionId],
+    omega: float,
+    model: ShiftModel,
+    n: int,
+    seed: int,
+    params: CriterionParams,
+):
+    """Check the inputs of a draw and of both squares; return the function that
+    draws one chunk and yields each criterion's values on it, in cids order, from
+    one `areas` result, with the hull only if a criterion reads it."""
+    draw = _shift_draw(omega, model, n, seed)
+    _squares(omega, 0.0, 0.0, model.size_ratio)
+    diagonal = model.direction is ShiftDirection.DIAGONAL
+    needs_areas = any(cid is not CriterionId.NWD for cid in cids)
+    hull = any(cid in HULL_CRITERIA for cid in cids)
+
+    def score(item) -> Iterator[np.ndarray]:
+        shifts = draw(item)
+        a, b = _squares(omega, shifts, shifts if diagonal else 0.0, model.size_ratio)
+        geometry = areas(a, b, hull=hull) if needs_areas else None
+        return (from_areas(cid, geometry, a, b, params) for cid in cids)
+
+    return score
 
 
 def simulate_criteria(
@@ -159,24 +205,19 @@ def simulate_criteria(
     seed: int,
     params: CriterionParams = DEFAULT_PARAMS,
     n_threads: Optional[int] = None,
-) -> Iterator[np.ndarray]:
+) -> list[np.ndarray]:
     """n i.i.d. draws of each criterion in cids under the shift model, one
     array per entry of cids, in order and repeats included.
 
     Deterministic given (seed, model, n, omega). Every criterion is scored
-    on the same shift sequence, drawn once, and on one `areas` result, with
-    the hull only if a criterion reads it; so criteria can be compared
-    sample-by-sample. The draw is made by this call; each array is scored
-    when the iterator reaches it, so a caller that reduces one array before
-    taking the next holds one at a time.
+    on the same shift sequence, and each chunk of it on one `areas` result,
+    inside the chunk's worker; so criteria can be compared sample-by-sample.
+    The arrays hold every sample: a reduction that needs only moments or
+    counts is streamed by `summarize_criteria` or `simulate_histogram`.
     """
-    shifts = sample_shifts(omega, model, n, seed, n_threads)
-    dy = shifts if model.direction is ShiftDirection.DIAGONAL else 0.0
-    a, b = _squares(omega, shifts, dy, model.size_ratio)
-    geometry = None
-    if any(cid is not CriterionId.NWD for cid in cids):
-        geometry = areas(a, b, hull=any(cid in HULL_CRITERIA for cid in cids))
-    return (from_areas(cid, geometry, a, b, params) for cid in cids)
+    score = _scorer(cids, omega, model, n, seed, params)
+    columns = zip(*_map_chunks(lambda item: list(score(item)), n, seed, n_threads))
+    return [np.concatenate(parts) for parts in columns]
 
 
 def simulate_criterion(
@@ -190,28 +231,114 @@ def simulate_criterion(
 ) -> np.ndarray:
     """n i.i.d. draws of the criterion under the shift model: the samples
     `simulate_criteria` gives it in any list of criteria."""
-    return next(simulate_criteria([cid], omega, model, n, seed, params, n_threads))
+    return simulate_criteria([cid], omega, model, n, seed, params, n_threads)[0]
+
+
+def _need_samples(n: int, minimum: int) -> None:
+    if n < minimum:
+        raise InsufficientSamples(f"need at least {minimum} samples, got {n}")
+
+
+def _moments(samples: np.ndarray) -> tuple[int, float, float]:
+    """(count, mean, sum of squared deviations from the mean) of a non-empty
+    float array, each as `np.mean` and `np.std` compute it."""
+    n = samples.size
+    mean = float(np.sum(samples)) / n
+    deviations = samples - mean
+    deviations *= deviations
+    return n, mean, float(np.sum(deviations))
+
+
+def _merged_summary(parts: Sequence[tuple[int, float, float]], omega: float) -> DistributionSummary:
+    """Summary of the union of sample sets given by their `_moments`, merged left
+    to right by the pairwise update of Chan, Golub & LeVeque (1979). One part is
+    not merged, so its summary is bit-equal to `np.mean` and `np.std(ddof=1)`."""
+    n, mean, m2 = parts[0]
+    for n_b, mean_b, m2_b in parts[1:]:
+        total = n + n_b
+        delta = mean_b - mean
+        mean += delta * n_b / total
+        m2 += m2_b + delta * delta * n * n_b / total
+        n = total
+    _need_samples(n, MIN_SUMMARY_SAMPLES)
+    std = math.sqrt(m2 / (n - 1))
+    return DistributionSummary(omega=omega, mean=mean, std_dev=std, std_error=std / math.sqrt(n), n_samples=n)
 
 
 def summarize(samples: np.ndarray, omega: float = float("nan")) -> DistributionSummary:
     """Mean, unbiased standard deviation, and standard error of a sample set."""
     samples = np.asarray(samples, dtype=float)
-    n = samples.size
-    if n < 2:
-        raise InsufficientSamples(f"need at least 2 samples, got {n}")
-    std = float(np.std(samples, ddof=1))
-    return DistributionSummary(
-        omega=omega,
-        mean=float(np.mean(samples)),
-        std_dev=std,
-        std_error=std / math.sqrt(n),
-        n_samples=n,
-    )
+    _need_samples(samples.size, MIN_SUMMARY_SAMPLES)
+    return _merged_summary([_moments(samples)], omega)
+
+
+def summarize_criteria(
+    cids: Sequence[CriterionId],
+    omega: float,
+    model: ShiftModel,
+    n: int,
+    seed: int,
+    params: CriterionParams = DEFAULT_PARAMS,
+    n_threads: Optional[int] = None,
+    orders: Sequence[int] = (1,),
+) -> list[list[DistributionSummary]]:
+    """For each entry of cids, one summary per order of the samples
+    `simulate_criteria` draws: of the values for order 1, of their squares for
+    order 2. Each chunk is scored and reduced in its worker and the chunks are
+    merged in chunk order, so the result is the same for any thread count and
+    memory holds about one chunk per thread."""
+    for order in orders:
+        if order not in (1, 2):
+            raise ValueError(f"order must be 1 or 2, got {order}")
+    score = _scorer(cids, omega, model, n, seed, params)
+
+    def reduce(item):
+        return [[_moments(values if order == 1 else values * values) for order in orders]
+                for values in score(item)]
+
+    chunks = _map_chunks(reduce, n, seed, n_threads)
+    return [[_merged_summary([chunk[i][k] for chunk in chunks], omega) for k in range(len(orders))]
+            for i in range(len(cids))]
 
 
 class PdfMethod(Enum):
     HISTOGRAM = "histogram"
     GAUSSIAN_KDE = "kde"
+
+
+def _histogram_density(counts: np.ndarray, edges: np.ndarray, n: int) -> list[tuple[float, float]]:
+    """(bin centre, counts / (n * bin width)) per bin of n samples; samples
+    outside the edges count in n only."""
+    density = counts / (n * np.diff(edges))
+    centers = (edges[:-1] + edges[1:]) / 2
+    return list(zip(centers.tolist(), density.tolist()))
+
+
+def simulate_histogram(
+    cid: CriterionId,
+    omega: float,
+    model: ShiftModel,
+    n: int,
+    seed: int,
+    params: CriterionParams = DEFAULT_PARAMS,
+    bins: int = 64,
+    n_threads: Optional[int] = None,
+) -> list[tuple[float, float]]:
+    """The histogram density of `empirical_pdf` on value_range(cid) of the
+    samples `simulate_criterion` draws, with the same bits for any n: each
+    chunk is scored and binned in its worker on the same fixed edges, and the
+    integer counts are added."""
+    check_range("bins", bins, 1, MAX_GRID)
+    score = _scorer([cid], omega, model, n, seed, params)
+    _need_samples(n, MIN_PDF_SAMPLES)
+    bounds = value_range(cid)
+
+    def count(item):
+        (values,) = score(item)
+        return np.histogram(values, bins=bins, range=bounds)
+
+    chunks = _map_chunks(count, n, seed, n_threads)
+    return _histogram_density(sum(counts for counts, _ in chunks), chunks[0][1], n)
 
 
 def silverman_bandwidth(samples: np.ndarray) -> float:
@@ -238,8 +365,7 @@ def empirical_pdf(
     boundary mass still integrates to ~1.
     """
     samples = np.asarray(samples, dtype=float)
-    if samples.size < 10:
-        raise InsufficientSamples(f"need at least 10 samples, got {samples.size}")
+    _need_samples(samples.size, MIN_PDF_SAMPLES)
     if bounds is None:
         bounds = (float(samples.min()), float(samples.max()))
     lo, hi = bounds
@@ -247,10 +373,7 @@ def empirical_pdf(
     if method is PdfMethod.HISTOGRAM:
         check_range("bins", bins, 1, MAX_GRID)
         counts, edges = np.histogram(samples, bins=bins, range=(lo, hi))
-        widths = np.diff(edges)
-        density = counts / (samples.size * widths)
-        centers = (edges[:-1] + edges[1:]) / 2
-        return list(zip(centers.tolist(), density.tolist()))
+        return _histogram_density(counts, edges, samples.size)
 
     if method is PdfMethod.GAUSSIAN_KDE:
         bw = silverman_bandwidth(samples)
@@ -284,13 +407,13 @@ def moment_curves(
 ) -> list[list[DistributionSummary]]:
     """For each entry of cids, one DistributionSummary per omega. Each omega
     gets a sub-seed derived from the master seed by counter, and one
-    `simulate_criteria` draw shared by every criterion."""
+    `summarize_criteria` draw shared by every criterion."""
     if len(omegas) == 0:
         raise ValueError("omega grid must be non-empty")
     per_omega = []
     for i, omega in enumerate(omegas):
-        samples = simulate_criteria(cids, omega, model, n, derive_seed(seed, i), params, n_threads)
-        per_omega.append([summarize(s, omega=omega) for s in samples])
+        summaries = summarize_criteria(cids, omega, model, n, derive_seed(seed, i), params, n_threads)
+        per_omega.append([summary for (summary,) in summaries])
     return [list(curve) for curve in zip(*per_omega)]
 
 

@@ -25,7 +25,7 @@ from typing import Optional, Sequence
 
 from .criteria import CriterionId, CriterionParams, DEFAULT_PARAMS, FLOAT_MAX, check_range, check_size, exponent, kernel
 from .errors import QuadratureNonConvergence
-from .stats import DistributionSummary, ShiftModel, simulate_criteria, summarize
+from .stats import ShiftModel, summarize_criteria
 
 # Gaussian mass beyond 12 sigma is < 1e-30; criteria are bounded by 1, so
 # truncating the tail there is exact at the working tolerance.
@@ -142,13 +142,6 @@ def theoretical_variance(cid: CriterionId, setup: TheorySetup) -> float:
     return m2 - m1 * m1
 
 
-def _mc_moments(samples) -> tuple[DistributionSummary, DistributionSummary]:
-    """Monte Carlo orders 1 and 2: summaries of the samples and of their
-    squares. Mapped over the draw, so each criterion's samples are dropped
-    before the next criterion is scored."""
-    return summarize(samples), summarize(samples * samples)
-
-
 def moment_consistency_report(
     setups: Sequence[TheorySetup],
     criteria: Sequence[CriterionId] = _MOMENT_CRITERIA,
@@ -160,17 +153,17 @@ def moment_consistency_report(
     With every sample equal (std_error 0), z is 0 if the Monte Carlo mean is
     within the quadrature's error bound of the quadrature value, else inf.
 
-    One `simulate_criteria` draw per setup feeds every criterion and both
-    moment orders. A criterion without a theoretical moment is rejected
-    before any draw.
+    One `summarize_criteria` draw per setup feeds every criterion and both
+    moment orders, reduced chunk by chunk. A criterion without a theoretical
+    moment is rejected before any draw.
     """
     for cid in criteria:
         _check_moment_criterion(cid)
     rows = []
     for setup in setups:
         model = ShiftModel(sigma_base=setup.sigma)
-        drawn = simulate_criteria(criteria, setup.omega, model, n, seed, setup.params, n_threads)
-        for cid, summaries in zip(criteria, map(_mc_moments, drawn)):
+        drawn = summarize_criteria(criteria, setup.omega, model, n, seed, setup.params, n_threads, orders=(1, 2))
+        for cid, summaries in zip(criteria, drawn):
             for order, mc in zip((1, 2), summaries):
                 theory = theoretical_moment(cid, order, setup)
                 if mc.std_error > 0:

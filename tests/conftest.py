@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -37,3 +39,31 @@ def random_smooth_pair(rng, min_edge_gap=0.05, min_overlap=0.02):
         if abs(g) < min_overlap or (0 < u < min_overlap):
             continue
         return b1, b2
+
+
+class SerialPool:
+    """Stands in for ThreadPoolExecutor: records max_workers, starts no thread."""
+
+    requested = []
+
+    def __init__(self, max_workers):
+        SerialPool.requested.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+def traced_peak(call) -> int:
+    """Peak bytes that tracemalloc sees allocated during call()."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()

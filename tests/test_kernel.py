@@ -33,6 +33,7 @@ from scaleiou.criteria import areas, boxes_array, elementwise, from_areas, kerne
 from scaleiou.geometry import MAX_COORDINATE, enclosing_hull_area, intersection_area, union_area
 from scaleiou.io import load_boxes, load_ratings
 from scaleiou.stats import CHUNK_SIZE, ShiftModel, criterion_on_shifts, sample_shifts
+from tests.conftest import SerialPool
 
 ALL_IDS = list(CriterionId)
 
@@ -353,24 +354,6 @@ def test_config_file_read_once_per_command(tmp_path, capsys, monkeypatch):
 
 
 # --- the thread pool of the shift sampler
-
-
-class SerialPool:
-    """Stands in for ThreadPoolExecutor: records max_workers, starts no thread."""
-
-    requested = []
-
-    def __init__(self, max_workers):
-        SerialPool.requested.append(max_workers)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, items):
-        return map(fn, items)
 
 
 @pytest.mark.parametrize(

@@ -5,9 +5,11 @@
 shift directions, a size ratio other than 1, a positive sigma slope, both
 criterion presets and both output formats, and with a criterion listed twice;
 each stdout must equal the text in tests/data/mc_report.json. Sample counts
-stay at n <= 2e4, so a command takes milliseconds, except for one `moments`
-run of three CHUNK_SIZE chunks, pinned with the CPU count the sampler
-measures set to 1 and to 2, so the threaded draw is pinned too.
+stay at n <= 2e4, so a command takes milliseconds, except for one run of
+three CHUNK_SIZE chunks of each Monte Carlo reduction (`moments`,
+`theory --check-mc`, `simulate` and `simulate --pdf histogram`), pinned with
+the CPU count the sampler measures set to 1 and to 2, so the threaded path is
+pinned too.
 
 Regenerate the expected text (only for an intended output change) with
 
@@ -71,12 +73,18 @@ def commands():
 
 
 COMMANDS = commands()
-# (usable CPUs, argv): 150000 samples span three CHUNK_SIZE chunks
-THREADED = [
-    (cpus, ["moments", "--id", ",".join(CRITERIA), "--omega", "8,32,128", "--sigma", "8",
-            "--n", "150000", "--seed", "1", "--direction", "diagonal"])
-    for cpus in (1, 2)
+# every Monte Carlo reduction on 150000 samples, which span three CHUNK_SIZE chunks
+MULTI_CHUNK = [
+    ["moments", "--id", ",".join(CRITERIA), "--omega", "8,32,128", "--sigma", "8",
+     "--n", "150000", "--seed", "1", "--direction", "diagonal"],
+    ["theory", "--id", MOMENT_CRITERIA, "--omega", "16,64", "--sigma", "8", "--check-mc",
+     "--n", "150000", "--seed", "1"],
+    ["simulate", "--id", "gsiou", "--omega", "16", "--sigma", "8", "--n", "150000", "--seed", "1"],
+    ["simulate", "--id", "gsiou", "--omega", "16", "--sigma", "8", "--n", "150000", "--seed", "1",
+     "--pdf", "histogram"],
 ]
+# (usable CPUs, argv)
+THREADED = [(cpus, argv) for argv in MULTI_CHUNK for cpus in (1, 2)]
 
 
 def key(argv, cpus=None):
@@ -107,8 +115,9 @@ def test_mc_report_bytes_threaded(capsys, monkeypatch, expected, cpus, argv):
     assert capsys.readouterr().out == expected[key(argv, cpus)]
 
 
-def test_threaded_runs_print_the_serial_text(expected):
-    assert len({expected[key(argv, cpus)] for cpus, argv in THREADED}) == 1
+@pytest.mark.parametrize("argv", MULTI_CHUNK, ids=[key(a).replace(" ", "-") for a in MULTI_CHUNK])
+def test_threaded_runs_print_the_serial_text(expected, argv):
+    assert expected[key(argv, 1)] == expected[key(argv, 2)]
 
 
 if __name__ == "__main__":

@@ -146,7 +146,7 @@ def test_histogram_bins_are_checked_before_sampling(monkeypatch):
     def never(*args, **kwargs):
         raise AssertionError("shifts were sampled before --bins was checked")
 
-    monkeypatch.setattr(stats, "sample_shifts", never)
+    monkeypatch.setattr(stats, "_map_chunks", never)
     code, out, err = run_cli(["simulate", "--id", "iou", "--omega", "16", "--sigma", "4", "--n", "100",
                               "--seed", "1", "--pdf", "histogram", "--bins", str(MAX_GRID + 1)])
     assert (code, out) == (1, "")
@@ -157,7 +157,7 @@ def test_moment_criteria_are_checked_before_sampling(monkeypatch):
     def never(*args, **kwargs):
         raise AssertionError("shifts were sampled or moments integrated before the criteria were checked")
 
-    monkeypatch.setattr(stats, "sample_shifts", never)
+    monkeypatch.setattr(stats, "_map_chunks", never)
     monkeypatch.setattr(theory, "theoretical_moment", never)
     with pytest.raises(ValueError, match="^no theoretical moment for criterion 'alpha-iou'$"):
         theory.moment_consistency_report([TheorySetup(16, 16)], [CriterionId.IOU, CriterionId.ALPHA_IOU])
@@ -177,7 +177,7 @@ def test_moments_criteria_are_parsed_before_sampling(monkeypatch):
     def never(*args, **kwargs):
         raise AssertionError("shifts were sampled before every criterion id was parsed")
 
-    monkeypatch.setattr(stats, "sample_shifts", never)
+    monkeypatch.setattr(stats, "_map_chunks", never)
     code, out, err = run_cli(["moments", "--id", "iou,bogus", "--omega", "8,32", "--sigma", "8",
                               "--n", "3000000", "--seed", "1"])
     assert (code, out) == (1, "")
@@ -225,7 +225,8 @@ def test_check_mc_z_score_is_zero_on_exact_agreement():
 
 
 def test_check_mc_z_score_is_inf_when_constant_samples_disagree(monkeypatch):
-    monkeypatch.setattr(theory, "simulate_criteria", lambda *args: [np.full(4, 0.5)])
+    # every chunk scores 0.5 for each criterion, through the real streamed summary
+    monkeypatch.setattr(stats, "_scorer", lambda cids, *args: lambda chunk: (np.full(chunk[1], 0.5) for _ in cids))
     rows = theory.moment_consistency_report([TheorySetup(8, 1e-300)], [CriterionId.IOU], n=4, seed=1)
     assert [(r["std_error"], r["z_score"], r["flagged"]) for r in rows] == [(0.0, INF, True)] * 2
 

@@ -20,6 +20,7 @@ from scaleiou import (
     empirical_pdf,
     evaluate,
     moment_curve,
+    moment_curves,
     order_preservation_counts,
     order_preservation_rate,
     shift_curve,
@@ -30,8 +31,8 @@ from scaleiou import (
 )
 from scaleiou import iou, siou
 from scaleiou.cli import main
-from scaleiou.stats import criterion_on_shifts, sample_shifts
-from tests.conftest import random_box
+from scaleiou.stats import CHUNK_SIZE, criterion_on_shifts, sample_shifts
+from tests.conftest import SerialPool, random_box, traced_peak
 
 DEFAULT = CriterionParams()
 
@@ -362,14 +363,142 @@ def test_simulate_criteria_bit_equal_to_criterion_on_shifts(cids, direction, ome
       "--n", "1000", "--seed", "1"], 2),
 ])
 def test_one_shift_draw_per_omega(monkeypatch, argv, draws):
-    drawn = []
-    real = stats.sample_shifts
+    """One pass of the chunk driver per omega serves every criterion, and with
+    n below CHUNK_SIZE that pass is one chunk with one `areas` call."""
+    passes, area_calls = [], []
+    real_map, real_areas = stats._map_chunks, stats.areas
 
-    def counting(*args, **kwargs):
-        drawn.append(args[0])
-        return real(*args, **kwargs)
+    def counting_map(fn, n, seed, n_threads=None):
+        passes.append(n)
+        return real_map(fn, n, seed, n_threads)
 
-    monkeypatch.setattr(stats, "sample_shifts", counting)
+    def counting_areas(*args, **kwargs):
+        area_calls.append(1)
+        return real_areas(*args, **kwargs)
+
+    monkeypatch.setattr(stats, "_map_chunks", counting_map)
+    monkeypatch.setattr(stats, "areas", counting_areas)
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(argv) == 0
-    assert len(drawn) == draws
+    assert passes == [1000] * draws
+    assert len(area_calls) == draws
+
+
+# --- the streamed reductions: per-chunk moments and counts, merged in chunk order
+
+
+def chunked(draw, n_parts):
+    """Random partition of a non-empty float array into n_parts non-empty chunks."""
+    values = np.asarray(draw(st.lists(st.floats(-1.0, 1.0), min_size=n_parts, max_size=400)))
+    cuts = sorted(draw(st.lists(st.integers(1, values.size - 1), min_size=n_parts - 1,
+                                max_size=n_parts - 1, unique=True))) if n_parts > 1 else []
+    return np.split(values, cuts)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_merged_summary_of_one_chunk_is_summarize(data):
+    values = np.asarray(data.draw(st.lists(st.floats(-1.0, 1.0), min_size=2, max_size=400)))
+    merged = stats._merged_summary([stats._moments(values)], 3.0)
+    assert merged == summarize(values, omega=3.0)
+    assert merged.mean == float(np.mean(values))
+    assert merged.std_dev == float(np.std(values, ddof=1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data(), st.integers(2, 5))
+def test_merged_summary_of_chunks_matches_the_concatenation(data, n_parts):
+    parts = data.draw(st.composite(lambda draw: chunked(draw, n_parts))())
+    values = np.concatenate(parts)
+    merged = stats._merged_summary([stats._moments(p) for p in parts], 0.0)
+    assert merged.n_samples == values.size
+    scale = float(np.max(np.abs(values)))
+    # the mean and the standard deviation of values in [-1, 1], to a few ulps of their scale
+    assert abs(merged.mean - float(np.mean(values))) <= 8 * np.spacing(scale)
+    assert abs(merged.std_dev - float(np.std(values, ddof=1))) <= 8 * np.spacing(max(scale, merged.std_dev))
+
+
+def test_merged_summary_needs_two_samples():
+    with pytest.raises(InsufficientSamples, match="need at least 2 samples, got 1"):
+        stats._merged_summary([stats._moments(np.array([0.5]))], 0.0)
+
+
+HISTOGRAM_CASES = [
+    (CriterionId.GSIOU, ShiftDirection.HORIZONTAL, 16.0, 6.0, 12),
+    (CriterionId.IOU, ShiftDirection.DIAGONAL, 8.0, 4.0, 64),
+    (CriterionId.NWD, ShiftDirection.HORIZONTAL, 32.0, 8.0, 7),
+]
+
+
+@pytest.mark.parametrize("cid, direction, omega, sigma, bins", HISTOGRAM_CASES)
+def test_streamed_histogram_counts_equal_the_whole_draw(cid, direction, omega, sigma, bins):
+    """Per-chunk counts on fixed edges add up to np.histogram of every sample,
+    so the density equals `empirical_pdf` of the concatenated draw bit for bit."""
+    model = ShiftModel(direction, sigma_base=sigma)
+    n = 3 * CHUNK_SIZE + 17
+    samples = simulate_criterion(cid, omega, model, n, 5)
+    counts, edges = np.histogram(samples, bins=bins, range=value_range(cid))
+    streamed = stats.simulate_histogram(cid, omega, model, n, 5, bins=bins)
+    density = [d for _, d in streamed]
+    assert [round(d * n * float(w)) for d, w in zip(density, np.diff(edges))] == counts.tolist()
+    assert streamed == empirical_pdf(samples, PdfMethod.HISTOGRAM, bounds=value_range(cid), bins=bins)
+
+
+def test_streamed_histogram_needs_ten_samples():
+    with pytest.raises(InsufficientSamples, match="need at least 10 samples, got 9"):
+        stats.simulate_histogram(CriterionId.IOU, 16.0, ShiftModel(), 9, 1)
+
+
+def test_streamed_reductions_do_not_depend_on_the_thread_count(monkeypatch):
+    """Chunk results come back in chunk order and merge left to right, for
+    serial runs and for a (stand-in) pool of 4 workers alike."""
+    monkeypatch.setattr(stats, "ThreadPoolExecutor", SerialPool)
+    monkeypatch.setattr(stats, "_usable_cpus", lambda: 8)
+    model = ShiftModel(ShiftDirection.DIAGONAL, sigma_base=8.0)
+    n = 5 * CHUNK_SIZE + 3
+    cids = [CriterionId.IOU, CriterionId.GSIOU, CriterionId.NWD]
+    runs = {}
+    for n_threads in (1, 4):
+        SerialPool.requested = []
+        runs[n_threads] = (
+            stats.summarize_criteria(cids, 16.0, model, n, 9, n_threads=n_threads, orders=(1, 2)),
+            stats.simulate_histogram(CriterionId.GSIOU, 16.0, model, n, 9, bins=32, n_threads=n_threads),
+        )
+        assert SerialPool.requested == ([] if n_threads == 1 else [4, 4])
+    assert runs[1] == runs[4]
+
+
+def test_summarize_criteria_merges_per_chunk_moments():
+    """Orders 1 and 2 are the summaries of the values and of their squares, to
+    a few ulps of the whole-draw reduction."""
+    model = ShiftModel(sigma_base=8.0)
+    n = 3 * CHUNK_SIZE + 5
+    cids = [CriterionId.SIOU, CriterionId.GIOU]
+    streamed = stats.summarize_criteria(cids, 16.0, model, n, 2, orders=(1, 2))
+    for cid, (first, second) in zip(cids, streamed):
+        values = simulate_criterion(cid, 16.0, model, n, 2)
+        for got, want in ((first, summarize(values, 16.0)), (second, summarize(values * values, 16.0))):
+            assert got.n_samples == want.n_samples == n
+            assert got.mean == pytest.approx(want.mean, rel=1e-14, abs=1e-15)
+            assert got.std_dev == pytest.approx(want.std_dev, rel=1e-12)
+
+
+def test_summarize_criteria_rejects_an_order_above_two():
+    with pytest.raises(ValueError, match="order must be 1 or 2, got 3"):
+        stats.summarize_criteria([CriterionId.IOU], 16.0, ShiftModel(), 100, 1, orders=(1, 3))
+
+
+@pytest.mark.parametrize("pooled", [False, True])
+def test_moment_curves_memory_does_not_grow_with_n(monkeypatch, pooled):
+    """The serial path and the pool path (run by the stand-in, so the peak does
+    not depend on how real threads happen to overlap)."""
+    if pooled:
+        monkeypatch.setattr(stats, "ThreadPoolExecutor", SerialPool)
+        monkeypatch.setattr(stats, "_usable_cpus", lambda: 2)
+    model = ShiftModel(sigma_base=8.0)
+    cids = [CriterionId.IOU, CriterionId.GIOU, CriterionId.SIOU, CriterionId.GSIOU]
+
+    def peak(n):
+        return traced_peak(lambda: moment_curves(cids, [8.0, 32.0], model, n, 1, n_threads=None if pooled else 1))
+
+    assert peak(16 * CHUNK_SIZE) <= 1.5 * peak(4 * CHUNK_SIZE)

@@ -19,6 +19,7 @@ from scaleiou import (
     theoretical_moment,
     theoretical_variance,
 )
+from tests.conftest import traced_peak
 
 GAMMA0 = CriterionParams(gamma=0.0, kappa=64)
 LOSS = CriterionParams(gamma=-3.0, kappa=16)
@@ -161,25 +162,21 @@ class TestConsistencyReport:
     def test_empty_grid(self):
         assert moment_consistency_report([]) == []
 
-    def test_each_criterion_samples_are_dropped_before_the_next(self, monkeypatch):
-        import weakref
-
+    def test_memory_does_not_grow_with_n(self, monkeypatch):
+        """The Monte Carlo side is reduced chunk by chunk: no criterion's samples,
+        and no draw, are held whole. The quadrature is stubbed out of the trace, and
+        one thread draws, so the peak does not depend on how threads overlap."""
         import scaleiou.theory as theory_mod
+        from scaleiou.stats import CHUNK_SIZE
 
-        drawn = []
+        monkeypatch.setattr(theory_mod, "theoretical_moment", lambda cid, order, setup: 0.5)
+        criteria = [CriterionId.IOU, CriterionId.GIOU, CriterionId.SIOU, CriterionId.GSIOU]
 
-        def simulate_criteria(cids, omega, model, n, seed, params, n_threads):
-            for _ in cids:
-                assert not drawn or drawn[-1]() is None, "the previous criterion's samples are alive"
-                samples = np.linspace(0.0, 1.0, n)
-                drawn.append(weakref.ref(samples))
-                yield samples
-                del samples
+        def peak(n):
+            setups = [TheorySetup(16, 16)]
+            return traced_peak(lambda: moment_consistency_report(setups, criteria, n=n, seed=1, n_threads=1))
 
-        monkeypatch.setattr(theory_mod, "simulate_criteria", simulate_criteria)
-        criteria = [CriterionId.IOU, CriterionId.GIOU, CriterionId.SIOU]
-        rows = moment_consistency_report([TheorySetup(16, 16)], criteria, n=100, seed=1)
-        assert len(drawn) == 3 and len(rows) == 6
+        assert peak(16 * CHUNK_SIZE) <= 1.5 * peak(4 * CHUNK_SIZE)
 
 
 class TestSetupValidation:
