@@ -64,8 +64,9 @@ class _ScoredGroups:
 
     order lists the detection indices in match order, ranked by (-score,
     image_id, box). candidates[i] lists (ground-truth index, criterion value)
-    for detection i, by ground-truth box, so the smaller box wins equal (in
-    bucket, value) keys; size[j] is the size class of ground truth j.
+    for detection i, by ground-truth box; size[j] is the size class of ground
+    truth j. `rank` orders the candidates for one size bucket, and `match`
+    labels detections from such a ranking at any threshold.
     """
 
     def __init__(self, dets, gts, criterion: CriterionId, params: CriterionParams):
@@ -80,23 +81,39 @@ class _ScoredGroups:
         self.candidates = [list(zip(js, islice(values, len(js)))) for js in gt_index]
         self.size = [size_class(gt.box) for gt in gts]
 
-    def match(self, order: Sequence[int], size_filter: Optional[SizeClass], threshold: float):
-        """Greedy labels of the detections `order`, in that order (see match_detections)."""
+    def rank(self, size_filter: Optional[SizeClass]) -> list[list[tuple[int, float, MatchLabel]]]:
+        """For each detection, its candidates as (ground-truth index, value,
+        label if taken) by descending key (in bucket, value): TP in bucket,
+        Ignored out of it. The sort is stable over the box-ordered candidates,
+        so the smaller box comes first on equal keys."""
+        tp = MatchLabel.TP
+        label = [tp if size_filter is None or s is size_filter else MatchLabel.IGNORED for s in self.size]
+        ranked = []
+        for candidates in self.candidates:
+            hits = [(j, value, label[j]) for j, value in candidates]
+            if len(hits) > 1:
+                hits.sort(key=lambda hit: (hit[2] is tp, hit[1]), reverse=True)
+            ranked.append(hits)
+        return ranked
+
+    @staticmethod
+    def match(ranked, order: Sequence[int], threshold: float) -> list[MatchLabel]:
+        """Greedy labels of the detections `order`, in that order: each takes
+        the first candidate of its ranking (see `rank`) that clears the
+        threshold and is still unmatched, and gets its label; FP if none
+        does. The first such candidate has the largest key, so this is the
+        choice described in match_detections."""
         matched: set[int] = set()
         labels = []
+        fp = MatchLabel.FP
         for i in order:
-            # strict >: on equal keys the first candidate, the smaller box, wins
-            best, best_key = None, (False, -float("inf"))
-            for j, value in self.candidates[i]:
+            for j, value, hit in ranked[i]:
                 if value >= threshold and j not in matched:
-                    key = (size_filter is None or self.size[j] is size_filter, value)
-                    if key > best_key:
-                        best, best_key = j, key
-            if best is None:
-                labels.append(MatchLabel.FP)
+                    matched.add(j)
+                    labels.append(hit)
+                    break
             else:
-                matched.add(best)
-                labels.append(MatchLabel.TP if best_key[0] else MatchLabel.IGNORED)
+                labels.append(fp)
         return labels
 
 
@@ -121,7 +138,7 @@ def match_detections(
     """
     check_range("threshold", threshold, POSITIVE, 1.0)
     groups = _ScoredGroups(dets, gts, config.criterion, config.params)
-    labels = groups.match(groups.order, config.size_filter, threshold)
+    labels = groups.match(groups.rank(config.size_filter), groups.order, threshold)
     return [(dets[i], label) for i, label in zip(groups.order, labels)]
 
 
@@ -141,25 +158,33 @@ def average_precision(
 
     Ignored labels are dropped. Returns None when there is nothing to
     evaluate (no ground truths and no counted detections); 0.0 when
-    detections exist but no ground truth does.
+    detections exist but no ground truth does. Otherwise AP is the exact
+    rational (1/n_ground_truth) * sum over k of max_{j>=k} j/rank_j, where
+    rank_j is the rank of the j-th true positive among the counted labels,
+    summed one run of equal envelope values at a time and rounded once.
     """
     check_range("n_ground_truth", n_ground_truth, 0)
-    rank = 0
-    tp_ranks = []  # rank of each true positive among the counted labels
-    for lab in labels:
-        if lab is not MatchLabel.IGNORED:
-            rank += 1
-            if lab is MatchLabel.TP:
-                tp_ranks.append(rank)
+    ignored, tp = MatchLabel.IGNORED, MatchLabel.TP
+    counted = [lab for lab in labels if lab is not ignored]
+    # rank of each true positive among the counted labels
+    tp_ranks = [rank for rank, lab in enumerate(counted, 1) if lab is tp]
     if n_ground_truth == 0:
-        return None if rank == 0 else 0.0
+        return None if not counted else 0.0
     # Precision rises only at a true positive, so the monotone envelope at
     # the k-th TP is the best k'/rank over it and the later TPs, and each TP
-    # adds 1/n_ground_truth of recall. The sum is exact, rounded once.
-    total = best = Fraction(0)
+    # adds 1/n_ground_truth of recall. Walking back from the last TP, the
+    # envelope is a step function: keep its value as the integer pair
+    # (best_k, best_rank), compare by cross-multiplication, and add one
+    # Fraction per run of TPs that share it.
+    total = Fraction(0)
+    best_k, best_rank, run = 0, 1, 0
     for k in range(len(tp_ranks), 0, -1):
-        best = max(best, Fraction(k, tp_ranks[k - 1]))
-        total += best
+        rank_k = tp_ranks[k - 1]
+        if k * best_rank > best_k * rank_k:
+            total += Fraction(run * best_k, best_rank)
+            best_k, best_rank, run = k, rank_k, 0
+        run += 1
+    total += Fraction(run * best_k, best_rank)
     return float(total / n_ground_truth)
 
 
@@ -198,18 +223,24 @@ def map_report(
     )
     groups = _ScoredGroups(dets, gts, config.criterion, config.params)
     order_by_category = {c: [i for i in groups.order if dets[i].category == c] for c in categories}
-    gts_by_category = {c: [g for g in gts if g.category == c] for c in categories}
     rows = []
     for bucket_name, bucket in buckets:
+        # one ranking per bucket, shared by every category and threshold
+        ranked = groups.rank(bucket)
+        n_gt = dict.fromkeys(categories, 0)
+        for gt, size in zip(gts, groups.size):
+            if bucket is None or size is bucket:
+                n_gt[gt.category] += 1
         aps_by_threshold: dict[float, list[Optional[float]]] = {t: [] for t in config.thresholds}
         for category in categories:
-            n_gt = count_ground_truths(gts_by_category[category], bucket)
             for threshold in config.thresholds:
-                ap = average_precision(groups.match(order_by_category[category], bucket, threshold), n_gt)
+                labels = groups.match(ranked, order_by_category[category], threshold)
+                ap = average_precision(labels, n_gt[category])
                 rows.append(_row(category, bucket_name, threshold, ap))
                 aps_by_threshold[threshold].append(ap)
         mean_aps = [_mean(aps_by_threshold[t]) for t in config.thresholds]
         rows += [_row("mAP", bucket_name, t, m) for t, m in zip(config.thresholds, mean_aps)]
         if len(config.thresholds) > 1:
             rows.append(_row("mAP", bucket_name, "mean", _mean(mean_aps)))
+        del ranked  # free this bucket's ranking before the next is built
     return rows

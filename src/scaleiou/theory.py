@@ -25,7 +25,7 @@ from typing import Optional, Sequence
 
 from .criteria import CriterionId, CriterionParams, DEFAULT_PARAMS, FLOAT_MAX, check_range, check_size, exponent, kernel
 from .errors import QuadratureNonConvergence
-from .stats import ShiftModel, summarize_criteria
+from .stats import ShiftModel, derive_seed, summarize_criteria
 
 # Gaussian mass beyond 12 sigma is < 1e-30; criteria are bounded by 1, so
 # truncating the tail there is exact at the working tolerance.
@@ -154,15 +154,19 @@ def moment_consistency_report(
     within the quadrature's error bound of the quadrature value, else inf.
 
     One `summarize_criteria` draw per setup feeds every criterion and both
-    moment orders, reduced chunk by chunk. A criterion without a theoretical
-    moment is rejected before any draw.
+    moment orders, reduced chunk by chunk. Setup i draws from the sub-seed
+    `derive_seed(seed, i)`, as `moments` does per omega, so no two setups
+    score the same shifts. A criterion without a theoretical moment is
+    rejected before any draw.
     """
     for cid in criteria:
         _check_moment_criterion(cid)
     rows = []
-    for setup in setups:
+    for i, setup in enumerate(setups):
         model = ShiftModel(sigma_base=setup.sigma)
-        drawn = summarize_criteria(criteria, setup.omega, model, n, seed, setup.params, n_threads, orders=(1, 2))
+        drawn = summarize_criteria(
+            criteria, setup.omega, model, n, derive_seed(seed, i), setup.params, n_threads, orders=(1, 2)
+        )
         for cid, summaries in zip(criteria, drawn):
             for order, mc in zip((1, 2), summaries):
                 theory = theoretical_moment(cid, order, setup)

@@ -5,7 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from scaleiou import (
@@ -25,6 +25,7 @@ from scaleiou import (
     size_class,
 )
 from scaleiou.cli import main
+from scaleiou.io import corner_box
 
 
 def oracle_match(dets, gts, cid, params, threshold, size_filter=None):
@@ -196,6 +197,44 @@ def test_average_precision_equals_rank_by_rank_reference(data):
     assert type(got) is type(want)
 
 
+@st.composite
+def label_blocks(draw):
+    """Rank-ordered labels made of blocks of one repeated label, so the
+    precision envelope has long runs of one value as well as short ones."""
+    blocks = draw(st.lists(st.tuples(st.sampled_from(list(MatchLabel)), st.integers(1, 60)), max_size=12))
+    return [label for label, length in blocks for _ in range(length)]
+
+
+@settings(max_examples=500, deadline=None)
+@given(data=st.data())
+def test_average_precision_over_long_runs_equals_reference(data):
+    labels = data.draw(label_blocks())
+    n_ground_truth = data.draw(st.integers(1, labels.count(MatchLabel.TP) + 5))
+    got = average_precision(labels, n_ground_truth)
+    assert got == reference_ap(labels, n_ground_truth)
+    assert type(got) is float
+
+
+class TestAveragePrecisionRuns:
+    def test_all_true_positives_first_is_one_run(self):
+        labels = [MatchLabel.TP] * 7 + [MatchLabel.IGNORED] + [MatchLabel.FP] * 5
+        for n_gt in (7, 9, 12):
+            got = average_precision(labels, n_gt)
+            assert got == reference_ap(labels, n_gt) == float(Fraction(7, n_gt))
+
+    def test_each_true_positive_its_own_run(self):
+        # the k-th TP follows k - 1 FPs, at rank k(k+1)/2, so precision at the
+        # TPs falls (1, 2/3, 1/2, 2/5, ...) and each TP is the envelope's
+        # maximum from it onwards
+        labels = []
+        for k in range(1, 9):
+            labels += [MatchLabel.FP] * (k - 1) + [MatchLabel.TP]
+        exact = sum(Fraction(2, k + 1) for k in range(1, 9))
+        for n_gt in (8, 11):
+            got = average_precision(labels, n_gt)
+            assert got == reference_ap(labels, n_gt) == float(exact / n_gt)
+
+
 class TestMatching:
     GT = [GroundTruthRecord("a", "cat", Box(50, 50, 20, 20))]
 
@@ -353,18 +392,19 @@ def test_tied_entries_give_one_report_in_either_order(tmp_path, gts, dets):
 
 
 @st.composite
-def tied_document(draw):
+def tied_document(draw, images=("a", "b")):
     """Boxes on a coarse grid with two scores, so exact score ties, equal
     criterion values (a detection midway between two ground truths) and
-    duplicate boxes are common; small and medium sizes both occur."""
+    duplicate boxes are common; small and medium sizes both occur. Fewer
+    images put more boxes in each (image, category) group."""
     def entry():
         side = draw(st.sampled_from([10, 40]))
-        return {"image_id": draw(st.sampled_from(["a", "b"])), "category": draw(st.sampled_from(["cat", "dog"])),
+        return {"image_id": draw(st.sampled_from(images)), "category": draw(st.sampled_from(["cat", "dog"])),
                 "bbox": [draw(st.sampled_from([-4, -3, -2, 0, 1, 3, 4])), draw(st.sampled_from([0, 2])), side, side]}
 
     annotations = [entry() for _ in range(draw(st.integers(1, 5)))]
     detections = [{**entry(), "score": draw(st.sampled_from([0.5, 0.9]))} for _ in range(draw(st.integers(1, 6)))]
-    return {"images": [{"id": "a"}, {"id": "b"}], "annotations": annotations, "detections": detections}
+    return {"images": [{"id": i} for i in images], "annotations": annotations, "detections": detections}
 
 
 @pytest.mark.parametrize("cid", [c.value for c in CriterionId])
@@ -381,5 +421,41 @@ def test_eval_output_ignores_entry_order(tmp_path_factory, cid):
         permuted = {**doc, "annotations": data.draw(st.permutations(doc["annotations"])),
                     "detections": data.draw(st.permutations(doc["detections"]))}
         assert eval_stdout(path, permuted, *flags) == eval_stdout(path, doc, *flags)
+
+    check()
+
+
+BUCKET_FILTERS = {"all": None, "small": SizeClass.SMALL, "medium": SizeClass.MEDIUM, "large": SizeClass.LARGE}
+
+
+@pytest.mark.parametrize("cid", list(CriterionId), ids=[c.value for c in CriterionId])
+def test_report_cells_equal_the_oracle_on_ties(cid):
+    """Every non-mAP cell of map_report, in each of the four buckets and at
+    each threshold, is the AP of the brute-force matcher's labels for that
+    category, bucket and threshold, on documents full of score and value ties
+    and duplicate boxes: the ranking shared by a bucket's cells puts the
+    smaller box first on equal keys, as the oracle does."""
+    config = EvalConfig(criterion=cid, thresholds=(0.3, 0.5, 0.7))
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(doc=tied_document(images=("a",)))
+    # the first detection has equal values on both ground truths; the second
+    # clears a threshold only on the smaller box, so the tie rule decides it
+    # (at 0.3 to 0.7 for the overlap criteria; NWD needs the wider spacing)
+    @example(doc=one_image([[-1, 0, 10, 10], [1, 0, 10, 10]], [([0, 0, 10, 10], 0.9), ([-2, 0, 10, 10], 0.5)]))
+    @example(doc=one_image([[-6, 0, 10, 10], [6, 0, 10, 10]], [([0, 0, 10, 10], 0.9), ([-8, 0, 10, 10], 0.5)]))
+    def check(doc):
+        gts = [GroundTruthRecord(a["image_id"], a["category"], corner_box(a["bbox"])) for a in doc["annotations"]]
+        dets = [DetectionRecord(d["image_id"], d["category"], corner_box(d["bbox"]), d["score"])
+                for d in doc["detections"]]
+        cells = [row for row in map_report(dets, gts, config) if row["category"] != "mAP"]
+        assert {(row["bucket"], row["threshold"]) for row in cells} == {
+            (bucket, t) for bucket in BUCKET_FILTERS for t in config.thresholds}
+        for row in cells:
+            size_filter = BUCKET_FILTERS[row["bucket"]]
+            cat_dets = [d for d in dets if d.category == row["category"]]
+            cat_gts = [g for g in gts if g.category == row["category"]]
+            labels = oracle_match(cat_dets, cat_gts, cid, config.params, row["threshold"], size_filter)
+            assert row["ap"] == reference_ap(labels, count_ground_truths(cat_gts, size_filter)), row
 
     check()

@@ -162,6 +162,32 @@ class TestConsistencyReport:
     def test_empty_grid(self):
         assert moment_consistency_report([]) == []
 
+    def test_each_omega_draws_its_own_shifts(self, monkeypatch):
+        """Setup i draws from the sub-seed derive_seed(seed, i), as `moments`
+        does per omega, so two omegas of one report score different shifts."""
+        import scaleiou.theory as theory_mod
+        from scaleiou.stats import derive_seed, summarize_criteria
+
+        seeds = []
+
+        def recording(cids, omega, model, n, seed, *args, **kwargs):
+            seeds.append(seed)
+            return summarize_criteria(cids, omega, model, n, seed, *args, **kwargs)
+
+        monkeypatch.setattr(theory_mod, "summarize_criteria", recording)
+        moment_consistency_report([TheorySetup(16, 8), TheorySetup(64, 8)], [CriterionId.IOU], n=1000, seed=3)
+        assert seeds == [derive_seed(3, 0), derive_seed(3, 1)]
+        assert seeds[0] != seeds[1]
+
+    def test_equal_setups_draw_different_samples(self):
+        """Rows come per setup, orders 1 and 2: the first setup's are those of
+        a report of it alone, and the second, equal setup's differ."""
+        setup = TheorySetup(16, 8)
+        means = [row["mc"] for row in moment_consistency_report([setup, setup], [CriterionId.IOU], n=5000, seed=3)]
+        alone = [row["mc"] for row in moment_consistency_report([setup], [CriterionId.IOU], n=5000, seed=3)]
+        assert means[:2] == alone
+        assert means[2] != means[0] and means[3] != means[1]
+
     def test_memory_does_not_grow_with_n(self, monkeypatch):
         """The Monte Carlo side is reduced chunk by chunk: no criterion's samples,
         and no draw, are held whole. The quadrature is stubbed out of the trace, and
