@@ -16,7 +16,10 @@ worker: `summarize_criteria` merges per-chunk (count, mean, M2) left to right
 (Chan, Golub & LeVeque 1979) and `simulate_histogram` adds per-chunk counts on
 fixed edges. So `moments`, `theory --check-mc` and `simulate` hold about one
 chunk per thread, not the whole draw. `simulate_criteria` concatenates the
-scored chunks for callers that need every sample.
+scored chunks for callers that need every sample. `order-check` draws its
+random box triples through the same driver, in rounds of consecutively
+numbered chunks, and counts the first n of them in chunk order; so every
+random draw here is the same for any thread count.
 """
 
 from __future__ import annotations
@@ -124,10 +127,11 @@ def shift_curve(
     return list(zip(eps.tolist(), values.tolist()))
 
 
-def _chunk_seeds(seed: int, n: int):
+def _chunk_seeds(seed: int, n: int, first: int = 0):
+    """(SeedSequence([seed, i]), size) of each chunk of n samples, numbered from first."""
     n_chunks = (n + CHUNK_SIZE - 1) // CHUNK_SIZE
     sizes = [CHUNK_SIZE] * (n_chunks - 1) + [n - CHUNK_SIZE * (n_chunks - 1)]
-    return [(np.random.SeedSequence([seed, i]), sz) for i, sz in enumerate(sizes)]
+    return [(np.random.SeedSequence([seed, first + i]), sz) for i, sz in enumerate(sizes)]
 
 
 def _check_seed(seed) -> None:
@@ -140,10 +144,11 @@ def _usable_cpus() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
-def _map_chunks(fn, n: int, seed: int, n_threads: Optional[int] = None) -> list:
-    """fn applied to each (SeedSequence, size) chunk of n samples, the results in chunk
-    order, on one thread per usable CPU, capped by the chunk count and n_threads if given."""
-    chunks = _chunk_seeds(seed, n)
+def _map_chunks(fn, n: int, seed: int, n_threads: Optional[int] = None, first: int = 0) -> list:
+    """fn applied to each (SeedSequence, size) chunk of n samples, numbered from first,
+    the results in chunk order, on one thread per usable CPU, capped by the chunk count
+    and n_threads if given."""
+    chunks = _chunk_seeds(seed, n, first)
     n_workers = min(len(chunks), _usable_cpus(), len(chunks) if n_threads is None else n_threads)
     if n_workers > 1:
         with ThreadPoolExecutor(max_workers=n_workers) as pool:
@@ -452,6 +457,44 @@ class OrderPreservationCounts:
     aligned_preserved: int
 
 
+def _order_chunk(params: CriterionParams):
+    """The function that draws one seeded chunk of random box triples (x, then y,
+    then log-width, each of shape (3, size)) and returns, for its triples with a
+    nonzero IoU in draw order, whether SIoU keeps their IoU order and whether
+    they are aligned."""
+    log_lo, log_hi = math.log(ORDER_WIDTH_MIN), math.log(ORDER_WIDTH_MAX)
+
+    def score(item):
+        ss, size = item
+        rng = np.random.default_rng(ss)
+        xs = rng.uniform(0, ORDER_FIELD_SIZE, (3, size))
+        ys = rng.uniform(0, ORDER_FIELD_SIZE, (3, size))
+        ws = np.exp(rng.uniform(log_lo, log_hi, (3, size)))
+        b1, b2, b3 = ((xs[k], ys[k], ws[k], ws[k]) for k in range(3))
+        u12 = kernel(CriterionId.IOU, b1, b2)
+        u13 = kernel(CriterionId.IOU, b1, b3)
+        counted = np.flatnonzero((u12 != 0) | (u13 != 0))
+        lo_is_12 = u12[counted] <= u13[counted]
+        xs, ys, ws = xs[:, counted], ys[:, counted], ws[:, counted]
+        b1, b2, b3 = ((xs[k], ys[k], ws[k], ws[k]) for k in range(3))
+        s12 = kernel(CriterionId.SIOU, b1, b2, params)
+        s13 = kernel(CriterionId.SIOU, b1, b3, params)
+        preserved = np.where(lo_is_12, s12 <= s13 + 1e-12, s13 <= s12 + 1e-12)
+        a1, a2, a3 = ws * ws
+        aligned = np.where(lo_is_12, a1 + a2 <= a1 + a3, a1 + a3 <= a1 + a2)
+        return preserved, aligned
+
+    return score
+
+
+# Triples drawn per round for each triple still needed: about 1 in 7.8 drawn
+# triples has a nonzero IoU, so one round of 8 per needed triple is usually
+# the last. A round is at most 16 chunks per usable CPU, so the flags a round
+# returns stay small for any n_triples.
+_ORDER_DRAWS_PER_COUNT = 8
+_ORDER_ROUND_CHUNKS_PER_CPU = 16
+
+
 def order_preservation_counts(
     params: CriterionParams,
     n_triples: int,
@@ -462,40 +505,32 @@ def order_preservation_counts(
     subset.
 
     Triples where both IoUs are exactly zero are skipped, since the ordering
-    is vacuous there: of the triples with a nonzero IoU, the first n_triples
-    in draw order count. For gamma <= 0 the exponent p >= 1 shrinks as the
-    boxes grow, so every aligned triple is preserved; on the remaining
+    is vacuous there. The triples are drawn in seeded chunks of CHUNK_SIZE,
+    chunk i from SeedSequence([seed, i]), by the chunk driver in rounds until
+    enough are counted: of the triples with a nonzero IoU, the first
+    n_triples in chunk order, and in draw order within a chunk, count. So the
+    counts do not depend on the thread count, and each thread holds about one
+    chunk whatever n_triples is. For gamma <= 0 the exponent p >= 1 shrinks
+    as the boxes grow, so every aligned triple is preserved; on the remaining
     triples the smaller-IoU pair has the smaller exponent and the order can
     flip.
     """
     check_range("n_triples", n_triples, 1, MAX_SAMPLES)
     _check_seed(seed)
-    rng = np.random.default_rng(np.random.SeedSequence([seed]))
-    preserved = 0
-    n_aligned = 0
-    aligned_preserved = 0
-    collected = 0
-    while collected < n_triples:
-        batch = min(4 * (n_triples - collected) + 1024, 1 << 20)
-        xs = rng.uniform(0, ORDER_FIELD_SIZE, (3, batch))
-        ys = rng.uniform(0, ORDER_FIELD_SIZE, (3, batch))
-        ws = np.exp(rng.uniform(math.log(ORDER_WIDTH_MIN), math.log(ORDER_WIDTH_MAX), (3, batch)))
-        b1, b2, b3 = ((xs[k], ys[k], ws[k], ws[k]) for k in range(3))
-        u12 = kernel(CriterionId.IOU, b1, b2)
-        u13 = kernel(CriterionId.IOU, b1, b3)
-        counted = np.flatnonzero((u12 != 0) | (u13 != 0))[: n_triples - collected]
-        ws = ws[:, counted]
-        b1, b2, b3 = ((xs[k, counted], ys[k, counted], ws[k], ws[k]) for k in range(3))
-        s12 = kernel(CriterionId.SIOU, b1, b2, params)
-        s13 = kernel(CriterionId.SIOU, b1, b3, params)
-        lo_is_12 = u12[counted] <= u13[counted]
-        ok = np.where(lo_is_12, s12 <= s13 + 1e-12, s13 <= s12 + 1e-12)
-        a1, a2, a3 = ws * ws
-        aligned = np.where(lo_is_12, a1 + a2 <= a1 + a3, a1 + a3 <= a1 + a2)
-        preserved += int(np.count_nonzero(ok))
-        n_aligned += int(np.count_nonzero(aligned))
-        aligned_preserved += int(np.count_nonzero(ok & aligned))
-        collected += counted.size
+    score = _order_chunk(params)
+    preserved = n_aligned = aligned_preserved = 0
+    needed = n_triples
+    first = 0
+    while needed > 0:
+        n_chunks = min(-(-_ORDER_DRAWS_PER_COUNT * needed // CHUNK_SIZE),
+                       _ORDER_ROUND_CHUNKS_PER_CPU * _usable_cpus())
+        for ok, aligned in _map_chunks(score, n_chunks * CHUNK_SIZE, seed, first=first):
+            ok, aligned = ok[:needed], aligned[:needed]
+            preserved += int(np.count_nonzero(ok))
+            n_aligned += int(np.count_nonzero(aligned))
+            aligned_preserved += int(np.count_nonzero(ok & aligned))
+            needed -= ok.size
+        first += n_chunks
     return OrderPreservationCounts(n_triples, preserved, n_aligned, aligned_preserved)
 
 
