@@ -360,7 +360,7 @@ def test_order_counts_do_not_depend_on_the_thread_count(monkeypatch):
 
 def test_order_counts_memory_is_one_chunk_per_thread(monkeypatch):
     """200000 triples take about 1.6M draws. Drawn in batches of up to 2**20
-    triples on one stream they peaked at 92 MB; one CHUNK_SIZE chunk of
+    triples on one stream they peaked at 96 MB; one CHUNK_SIZE chunk of
     triples and its scores take about 8 MB per thread."""
     monkeypatch.setattr(stats, "_usable_cpus", lambda: 2)
     peak = traced_peak(lambda: order_preservation_counts(CriterionParams(gamma=-2.0, kappa=64), 200_000, 1))
