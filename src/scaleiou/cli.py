@@ -123,10 +123,7 @@ def build_parser() -> _Parser:
     sub = subs.add_parser("simulate", help="Monte Carlo criterion distribution at one omega")
     sub.add_argument("--id", required=True)
     sub.add_argument("--omega", type=float, required=True)
-    sub.add_argument("--sigma", type=float, required=True)
-    sub.add_argument("--sigma-slope", type=float, default=0.0)
-    sub.add_argument("--direction", choices=("horizontal", "diagonal"), default="horizontal")
-    sub.add_argument("--size-ratio", type=float, default=1.0)
+    _add_shift_model(sub)
     sub.add_argument("--n", type=int, required=True)
     sub.add_argument("--pdf", choices=("histogram", "kde"), default=None)
     sub.add_argument("--bins", type=int, default=64)
@@ -135,10 +132,7 @@ def build_parser() -> _Parser:
     sub = subs.add_parser("moments", help="Monte Carlo moment curve over an omega grid")
     sub.add_argument("--id", required=True, help="comma list of criterion ids")
     sub.add_argument("--omega", required=True, help="comma list of box widths")
-    sub.add_argument("--sigma", type=float, required=True)
-    sub.add_argument("--sigma-slope", type=float, default=0.0)
-    sub.add_argument("--direction", choices=("horizontal", "diagonal"), default="horizontal")
-    sub.add_argument("--size-ratio", type=float, default=1.0)
+    _add_shift_model(sub)
     sub.add_argument("--n", type=int, required=True)
     _add_common(sub, seed_required=True)
 
@@ -177,6 +171,11 @@ def build_parser() -> _Parser:
     return parser
 
 
+def _in_order(rows: Sequence[dict], columns: Sequence[str]) -> list[tuple]:
+    """A library function's dict rows as value rows in column order."""
+    return [tuple(row[c] for c in columns) for row in rows]
+
+
 def _cmd_criterion(args, params, config):
     value = evaluate(_criterion_id(args.id), corner_box(args.a.split(",")), corner_box(args.b.split(",")), params)
     return f"{value:.6f}\n"
@@ -188,11 +187,20 @@ def _cmd_shift_curve(args, params, config):
     check_range("--steps", args.steps, 2, stats.MAX_GRID)
     check_range("--max-shift", args.max_shift, POSITIVE)
     shifts = [args.max_shift * i / (args.steps - 1) for i in range(args.steps)]
-    rows = []
-    for omega in _parse_omegas(args.omega):
-        for shift, value in stats.shift_curve(cid, omega, shifts, direction, args.size_ratio, params):
-            rows.append({"criterion": cid.value, "omega": omega, "shift": shift, "value": value})
+    rows = [
+        (cid.value, omega, shift, value)
+        for omega in _parse_omegas(args.omega)
+        for shift, value in stats.shift_curve(cid, omega, shifts, direction, args.size_ratio, params)
+    ]
     return rows, ("criterion", "omega", "shift", "value")
+
+
+def _add_shift_model(sub) -> None:
+    """The flags that _shift_model reads."""
+    sub.add_argument("--sigma", type=float, required=True)
+    sub.add_argument("--sigma-slope", type=float, default=0.0)
+    sub.add_argument("--direction", choices=("horizontal", "diagonal"), default="horizontal")
+    sub.add_argument("--size-ratio", type=float, default=1.0)
 
 
 def _shift_model(args) -> ShiftModel:
@@ -213,21 +221,10 @@ def _cmd_simulate(args, params, config):
         else:  # the KDE is the one Monte Carlo output that keeps every sample
             samples = stats.simulate_criterion(cid, args.omega, model, args.n, args.seed, params)
             pdf = stats.empirical_pdf(samples, PdfMethod.GAUSSIAN_KDE, bounds=value_range(cid))
-        rows = [{"criterion": cid.value, "omega": args.omega, "z": z, "density": d} for z, d in pdf]
-        return rows, ("criterion", "omega", "z", "density")
-    ((summary,),) = stats.summarize_criteria([cid], args.omega, model, args.n, args.seed, params)
-    rows = [
-        {
-            "criterion": cid.value,
-            "omega": summary.omega,
-            "sigma": model.sigma(args.omega),
-            "n": summary.n_samples,
-            "mean": summary.mean,
-            "std_dev": summary.std_dev,
-            "std_error": summary.std_error,
-        }
-    ]
-    return rows, ("criterion", "omega", "sigma", "n", "mean", "std_dev", "std_error")
+        return [(cid.value, args.omega, z, d) for z, d in pdf], ("criterion", "omega", "z", "density")
+    ((s,),) = stats.summarize_criteria([cid], args.omega, model, args.n, args.seed, params)
+    row = (cid.value, s.omega, model.sigma(args.omega), s.n_samples, s.mean, s.std_dev, s.std_error)
+    return [row], ("criterion", "omega", "sigma", "n", "mean", "std_dev", "std_error")
 
 
 def _cmd_moments(args, params, config):
@@ -235,19 +232,11 @@ def _cmd_moments(args, params, config):
     omegas = _parse_omegas(args.omega)
     criteria = [_criterion_id(raw) for raw in args.id.split(",")]
     curves = stats.moment_curves(criteria, omegas, model, args.n, args.seed, params)
-    rows = []
-    for cid, curve in zip(criteria, curves):
-        for summary in curve:
-            rows.append(
-                {
-                    "criterion": cid.value,
-                    "omega": summary.omega,
-                    "mean": summary.mean,
-                    "std_dev": summary.std_dev,
-                    "std_error": summary.std_error,
-                    "n": summary.n_samples,
-                }
-            )
+    rows = [
+        (cid.value, s.omega, s.mean, s.std_dev, s.std_error, s.n_samples)
+        for cid, curve in zip(criteria, curves)
+        for s in curve
+    ]
     return rows, ("criterion", "omega", "mean", "std_dev", "std_error", "n")
 
 
@@ -257,25 +246,16 @@ def _cmd_theory(args, params, config):
     if args.check_mc:
         if args.seed is None:
             raise ValueError("--seed is required with --check-mc")
-        rows = theory.moment_consistency_report(setups, criteria, n=args.n, seed=args.seed)
+        report = theory.moment_consistency_report(setups, criteria, n=args.n, seed=args.seed)
         columns = ("criterion", "omega", "sigma", "a", "order", "theory", "mc", "std_error", "z_score", "flagged")
-    else:
-        rows = []
-        for setup in setups:
-            for cid in criteria:
-                for order in (1, 2):
-                    rows.append(
-                        {
-                            "criterion": cid.value,
-                            "omega": setup.omega,
-                            "sigma": setup.sigma,
-                            "a": setup.a,
-                            "order": order,
-                            "value": theory.theoretical_moment(cid, order, setup),
-                        }
-                    )
-        columns = ("criterion", "omega", "sigma", "a", "order", "value")
-    return rows, columns
+        return _in_order(report, columns), columns
+    rows = [
+        (cid.value, setup.omega, setup.sigma, setup.a, order, theory.theoretical_moment(cid, order, setup))
+        for setup in setups
+        for cid in criteria
+        for order in (1, 2)
+    ]
+    return rows, ("criterion", "omega", "sigma", "a", "order", "value")
 
 
 def _cmd_eval(args, params, config):
@@ -286,11 +266,9 @@ def _cmd_eval(args, params, config):
         thresholds=tuple(sorted(_resolve_thresholds(args, config))),
         size_filter=None if args.size == "all" else SizeClass(args.size),
     )
-    rows = map_report(detections, ground_truths, eval_config)
-    for row in rows:
-        if row["ap"] is None:
-            row["ap"] = ""
-    return rows, ("category", "bucket", "threshold", "ap")
+    columns = ("category", "bucket", "threshold", "ap")
+    report = _in_order(map_report(detections, ground_truths, eval_config), columns)
+    return [(*cell, "" if ap is None else ap) for *cell, ap in report], columns  # an undefined AP prints empty
 
 
 def _cmd_rating(args, params, config):
@@ -298,46 +276,23 @@ def _cmd_rating(args, params, config):
     table = load_ratings(args.ratings)
     if args.analysis == "correlation":
         tau = kendall_tau(criterion_values(table, cid, params), table.rating)
-        rows = [{"criterion": cid.value, "kendall_tau": tau, "n": len(table)}]
-        columns = ("criterion", "kendall_tau", "n")
-    elif args.analysis == "groups":
-        rows = group_means(table, args.grouping, cid, params)
-        for row in rows:
-            row["criterion"] = cid.value
+        return [(cid.value, tau, len(table))], ("criterion", "kendall_tau", "n")
+    if args.analysis == "groups":
         columns = ("criterion", "group", "n", "mean_rating", "mean_criterion")
-    elif args.analysis == "gaps":
-        gaps = relative_gap(table, cid, params)
-        rows = [
-            {"criterion": cid.value, "size": s.value, "rating": r, "relative_gap": c}
-            for (s, r), c in sorted(gaps.items(), key=lambda kv: (kv[0][1], kv[0][0].value))
-        ]
-        columns = ("criterion", "size", "rating", "relative_gap")
-    else:  # anova on ratings grouped by the grouping variable
-        groups = group_records(table, args.grouping)
-        f_stat, p_value = one_way_anova([table.rating[index] for index in groups.values()])
-        rows = [
-            {
-                "grouping": args.grouping,
-                "n_groups": len(groups),
-                "f_statistic": f_stat,
-                "p_value": p_value,
-            }
-        ]
-        columns = ("grouping", "n_groups", "f_statistic", "p_value")
-    return rows, columns
+        means = _in_order(group_means(table, args.grouping, cid, params), columns[1:])
+        return [(cid.value, *row) for row in means], columns
+    if args.analysis == "gaps":
+        gaps = sorted(relative_gap(table, cid, params).items(), key=lambda kv: (kv[0][1], kv[0][0].value))
+        return [(cid.value, s.value, r, c) for (s, r), c in gaps], ("criterion", "size", "rating", "relative_gap")
+    # anova on ratings grouped by the grouping variable
+    groups = group_records(table, args.grouping)
+    f_stat, p_value = one_way_anova([table.rating[index] for index in groups.values()])
+    return [(args.grouping, len(groups), f_stat, p_value)], ("grouping", "n_groups", "f_statistic", "p_value")
 
 
 def _cmd_order_check(args, params, config):
     rate = stats.order_preservation_rate(params, args.n, args.seed)
-    rows = [
-        {
-            "gamma": params.gamma,
-            "kappa": params.kappa,
-            "n_triples": args.n,
-            "preservation_rate": rate,
-        }
-    ]
-    return rows, ("gamma", "kappa", "n_triples", "preservation_rate")
+    return [(params.gamma, params.kappa, args.n, rate)], ("gamma", "kappa", "n_triples", "preservation_rate")
 
 
 _COMMANDS = {
@@ -362,7 +317,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             write_text(output, args.out)
         else:
             rows, columns = output
-            write_table(rows, args.out, args.format, columns=columns)
+            write_table(rows, args.out, args.format, columns)
         return EXIT_OK
     except (ValueError, ScaleIoUError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -3,9 +3,11 @@ table output.
 
 Every input file is read whole as UTF-8 by `_read_text`. External box
 coordinates are corner form (x_min, y_min, w, h) and converted to the
-internal center form at this boundary. Tables are written with a fixed
-column order and 9-significant-digit number formatting so identical inputs
-produce byte-identical files.
+internal center form at this boundary. A table is a list of rows and a
+tuple of column names; each row holds its values in column order, one per
+column, and a row of another length is an error, not a padded cell. Tables
+are written with that column order and 9-significant-digit number
+formatting so identical inputs produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -28,12 +30,8 @@ from .rating import InvalidRow, RatingTable
 
 
 def format_number(value) -> str:
-    """9 significant digits, stable across platforms."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        return str(value)
-    if isinstance(value, int):
-        return str(value)
-    return format(value, ".9g")
+    """A float to 9 significant digits, stable across platforms; any other value as str()."""
+    return format(value, ".9g") if isinstance(value, float) else str(value)
 
 
 def _read_text(path: str, newline: Optional[str] = None) -> str:
@@ -244,32 +242,31 @@ def _rating_table(path: str, lines: list[int], ratings: list[int], values: array
         raise ParseError(f"{path}: line {lines[exc.row]}: {exc.reason}") from exc
 
 
-def render_table(rows: Sequence[dict], fmt: str, columns: Sequence[str]) -> str:
-    """Render rows as CSV or JSON text with deterministic formatting."""
+def render_table(rows: Sequence[Sequence], fmt: str, columns: Sequence[str]) -> str:
+    """Render rows as CSV or JSON text with deterministic formatting. Each
+    row holds its values in column order; a row of another length than
+    columns is a ValueError, in either format."""
+    for row in rows:
+        if len(row) != len(columns):
+            raise ValueError(f"a table row has {len(row)} values for the {len(columns)} columns {tuple(columns)}")
     if fmt == "csv":
         buf = _io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(columns)
-        for row in rows:
-            writer.writerow([format_number(row.get(c, "")) for c in columns])
+        writer.writerows([format_number(v) for v in row] for row in rows)
         return buf.getvalue()
     if fmt == "json":
-        payload = []
-        for row in rows:
-            out = {}
-            for c in columns:
-                v = row.get(c)
-                if isinstance(v, float):
-                    v = float(format_number(v))
-                out[c] = v
-            payload.append(out)
+        payload = [
+            {c: float(format_number(v)) if isinstance(v, float) else v for c, v in zip(columns, row)} for row in rows
+        ]
         return json.dumps(payload, indent=2) + "\n"
     raise ValueError(f"unknown output format {fmt!r}")
 
 
-def write_table(rows: Sequence[dict], path: Optional[str], fmt: str, columns: Sequence[str]) -> None:
-    """Write a table to path, or stdout when path is None. The text is fully
-    rendered before any file is opened, so failures leave no partial output."""
+def write_table(rows: Sequence[Sequence], path: Optional[str], fmt: str, columns: Sequence[str]) -> None:
+    """Write a table of value rows (see render_table) to path, or stdout when
+    path is None. The text is fully rendered before any file is opened, so
+    failures leave no partial output."""
     write_text(render_table(rows, fmt, columns), path)
 
 

@@ -12,7 +12,7 @@ import scaleiou
 import scaleiou.stats as stats
 from scaleiou import ParseError
 from scaleiou.cli import main
-from scaleiou.io import load_boxes, load_ratings
+from scaleiou.io import load_boxes, load_ratings, render_table
 
 
 def run(capsys, *argv):
@@ -233,6 +233,20 @@ class TestTables:
                          "--max-shift", "8", "--steps", "1", "--out", str(out))
         assert code == 1
         assert not out.exists()
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_rows_are_values_in_column_order(self, fmt):
+        text = render_table([("iou", 0.1 + 0.2, 3, True, "")], fmt, ("criterion", "value", "n", "flagged", "ap"))
+        expected = {"csv": "criterion,value,n,flagged,ap\niou,0.3,3,True,\n",
+                    "json": '[\n  {\n    "criterion": "iou",\n    "value": 0.3,\n    "n": 3,\n'
+                            '    "flagged": true,\n    "ap": ""\n  }\n]\n'}
+        assert text == expected[fmt]
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("row", [("iou",), ("iou", 1.0, 2)])
+    def test_a_row_of_another_length_is_an_error(self, fmt, row):
+        with pytest.raises(ValueError, match="a table row has .* values for the 2 columns"):
+            render_table([("giou", 0.5), row], fmt, ("criterion", "value"))
 
 
 class TestEvalCommand:
