@@ -271,9 +271,14 @@ def write_table(rows: Sequence[Sequence], path: Optional[str], fmt: str, columns
 
 
 def write_text(text: str, path: Optional[str]) -> None:
-    """Write text to path, or stdout when path is None."""
+    """Write text to path, or stdout when path is None. A path that cannot be
+    written (a missing directory, a directory, no permission) is a
+    ValueError naming it, since the path is a flag value."""
     if path is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise ValueError(f"cannot write {path}: {exc}") from exc

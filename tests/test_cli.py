@@ -565,6 +565,23 @@ def test_criterion_out_writes_the_file(capsys, tmp_path):
     assert (code, stdout, out.read_bytes()) == (0, "", b"0.341463\n")
 
 
+UNWRITABLE_OUT = {"missing-directory": lambda tmp: tmp / "missing" / "out.csv", "directory": lambda tmp: tmp}
+OUT_COMMANDS = {
+    "table": ["order-check", "--n", "10", "--seed", "1"],
+    "criterion": ["criterion", "--id", "iou", "--a", "0,0,10,10", "--b", "2,3,10,12"],
+}
+
+
+@pytest.mark.parametrize("where", UNWRITABLE_OUT)
+@pytest.mark.parametrize("command", OUT_COMMANDS)
+def test_out_path_that_cannot_be_written_is_a_usage_error(capsys, tmp_path, command, where):
+    out = UNWRITABLE_OUT[where](tmp_path)
+    code, stdout, err = run(capsys, *OUT_COMMANDS[command], "--out", str(out))
+    assert (code, stdout) == (1, "")
+    assert err.startswith(f"error: cannot write {out}: ") and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_simulate_pdf_computes_no_summary(capsys, monkeypatch):
     import scaleiou.stats as stats
 
