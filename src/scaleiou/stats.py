@@ -139,6 +139,12 @@ def _check_seed(seed) -> None:
         raise ValueError(f"seed out of range: must be a non-negative integer, got {seed!r}")
 
 
+def _check_count(name: str, value, lo: int, hi: int) -> None:
+    """A count is an int or a numpy integer, not a bool, in [lo, hi]."""
+    if not (isinstance(value, (int, np.integer)) and not isinstance(value, bool) and lo <= value <= hi):
+        raise ValueError(f"{name} out of range: must be an integer in [{lo}, {hi}], got {value!r}")
+
+
 def _usable_cpus() -> int:
     """CPUs this process may run on: its affinity mask where the platform has one."""
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
@@ -159,7 +165,7 @@ def _map_chunks(fn, n: int, seed: int, n_threads: Optional[int] = None, first: i
 def _shift_draw(omega: float, model: ShiftModel, n: int, seed: int):
     """Check the draw's inputs; return the function that draws one seeded chunk of
     shifts from N(0, sigma(omega)^2)."""
-    check_range("n", n, 1, MAX_SAMPLES)
+    _check_count("n", n, 1, MAX_SAMPLES)
     sigma = check_range(f"sigma(omega) at omega={omega!r}", model.sigma(omega), POSITIVE)
     _check_seed(seed)
 
@@ -333,7 +339,7 @@ def simulate_histogram(
     samples `simulate_criterion` draws, with the same bits for any n: each
     chunk is scored and binned in its worker on the same fixed edges, and the
     integer counts are added."""
-    check_range("bins", bins, 1, MAX_GRID)
+    _check_count("bins", bins, 1, MAX_GRID)
     score = _scorer([cid], omega, model, n, seed, params)
     _need_samples(n, MIN_PDF_SAMPLES)
     bounds = value_range(cid)
@@ -376,7 +382,7 @@ def empirical_pdf(
     lo, hi = bounds
 
     if method is PdfMethod.HISTOGRAM:
-        check_range("bins", bins, 1, MAX_GRID)
+        _check_count("bins", bins, 1, MAX_GRID)
         counts, edges = np.histogram(samples, bins=bins, range=(lo, hi))
         return _histogram_density(counts, edges, samples.size)
 
@@ -515,7 +521,7 @@ def order_preservation_counts(
     triples the smaller-IoU pair has the smaller exponent and the order can
     flip.
     """
-    check_range("n_triples", n_triples, 1, MAX_SAMPLES)
+    _check_count("n_triples", n_triples, 1, MAX_SAMPLES)
     _check_seed(seed)
     score = _order_chunk(params)
     preserved = n_aligned = aligned_preserved = 0

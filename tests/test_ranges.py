@@ -136,6 +136,33 @@ def test_out_of_range_library_input_raises_value_error(call, name):
     assert str(info.value).startswith(f"{name} out of range")
 
 
+# every library entry point that takes a count, as (call with the count, the count's name)
+COUNT_ENTRY_POINTS = [
+    (lambda n: sample_shifts(8.0, ShiftModel(), n, 1), "n"),
+    (lambda n: stats.simulate_criterion(CriterionId.SIOU, 16.0, ShiftModel(), n, 1), "n"),
+    (lambda n: stats.moment_curve(CriterionId.IOU, [8.0], ShiftModel(), n, 1), "n"),
+    (lambda n: theory.moment_consistency_report([TheorySetup(16, 8)], [CriterionId.IOU], n=n, seed=1), "n"),
+    (lambda n: stats.simulate_histogram(CriterionId.IOU, 16.0, ShiftModel(), n, 1), "n"),
+    (lambda bins: stats.simulate_histogram(CriterionId.IOU, 16.0, ShiftModel(), 100, 1, bins=bins), "bins"),
+    (lambda bins: stats.empirical_pdf(np.linspace(0.0, 1.0, 20), bins=bins), "bins"),
+    (lambda n: stats.order_preservation_counts(DEFAULT_PARAMS, n, 1), "n_triples"),
+]
+
+
+@pytest.mark.parametrize("count", [5.0, True, np.float64(5.0), np.bool_(True)], ids=repr)
+@pytest.mark.parametrize("call, name", COUNT_ENTRY_POINTS, ids=[f"{i}-{n}" for i, (_, n) in
+                                                                 enumerate(COUNT_ENTRY_POINTS)])
+def test_a_count_that_is_not_an_integer_is_rejected(call, name, count):
+    with pytest.raises(ValueError, match=rf"^{name} out of range: must be an integer in \[1, \d+\], got "):
+        call(count)
+
+
+@pytest.mark.parametrize("call, name", COUNT_ENTRY_POINTS, ids=[f"{i}-{n}" for i, (_, n) in
+                                                                 enumerate(COUNT_ENTRY_POINTS)])
+def test_a_numpy_integer_count_equals_the_int(call, name):
+    np.testing.assert_equal(call(np.int64(20)), call(20))
+
+
 @pytest.mark.parametrize("seed", [1.5, INF, NAN, -1])
 def test_seed_message_asks_for_a_non_negative_integer(seed):
     with pytest.raises(ValueError, match="must be a non-negative integer"):
