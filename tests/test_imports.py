@@ -1,9 +1,9 @@
 """Which scipy modules each command loads.
 
 Every command runs in a fresh interpreter through scaleiou.cli.main, which
-then reports the scipy entries of sys.modules. Only quadrature (theory), the
-ANOVA tail (rating --analysis anova) and the KDE (simulate --pdf kde) import
-scipy, each inside the one function that needs it.
+then reports the scipy entries of sys.modules. Only the ANOVA tail
+(rating --analysis anova) and the KDE (simulate --pdf kde) import scipy, each
+inside the one function that needs it; the quadrature of theory is numpy.
 """
 
 import json
@@ -62,7 +62,9 @@ COMMANDS = {
     "rating-groups": (RATING + ["groups"], False, False),
     "rating-gaps": (RATING + ["gaps"], False, False),
     "rating-anova": (RATING + ["anova"], True, False),
-    "theory": (["theory", "--id", "iou,gsiou", "--omega", "16", "--sigma", "4"], True, False),
+    "theory": (["theory", "--id", "iou,gsiou", "--omega", "16", "--sigma", "4"], False, False),
+    "theory-check-mc": (["theory", "--id", "iou,giou,siou,gsiou", "--omega", "16,64", "--sigma", "8",
+                         "--check-mc", "--n", "200", "--seed", "1"], False, False),
     "simulate-kde": (SIM + ["--pdf", "kde"], True, True),
 }
 

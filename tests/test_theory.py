@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+import scaleiou.theory as theory_mod
 from scaleiou import (
     CriterionId,
     CriterionParams,
     EVALUATION_PRESET,
     LOSS_PRESET,
     PdfMethod,
+    QuadratureNonConvergence,
     ShiftModel,
     TheorySetup,
     empirical_pdf,
@@ -19,10 +21,34 @@ from scaleiou import (
     theoretical_moment,
     theoretical_variance,
 )
+from scaleiou.cli import main
+from scaleiou.criteria import kernel
 from tests.conftest import traced_peak
 
 GAMMA0 = CriterionParams(gamma=0.0, kappa=64)
 LOSS = CriterionParams(gamma=-3.0, kappa=16)
+MOMENT_CRITERIA = (CriterionId.IOU, CriterionId.GIOU, CriterionId.SIOU, CriterionId.GSIOU)
+
+
+def tight_quad_moment(cid, order, setup):
+    """E[C(X)^order] by scipy's QUADPACK at an absolute tolerance of 1e-13, on
+    the integrand, range and break point theoretical_moment uses, the kernel
+    called on one scalar shift at a time."""
+    omega, sigma = setup.omega, setup.sigma
+    square = (0.0, 0.0, omega, omega)
+    norm = 1.0 / (math.sqrt(2.0 * math.pi) * sigma)
+
+    def integrand(x):
+        value = float(kernel(cid, (x, 0.0, omega, omega), square, setup.params))
+        return value**order * norm * math.exp(-0.5 * (x / sigma) ** 2)
+
+    if cid in (CriterionId.IOU, CriterionId.SIOU):
+        hi, points = min(omega, 12 * sigma), None
+    else:
+        hi = 12 * sigma
+        points = [omega] if omega < hi else None
+    value, _ = quad(integrand, 0.0, hi, points=points, epsabs=1e-13, epsrel=0.0, limit=5000)
+    return 2.0 * value
 
 
 class TestGiouPdf:
@@ -83,6 +109,34 @@ class TestTheoreticalMoment:
                 oracle = 2 * np.trapezoid(prof**order * dens, xs)
                 assert theoretical_moment(cid, order, setup) == pytest.approx(oracle, abs=1e-6)
 
+    @pytest.mark.parametrize("params", [EVALUATION_PRESET, LOSS_PRESET], ids=["evaluation", "loss"])
+    @pytest.mark.parametrize("cid", MOMENT_CRITERIA, ids=lambda c: c.value)
+    def test_matches_tight_scipy_quadrature(self, cid, params):
+        for omega in (4, 16, 64, 256):
+            for sigma in (2, 8, 32):
+                setup = TheorySetup(omega, sigma, params)
+                for order in (1, 2):
+                    oracle = tight_quad_moment(cid, order, setup)
+                    assert abs(theoretical_moment(cid, order, setup) - oracle) <= 2 * theory_mod.QUAD_ABS_TOL
+
+    @pytest.mark.parametrize("cid,omega,sigma,order", [
+        (CriterionId.SIOU, 1, 0.5, 1), (CriterionId.GSIOU, 2, 4, 2), (CriterionId.GSIOU, 4, 128, 1),
+    ])
+    def test_converges_at_a_steep_singularity(self, monkeypatch, cid, omega, sigma, order):
+        """With gamma = 0.9 the exponent p of 1- to 4-wide squares is 0.2 to 0.45,
+        so the integrand has a steep (omega - x)**p cusp at x = omega. Rounding
+        noise there keeps tiny intervals above their share of the tolerance;
+        the partition is still accepted on its summed error estimate. An interval
+        too narrow to bisect is accepted as it stands, so the rounds stay near
+        the 61 halvings that take [4, 1536] down to one ulp of 4."""
+        rounds = []
+        kronrod15 = theory_mod._kronrod15
+        monkeypatch.setattr(theory_mod, "_kronrod15", lambda f, a, b: rounds.append(a.size) or kronrod15(f, a, b))
+        setup = TheorySetup(omega, sigma, CriterionParams(gamma=0.9, kappa=8))
+        oracle = tight_quad_moment(cid, order, setup)
+        assert abs(theoretical_moment(cid, order, setup) - oracle) <= 2 * theory_mod.QUAD_ABS_TOL
+        assert len(rounds) <= 70
+
     def test_no_noise_limit_is_one(self):
         setup = TheorySetup(64, 0.01)
         for cid in (CriterionId.IOU, CriterionId.GIOU, CriterionId.SIOU):
@@ -134,6 +188,50 @@ class TestTheoreticalMoment:
         assert var > 0
 
 
+class TestQuadrature:
+    def test_smooth_and_endpoint_singular_integrals(self):
+        assert theory_mod._quad(np.sin, 0.0, math.pi) == pytest.approx(2.0, abs=theory_mod.QUAD_ABS_TOL)
+        assert theory_mod._quad(np.sqrt, 0.0, 1.0) == pytest.approx(2 / 3, abs=theory_mod.QUAD_ABS_TOL)
+        kink = theory_mod._quad(lambda x: np.abs(x - 0.3), 0.0, 1.0, points=(0.3,))
+        assert kink == pytest.approx(0.29, abs=theory_mod.QUAD_ABS_TOL)
+
+    def test_one_call_per_round_on_every_open_interval(self):
+        """Each round evaluates the 15 nodes of every open interval in one call:
+        the first round sees the two intervals around the break point, and each
+        later one the halves of the intervals bisected before it."""
+        shapes = []
+
+        def f(x):
+            shapes.append(x.shape)
+            return np.sqrt(np.abs(x - 0.3))
+
+        theory_mod._quad(f, 0.0, 1.0, points=(0.3,))
+        assert shapes[0] == (2, 15)
+        assert len(shapes) > 1
+        assert all(len(shape) == 2 and shape[0] % 2 == 0 and shape[1] == 15 for shape in shapes)
+
+    def test_interval_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(theory_mod, "QUAD_LIMIT", 1)
+        with pytest.raises(QuadratureNonConvergence, match=r"on \[0, 192\] .* error estimate"):
+            theoretical_moment(CriterionId.GIOU, 1, TheorySetup(16, 16))
+
+    def test_error_above_the_largest_accepted_raises(self, monkeypatch):
+        monkeypatch.setattr(theory_mod, "QUAD_MAX_ERROR", 0.0)
+        with pytest.raises(QuadratureNonConvergence, match=r"error estimate .* above tolerance on \[0, 16\]"):
+            theoretical_moment(CriterionId.IOU, 1, TheorySetup(16, 16))
+
+    def test_non_finite_integrand_raises(self):
+        with pytest.raises(QuadratureNonConvergence, match="error estimate nan"):
+            theory_mod._quad(lambda x: np.full_like(x, np.nan), 0.0, 1.0)
+
+    def test_cli_exits_with_the_numerical_error_code(self, monkeypatch, capsys):
+        monkeypatch.setattr(theory_mod, "QUAD_LIMIT", 1)
+        assert main(["theory", "--id", "siou", "--omega", "16", "--sigma", "4"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: quadrature on [0, 16]")
+
+
 class TestConsistencyReport:
     def test_unflagged_on_consistent_pairs(self):
         rows = moment_consistency_report(
@@ -147,8 +245,6 @@ class TestConsistencyReport:
             assert row["mc"] == pytest.approx(row["theory"], abs=5 * row["std_error"])
 
     def test_flags_injected_bias(self, monkeypatch):
-        import scaleiou.theory as theory_mod
-
         original = theory_mod.theoretical_moment
         monkeypatch.setattr(
             theory_mod, "theoretical_moment",
@@ -165,7 +261,6 @@ class TestConsistencyReport:
     def test_each_omega_draws_its_own_shifts(self, monkeypatch):
         """Setup i draws from the sub-seed derive_seed(seed, i), as `moments`
         does per omega, so two omegas of one report score different shifts."""
-        import scaleiou.theory as theory_mod
         from scaleiou.stats import derive_seed, summarize_criteria
 
         seeds = []
@@ -192,7 +287,6 @@ class TestConsistencyReport:
         """The Monte Carlo side is reduced chunk by chunk: no criterion's samples,
         and no draw, are held whole. The quadrature is stubbed out of the trace, and
         one thread draws, so the peak does not depend on how threads overlap."""
-        import scaleiou.theory as theory_mod
         from scaleiou.stats import CHUNK_SIZE
 
         monkeypatch.setattr(theory_mod, "theoretical_moment", lambda cid, order, setup: 0.5)
