@@ -7,8 +7,8 @@ byte-reproducible. Exit codes: 0 success, 1 usage error, 2 data error,
 
 Parameter precedence: command-line flags > config file (key=value lines,
 via --config) > built-in defaults (gamma=0.2, kappa=64, alpha=3, C=32,
-threshold=0.5). Monte Carlo draws run on one thread per CPU the process may
-use (limit them with taskset); the output does not depend on the count.
+threshold=0.5). Monte Carlo and order-check draws run on one thread per usable
+CPU (limit them with taskset); the output does not depend on the count.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from dataclasses import fields
 from typing import Optional, Sequence
 
 from . import stats, theory
-from .criteria import POSITIVE, CriterionId, CriterionParams, DEFAULT_PARAMS, check_range, evaluate, value_range
+from .criteria import POSITIVE, CriterionId, CriterionParams, DEFAULT_PARAMS, check_count, check_range, evaluate, value_range
 from .errors import QuadratureNonConvergence, ScaleIoUError
 from .evaluation import EvalConfig, map_report
 from .geometry import SizeClass
@@ -184,7 +184,7 @@ def _cmd_criterion(args, params, config):
 def _cmd_shift_curve(args, params, config):
     cid = _criterion_id(args.id)
     direction = ShiftDirection(args.direction)
-    check_range("--steps", args.steps, 2, stats.MAX_GRID)
+    check_count("--steps", args.steps, 2, stats.MAX_GRID)
     check_range("--max-shift", args.max_shift, POSITIVE)
     shifts = [args.max_shift * i / (args.steps - 1) for i in range(args.steps)]
     rows = [

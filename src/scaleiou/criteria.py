@@ -37,13 +37,23 @@ _NUMBER = (int, float, np.integer, np.floating)
 
 
 def check_range(name: str, value, lo: float = -MAX_COORDINATE, hi: float = MAX_COORDINATE):
-    """Return value if it is a number with lo <= value <= hi, else raise a
+    """Return value if it is a number, not a bool, in [lo, hi], else raise a
     ValueError that names it. The one test of every caller-supplied number:
     written in positive form, it rejects NaN and +-inf for any finite bounds."""
-    if isinstance(value, _NUMBER) and lo <= value <= hi:
+    if type(value) is not bool and isinstance(value, _NUMBER) and lo <= value <= hi:
         return value
     low = "(0" if lo == POSITIVE else f"[{lo!r}"
     raise ValueError(f"{name} out of range: must be a number in {low}, {hi!r}], got {value!r}")
+
+
+def check_count(name: str, value, lo: int, hi: float = math.inf):
+    """Return value if it is an int or a numpy integer, not a bool, in
+    [lo, hi], else raise a ValueError that names it. The one test of every
+    caller-supplied integer: a count, a seed, a moment order or a rating."""
+    if isinstance(value, (int, np.integer)) and type(value) is not bool and lo <= value <= hi:
+        return value
+    shown = value.item() if isinstance(value, np.generic) else value  # 7, not np.int64(7)
+    raise ValueError(f"{name} out of range: must be an integer in [{lo}, {hi}], got {shown!r}")
 
 
 def check_size(name: str, w, h):

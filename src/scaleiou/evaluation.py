@@ -15,7 +15,8 @@ from fractions import Fraction
 from itertools import islice
 from typing import Optional, Sequence
 
-from .criteria import POSITIVE, CriterionId, CriterionParams, DEFAULT_PARAMS, boxes_array, check_range, elementwise
+from .criteria import POSITIVE, CriterionId, CriterionParams, DEFAULT_PARAMS, boxes_array, elementwise
+from .criteria import check_count, check_range
 from .geometry import Box, SizeClass, size_class
 
 
@@ -163,7 +164,7 @@ def average_precision(
     rank_j is the rank of the j-th true positive among the counted labels,
     summed one run of equal envelope values at a time and rounded once.
     """
-    check_range("n_ground_truth", n_ground_truth, 0)
+    check_count("n_ground_truth", n_ground_truth, 0)
     ignored, tp = MatchLabel.IGNORED, MatchLabel.TP
     counted = [lab for lab in labels if lab is not ignored]
     # rank of each true positive among the counted labels

@@ -82,7 +82,7 @@ def corner_box(bbox) -> Box:
         raise ValueError(f"box must be [x_min, y_min, w, h], got {bbox!r}")
     try:
         return Box.from_corner(*(_number(v) for v in bbox))
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:  # OverflowError: an integer too large for a float
         raise ValueError(f"invalid box {bbox!r}: {exc}") from exc
 
 
@@ -170,7 +170,7 @@ def _record(entry, where: str, image_ids: dict, listed: bool, categories: dict, 
         raise ValueError("missing field 'score'")
     try:
         score = check_range("score", _number(entry["score"]), -FLOAT_MAX, FLOAT_MAX)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"invalid score {entry['score']!r}: {exc}") from exc
     return DetectionRecord(*fields, score)
 

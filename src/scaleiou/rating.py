@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .criteria import CriterionId, CriterionParams, DEFAULT_PARAMS, check_range, elementwise
+from .criteria import CriterionId, CriterionParams, DEFAULT_PARAMS, check_count, elementwise
 from .errors import DegenerateInput, EmptyCell
 from .geometry import Box, SizeClass, size_index
 
@@ -43,7 +43,7 @@ class RatingTable:
     rating of how well the proposal box covers the object annotated by the
     gt box. rating is (N,) int; gt and proposal are center-form (N, 4);
     context, expertise (1 or 0) and age are (N,) float, NaN where absent.
-    The rating follows check_range and each box the Box rule.
+    The rating follows check_count and each box the Box rule.
     """
 
     rating: np.ndarray
@@ -74,7 +74,7 @@ class RatingTable:
         try:
             Box(*self.gt[i].tolist())
             Box(*self.proposal[i].tolist())
-            check_range("rating", self.rating[i].item(), 1, 5)
+            check_count("rating", self.rating[i], 1, 5)
         except ValueError as exc:
             raise InvalidRow(i, exc) from exc
 

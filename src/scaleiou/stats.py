@@ -34,7 +34,7 @@ from typing import Iterator, Optional, Sequence
 import numpy as np
 
 from .criteria import CriterionId, CriterionParams, DEFAULT_PARAMS, FLOAT_MAX, HULL_CRITERIA, POSITIVE
-from .criteria import areas, check_range, check_size, from_areas, kernel, value_range
+from .criteria import areas, check_count, check_range, check_size, from_areas, kernel, value_range
 from .errors import InsufficientSamples
 
 CHUNK_SIZE = 1 << 16
@@ -134,17 +134,6 @@ def _chunk_seeds(seed: int, n: int, first: int = 0):
     return [(np.random.SeedSequence([seed, first + i]), sz) for i, sz in enumerate(sizes)]
 
 
-def _check_seed(seed) -> None:
-    if not (isinstance(seed, (int, np.integer)) and seed >= 0):
-        raise ValueError(f"seed out of range: must be a non-negative integer, got {seed!r}")
-
-
-def _check_count(name: str, value, lo: int, hi: int) -> None:
-    """A count is an int or a numpy integer, not a bool, in [lo, hi]."""
-    if not (isinstance(value, (int, np.integer)) and not isinstance(value, bool) and lo <= value <= hi):
-        raise ValueError(f"{name} out of range: must be an integer in [{lo}, {hi}], got {value!r}")
-
-
 def _usable_cpus() -> int:
     """CPUs this process may run on: its affinity mask where the platform has one."""
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
@@ -165,9 +154,9 @@ def _map_chunks(fn, n: int, seed: int, n_threads: Optional[int] = None, first: i
 def _shift_draw(omega: float, model: ShiftModel, n: int, seed: int):
     """Check the draw's inputs; return the function that draws one seeded chunk of
     shifts from N(0, sigma(omega)^2)."""
-    _check_count("n", n, 1, MAX_SAMPLES)
+    check_count("n", n, 1, MAX_SAMPLES)
     sigma = check_range(f"sigma(omega) at omega={omega!r}", model.sigma(omega), POSITIVE)
-    _check_seed(seed)
+    check_count("seed", seed, 0)
 
     def draw(item):
         ss, size = item
@@ -299,8 +288,7 @@ def summarize_criteria(
     merged in chunk order, so the result is the same for any thread count and
     memory holds about one chunk per thread."""
     for order in orders:
-        if order not in (1, 2):
-            raise ValueError(f"order must be 1 or 2, got {order}")
+        check_count("order", order, 1, 2)
     score = _scorer(cids, omega, model, n, seed, params)
 
     def reduce(item):
@@ -339,7 +327,7 @@ def simulate_histogram(
     samples `simulate_criterion` draws, with the same bits for any n: each
     chunk is scored and binned in its worker on the same fixed edges, and the
     integer counts are added."""
-    _check_count("bins", bins, 1, MAX_GRID)
+    check_count("bins", bins, 1, MAX_GRID)
     score = _scorer([cid], omega, model, n, seed, params)
     _need_samples(n, MIN_PDF_SAMPLES)
     bounds = value_range(cid)
@@ -382,7 +370,7 @@ def empirical_pdf(
     lo, hi = bounds
 
     if method is PdfMethod.HISTOGRAM:
-        _check_count("bins", bins, 1, MAX_GRID)
+        check_count("bins", bins, 1, MAX_GRID)
         counts, edges = np.histogram(samples, bins=bins, range=(lo, hi))
         return _histogram_density(counts, edges, samples.size)
 
@@ -403,7 +391,8 @@ def empirical_pdf(
 
 def derive_seed(master_seed: int, index: int) -> int:
     """Counter-based sub-seed split, stable across evaluation order."""
-    _check_seed(master_seed)
+    check_count("seed", master_seed, 0)
+    check_count("index", index, 0)
     return int(np.random.SeedSequence([master_seed, index]).generate_state(1)[0])
 
 
@@ -521,8 +510,8 @@ def order_preservation_counts(
     triples the smaller-IoU pair has the smaller exponent and the order can
     flip.
     """
-    _check_count("n_triples", n_triples, 1, MAX_SAMPLES)
-    _check_seed(seed)
+    check_count("n_triples", n_triples, 1, MAX_SAMPLES)
+    check_count("seed", seed, 0)
     score = _order_chunk(params)
     preserved = n_aligned = aligned_preserved = 0
     needed = n_triples

@@ -27,7 +27,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .criteria import CriterionId, CriterionParams, DEFAULT_PARAMS, FLOAT_MAX, check_range, check_size, exponent, kernel
+from .criteria import CriterionId, CriterionParams, DEFAULT_PARAMS, FLOAT_MAX
+from .criteria import check_count, check_range, check_size, exponent, kernel
 from .errors import QuadratureNonConvergence
 from .stats import ShiftModel, derive_seed, summarize_criteria
 
@@ -189,8 +190,7 @@ def theoretical_moment(cid: CriterionId, order: int, setup: TheorySetup) -> floa
     The IoU/SIoU atom at zero (non-overlap clipped to 0) contributes nothing
     to either moment, so only the continuous part is integrated.
     """
-    if order not in (1, 2):
-        raise ValueError(f"order must be 1 or 2, got {order}")
+    check_count("order", order, 1, 2)
     _check_moment_criterion(cid)
     omega, sigma = setup.omega, setup.sigma
     square = (0.0, 0.0, omega, omega)

@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -131,6 +132,12 @@ class TestConfigPrecedence:
         code, _, _ = run(capsys, *self.ARGS, "--config", str(config))
         assert code == 2
 
+    def test_value_that_is_not_a_number_is_data_error(self, capsys, tmp_path):
+        config = tmp_path / "sio.cfg"
+        config.write_text("# gamma\ngamma = abc\n")
+        code, out, err = run(capsys, *self.ARGS, "--config", str(config))
+        assert (code, out, err) == (2, "", f"error: {config}: line 2: invalid value ' abc'\n")
+
 
 THEORY = ("theory", "--id", "iou,siou", "--omega", "16", "--sigma", "4")
 ORDER_CHECK = ("order-check", "--n", "50", "--seed", "1")
@@ -242,6 +249,10 @@ class TestTables:
                             '    "flagged": true,\n    "ap": ""\n  }\n]\n'}
         assert text == expected[fmt]
 
+    def test_unknown_format_is_an_error(self):
+        with pytest.raises(ValueError, match="^unknown output format 'xml'$"):
+            render_table([("giou", 0.5)], "xml", ("criterion", "value"))
+
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     @pytest.mark.parametrize("row", [("iou",), ("iou", 1.0, 2)])
     def test_a_row_of_another_length_is_an_error(self, fmt, row):
@@ -296,6 +307,17 @@ class TestEvalCommand:
         assert (code, out) == (2, "")
         assert err.startswith(f"error: {path}: invalid JSON: {reason}")
 
+    @pytest.mark.parametrize("document, message", [
+        ([gt()], "top level must be a JSON object"),
+        ({"annotations": [5]}, "annotations[0]: must be an object, got 5"),
+        ({"annotations": [{"image_id": "a", "category": "c"}]}, "annotations[0]: missing field 'bbox'"),
+        ({"images": ["a"], "detections": [gt()]}, "detections[0]: missing field 'score'"),
+    ], ids=["top-level", "entry", "field", "score"])
+    def test_malformed_structure_is_a_data_error(self, capsys, tmp_path, document, message):
+        path = tmp_path / "boxes.json"
+        path.write_text(json.dumps(document))
+        assert run(capsys, "eval", "--boxes", str(path)) == (2, "", f"error: {path}: {message}\n")
+
     def test_bad_box_names_the_entry(self, capsys, tmp_path):
         path = tmp_path / "boxes.json"
         path.write_text(json.dumps({**BOXES, "detections": [{**BOXES["detections"][0], "bbox": [1, 2, 3]}]}))
@@ -315,6 +337,16 @@ class TestEvalCommand:
         code, out, err = run(capsys, "eval", "--boxes", str(path), "--thresholds", "0.1")
         assert (code, out) == (2, "")
         assert err == f"error: {path}: detections[0]: {message}\n"
+
+    @pytest.mark.parametrize("bbox, score, message", [
+        ([0, 0, 10**400, 10], 0.9, f"invalid box [0, 0, {10**400}, 10]: int too large to convert to float"),
+        ([0, 0, 10, 10], -10**400, f"invalid score {-10**400}: int too large to convert to float"),
+    ], ids=["bbox", "score"])
+    def test_integer_too_large_for_a_float_is_a_data_error(self, capsys, tmp_path, bbox, score, message):
+        path = tmp_path / "boxes.json"
+        detection = det(bbox=bbox, score=score)
+        path.write_text(json.dumps({"images": ["a"], "annotations": [gt()], "detections": [detection]}))
+        assert run(capsys, "eval", "--boxes", str(path)) == (2, "", f"error: {path}: detections[0]: {message}\n")
 
     @pytest.mark.parametrize("document, message", [
         # the same text as an integer and as a string: one image or category before
@@ -469,6 +501,19 @@ class TestRatingCsvRules:
         path = write_ratings(tmp_path, "9,0,0,20,20,0,0,20,20,1,0,22", "3,0,0,20,20,0,0,20,x,1,0,22")
         with pytest.raises(ParseError, match=r"line 2: rating out of range"):
             load_ratings(path)
+
+    @pytest.mark.parametrize("rating", [10**30, -10**30])
+    def test_rating_too_large_for_int64_names_the_file_line(self, tmp_path, capsys, rating):
+        path = write_ratings(tmp_path, "5,0,0,20,20,0,0,20,20,1,0,22", "", f"{rating},0,0,20,20,0,0,20,20,1,0,22")
+        message = f"line 4: rating out of range: must be an integer in [1, 5], got {rating}"
+        with pytest.raises(ParseError, match=re.escape(message) + "$"):
+            load_ratings(path)
+        assert run(capsys, "rating", "--ratings", path) == (2, "", f"error: {path}: {message}\n")
+
+    def test_empty_file_is_a_data_error(self, tmp_path, capsys):
+        path = tmp_path / "ratings.csv"
+        path.write_text("")
+        assert run(capsys, "rating", "--ratings", str(path)) == (2, "", f"error: {path}: missing CSV header\n")
 
     def test_quoted_newline_counts_its_lines(self, tmp_path):
         path = write_ratings(tmp_path, '5,0,0,20,20,0,0,20,20,"\n1",0,22', "3,0,0,20,20,0,0,20,20,1,0,abc")

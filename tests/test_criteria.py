@@ -15,6 +15,7 @@ from scaleiou import (
     nwd,
     siou,
 )
+from scaleiou.criteria import from_areas
 from tests.conftest import random_box
 
 ALL_IDS = list(CriterionId)
@@ -29,6 +30,12 @@ def test_params_validation():
         CriterionParams(alpha=-1)
     with pytest.raises(ValueError):
         CriterionParams(nwd_constant=0)
+
+
+def test_criterion_that_is_not_a_criterion_id():
+    box = (0.0, 0.0, 4.0, 4.0)
+    with pytest.raises(ValueError, match="^unknown criterion 'iou'$"):
+        from_areas("iou", None, box, box)
 
 
 class TestIoU:

@@ -47,6 +47,10 @@ class TestLossValue:
 
 
 class TestGradients:
+    def test_criterion_that_is_not_a_criterion_id(self):
+        with pytest.raises(ValueError, match="^unknown criterion 'iou'$"):
+            loss_gradient("iou", Box(0, 0, 4, 4), Box(1, 0, 4, 4), LOSS_PRESET)
+
     def test_identical_boxes_raise(self):
         b = Box(0, 0, 10, 10)
         with pytest.raises(NonDifferentiablePoint):

@@ -1,4 +1,6 @@
-"""The range rule: every number a model takes is checked by criteria.check_range.
+"""The range rules: every number a model takes is checked by
+criteria.check_range, and every integer (a count, a seed, a moment order, a
+rating) by criteria.check_count.
 
 A pinned table of inputs that once gave NaN rows, zeros or tracebacks, the
 z-score convention of `theory --check-mc`, and a property over the CLI
@@ -23,8 +25,10 @@ from scaleiou import (
     CriterionId,
     CriterionParams,
     DEFAULT_PARAMS,
+    MatchLabel,
     ShiftModel,
     TheorySetup,
+    average_precision,
     finite_difference_gradient,
     reweight_gradient_ratio,
     reweight_loss_ratio,
@@ -122,7 +126,7 @@ LIBRARY_ROWS = [
     (lambda: stats.derive_seed(-1, 0), "seed"),
     (lambda: stats.moment_curve(CriterionId.IOU, [8.0], ShiftModel(), 10, seed=-1), "seed"),
     (lambda: stats.order_preservation_counts(DEFAULT_PARAMS, 10, seed=-1), "seed"),
-    # a seed is an integer: numpy rejects any other number with a TypeError
+    # a seed is an integer, as numpy's SeedSequence requires
     (lambda: sample_shifts(8.0, ShiftModel(), 10, seed=1.5), "seed"),
     (lambda: stats.derive_seed(INF, 0), "seed"),
     (lambda: stats.order_preservation_counts(DEFAULT_PARAMS, 10, NAN), "seed"),
@@ -136,36 +140,50 @@ def test_out_of_range_library_input_raises_value_error(call, name):
     assert str(info.value).startswith(f"{name} out of range")
 
 
-# every library entry point that takes a count, as (call with the count, the count's name)
+# the library entry points of each integer rule, as (call with the integer, its name,
+# its bounds lo and hi, a value in them)
 COUNT_ENTRY_POINTS = [
-    (lambda n: sample_shifts(8.0, ShiftModel(), n, 1), "n"),
-    (lambda n: stats.simulate_criterion(CriterionId.SIOU, 16.0, ShiftModel(), n, 1), "n"),
-    (lambda n: stats.moment_curve(CriterionId.IOU, [8.0], ShiftModel(), n, 1), "n"),
-    (lambda n: theory.moment_consistency_report([TheorySetup(16, 8)], [CriterionId.IOU], n=n, seed=1), "n"),
-    (lambda n: stats.simulate_histogram(CriterionId.IOU, 16.0, ShiftModel(), n, 1), "n"),
-    (lambda bins: stats.simulate_histogram(CriterionId.IOU, 16.0, ShiftModel(), 100, 1, bins=bins), "bins"),
-    (lambda bins: stats.empirical_pdf(np.linspace(0.0, 1.0, 20), bins=bins), "bins"),
-    (lambda n: stats.order_preservation_counts(DEFAULT_PARAMS, n, 1), "n_triples"),
+    (lambda n: sample_shifts(8.0, ShiftModel(), n, 1), "n", 1, MAX_SAMPLES, 20),
+    (lambda n: stats.simulate_criterion(CriterionId.SIOU, 16.0, ShiftModel(), n, 1), "n", 1, MAX_SAMPLES, 20),
+    (lambda n: stats.moment_curve(CriterionId.IOU, [8.0], ShiftModel(), n, 1), "n", 1, MAX_SAMPLES, 20),
+    (lambda n: theory.moment_consistency_report([TheorySetup(16, 8)], [CriterionId.IOU], n=n, seed=1),
+     "n", 1, MAX_SAMPLES, 20),
+    (lambda n: stats.simulate_histogram(CriterionId.IOU, 16.0, ShiftModel(), n, 1), "n", 1, MAX_SAMPLES, 20),
+    (lambda bins: stats.simulate_histogram(CriterionId.IOU, 16.0, ShiftModel(), 100, 1, bins=bins),
+     "bins", 1, MAX_GRID, 20),
+    (lambda bins: stats.empirical_pdf(np.linspace(0.0, 1.0, 20), bins=bins), "bins", 1, MAX_GRID, 20),
+    (lambda n: stats.order_preservation_counts(DEFAULT_PARAMS, n, 1), "n_triples", 1, MAX_SAMPLES, 20),
+    (lambda seed: sample_shifts(8.0, ShiftModel(), 20, seed), "seed", 0, INF, 7),
+    (lambda seed: stats.summarize_criteria([CriterionId.IOU], 8.0, ShiftModel(), 20, seed), "seed", 0, INF, 7),
+    (lambda seed: stats.order_preservation_counts(DEFAULT_PARAMS, 20, seed), "seed", 0, INF, 7),
+    (lambda seed: stats.derive_seed(seed, 3), "seed", 0, INF, 7),
+    (lambda index: stats.derive_seed(1, index), "index", 0, INF, 7),
+    (lambda order: theory.theoretical_moment(CriterionId.GIOU, order, TheorySetup(16, 8)), "order", 1, 2, 2),
+    (lambda order: stats.summarize_criteria([CriterionId.IOU], 8.0, ShiftModel(), 20, 1, orders=(1, order)),
+     "order", 1, 2, 2),
+    (lambda n: average_precision([MatchLabel.TP, MatchLabel.FP, MatchLabel.TP], n), "n_ground_truth", 0, INF, 3),
 ]
+COUNT_IDS = [f"{i}-{entry[1]}" for i, entry in enumerate(COUNT_ENTRY_POINTS)]
 
 
-@pytest.mark.parametrize("count", [5.0, True, np.float64(5.0), np.bool_(True)], ids=repr)
-@pytest.mark.parametrize("call, name", COUNT_ENTRY_POINTS, ids=[f"{i}-{n}" for i, (_, n) in
-                                                                 enumerate(COUNT_ENTRY_POINTS)])
-def test_a_count_that_is_not_an_integer_is_rejected(call, name, count):
-    with pytest.raises(ValueError, match=rf"^{name} out of range: must be an integer in \[1, \d+\], got "):
+@pytest.mark.parametrize("count", [5.0, True, np.float64(5.0), np.bool_(True), 1.0, 2.5], ids=repr)
+@pytest.mark.parametrize("call, name, lo, hi, valid", COUNT_ENTRY_POINTS, ids=COUNT_IDS)
+def test_a_count_that_is_not_an_integer_is_rejected(call, name, lo, hi, valid, count):
+    # a numpy value prints as its Python value: 5.0, not np.float64(5.0)
+    message = rf"^{name} out of range: must be an integer in \[{lo}, {hi}\], got {re.escape(str(count))}$"
+    with pytest.raises(ValueError, match=message):
         call(count)
 
 
-@pytest.mark.parametrize("call, name", COUNT_ENTRY_POINTS, ids=[f"{i}-{n}" for i, (_, n) in
-                                                                 enumerate(COUNT_ENTRY_POINTS)])
-def test_a_numpy_integer_count_equals_the_int(call, name):
-    np.testing.assert_equal(call(np.int64(20)), call(20))
+@pytest.mark.parametrize("call, name, lo, hi, valid", COUNT_ENTRY_POINTS, ids=COUNT_IDS)
+def test_a_numpy_integer_count_equals_the_int(call, name, lo, hi, valid):
+    np.testing.assert_equal(call(np.int64(valid)), call(valid))
 
 
 @pytest.mark.parametrize("seed", [1.5, INF, NAN, -1])
 def test_seed_message_asks_for_a_non_negative_integer(seed):
-    with pytest.raises(ValueError, match="must be a non-negative integer"):
+    message = rf"^seed out of range: must be an integer in \[0, inf\], got {re.escape(repr(seed))}$"
+    with pytest.raises(ValueError, match=message):
         stats.derive_seed(seed, 0)
 
 
@@ -225,6 +243,11 @@ def test_empty_omega_grid_is_a_usage_error(argv):
     assert run_cli(argv) == (1, "", "error: omega grid must be non-empty\n")
 
 
+def test_omega_that_is_not_a_number_is_a_usage_error():
+    argv = ["moments", "--id", "iou", "--omega", "8,x", "--sigma", "1", "--n", "10", "--seed", "1"]
+    assert run_cli(argv) == (1, "", "error: invalid number list '8,x'\n")
+
+
 def test_check_range_is_a_closed_interval_test():
     assert check_range("v", 1e150) == 1e150
     assert check_range("v", -1e150) == -1e150
@@ -235,6 +258,19 @@ def test_check_range_is_a_closed_interval_test():
                       (2e150, -1.0), ("1", -1.0), (None, -1.0), (np.array([1.0]), -1.0)):
         with pytest.raises(ValueError, match="v out of range"):
             check_range("v", value, lo)
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda: check_range("v", True, -1.0), "v"),
+    (lambda: Box(True, 0, 1, 1), "box field 'x'"),
+    (lambda: Box(0, 0, 1, True), "box size"),
+    (lambda: CriterionParams(gamma=True), "gamma"),
+    (lambda: ShiftModel(sigma_base=True), "sigma_base"),
+    (lambda: TheorySetup(16, True), "sigma"),
+], ids=["check_range", "box-x", "box-h", "gamma", "sigma_base", "theory-sigma"])
+def test_a_boolean_is_not_a_number(call, name):
+    with pytest.raises(ValueError, match=rf"^{re.escape(name)} out of range: must be a number in .*, got True$"):
+        call()
 
 
 # --- the z-score of theory --check-mc when every sample is equal

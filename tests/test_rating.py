@@ -314,6 +314,14 @@ class TestRatingTable:
         assert relative_gap(t, CriterionId.IOU) == {}
         assert group_means(t, "age", CriterionId.IOU) == []
 
+    @pytest.mark.parametrize("rating, shown", [(2.5, "2.5"), (3.0, "3.0"), (True, "True"), (np.int64(7), "7")])
+    def test_rating_is_an_integer_in_one_to_five(self, rating, shown):
+        # a float or boolean column is rejected whatever its values; a numpy value prints as its Python value
+        with pytest.raises(InvalidRow) as info:
+            flagless([rating] * 2, [(0, 0, 16, 16)] * 2, [(1, 0, 16, 16)] * 2)
+        assert info.value.row == 0
+        assert str(info.value.reason) == f"rating out of range: must be an integer in [1, 5], got {shown}"
+
     def test_column_length_mismatch(self):
         with pytest.raises(ValueError):
             flagless([3, 4], [(0, 0, 4, 4)], [(0, 0, 4, 4)] * 2)

@@ -175,6 +175,16 @@ class TestEmpiricalPdf:
         with pytest.raises(InsufficientSamples):
             empirical_pdf(np.arange(5.0))
 
+    def test_kde_on_constant_samples_is_a_data_error(self, capsys):
+        # sigma 1e-300 shifts a 16-wide box by far less than an ulp: every IoU is 1
+        code = main(["simulate", "--id", "iou", "--omega", "16", "--sigma", "1e-300", "--n", "100", "--seed", "1",
+                     "--pdf", "kde"])
+        assert (code, *capsys.readouterr()) == (2, "", "error: KDE needs non-constant samples\n")
+
+    def test_unknown_method(self):
+        with pytest.raises(ValueError, match="^unknown pdf method 'kde'$"):
+            empirical_pdf(np.arange(20.0), "kde")
+
 
 class TestMomentCurve:
     OMEGAS = [4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0]
@@ -535,7 +545,7 @@ def test_summarize_criteria_merges_per_chunk_moments():
 
 
 def test_summarize_criteria_rejects_an_order_above_two():
-    with pytest.raises(ValueError, match="order must be 1 or 2, got 3"):
+    with pytest.raises(ValueError, match=r"^order out of range: must be an integer in \[1, 2\], got 3$"):
         stats.summarize_criteria([CriterionId.IOU], 16.0, ShiftModel(), 100, 1, orders=(1, 3))
 
 
