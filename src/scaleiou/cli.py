@@ -23,7 +23,7 @@ from .criteria import POSITIVE, CriterionId, CriterionParams, DEFAULT_PARAMS, ch
 from .errors import QuadratureNonConvergence, ScaleIoUError
 from .evaluation import EvalConfig, map_report
 from .geometry import SizeClass
-from .io import corner_box, load_boxes, load_config, load_ratings, write_table, write_text
+from .io import corner_box, load_boxes, load_config, load_ratings, read_number, write_table, write_text
 from .rating import criterion_values, group_means, group_records, kendall_tau, one_way_anova, relative_gap
 from .stats import PdfMethod, ShiftDirection, ShiftModel
 
@@ -49,9 +49,23 @@ class _Parser(argparse.ArgumentParser):
         return super()._get_values(action, arg_strings)
 
 
+def _flag_type(kind: type):
+    """The argparse type that reads a flag value with read_number; named as kind,
+    so a bad value reads "invalid float value: '1_0'"."""
+
+    def parse(text: str):
+        return read_number(text, kind)
+
+    parse.__name__ = kind.__name__
+    return parse
+
+
+_FLOAT, _INT = _flag_type(float), _flag_type(int)
+
+
 def _parse_floats(text: str) -> list[float]:
     try:
-        return [float(v) for v in text.split(",") if v != ""]
+        return [read_number(v) for v in text.split(",") if v != ""]
     except ValueError as exc:
         raise ValueError(f"invalid number list {text!r}") from exc
 
@@ -93,12 +107,12 @@ def _resolve_thresholds(args, config: dict) -> tuple[float, ...]:
 def _add_common(sub, params=_PARAM_NAMES, table=True, seed_required=False):
     sub.add_argument("--config", help="optional key=value config file")
     for name in params:
-        sub.add_argument("--" + name.replace("_", "-"), dest=name, type=float, default=None)
+        sub.add_argument("--" + name.replace("_", "-"), dest=name, type=_FLOAT, default=None)
     sub.add_argument("--out", default=None, help="output path (default: stdout)")
     if table:
         sub.add_argument("--format", choices=("csv", "json"), default="csv")
     if seed_required:
-        sub.add_argument("--seed", type=int, required=True)
+        sub.add_argument("--seed", type=_INT, required=True)
 
 
 def build_parser() -> _Parser:
@@ -114,35 +128,35 @@ def build_parser() -> _Parser:
     sub = subs.add_parser("shift-curve", help="deterministic shift-response curve")
     sub.add_argument("--id", required=True)
     sub.add_argument("--omega", required=True, help="comma list of box widths")
-    sub.add_argument("--max-shift", type=float, required=True)
-    sub.add_argument("--steps", type=int, default=81)
+    sub.add_argument("--max-shift", type=_FLOAT, required=True)
+    sub.add_argument("--steps", type=_INT, default=81)
     sub.add_argument("--direction", choices=("horizontal", "diagonal"), default="horizontal")
-    sub.add_argument("--size-ratio", type=float, default=1.0)
+    sub.add_argument("--size-ratio", type=_FLOAT, default=1.0)
     _add_common(sub)
 
     sub = subs.add_parser("simulate", help="Monte Carlo criterion distribution at one omega")
     sub.add_argument("--id", required=True)
-    sub.add_argument("--omega", type=float, required=True)
+    sub.add_argument("--omega", type=_FLOAT, required=True)
     _add_shift_model(sub)
-    sub.add_argument("--n", type=int, required=True)
+    sub.add_argument("--n", type=_INT, required=True)
     sub.add_argument("--pdf", choices=("histogram", "kde"), default=None)
-    sub.add_argument("--bins", type=int, default=64)
+    sub.add_argument("--bins", type=_INT, default=64)
     _add_common(sub, seed_required=True)
 
     sub = subs.add_parser("moments", help="Monte Carlo moment curve over an omega grid")
     sub.add_argument("--id", required=True, help="comma list of criterion ids")
     sub.add_argument("--omega", required=True, help="comma list of box widths")
     _add_shift_model(sub)
-    sub.add_argument("--n", type=int, required=True)
+    sub.add_argument("--n", type=_INT, required=True)
     _add_common(sub, seed_required=True)
 
     sub = subs.add_parser("theory", help="quadrature moments and MC consistency report")
     sub.add_argument("--id", required=True, help="comma list of iou,giou,siou,gsiou")
     sub.add_argument("--omega", required=True, help="comma list of box widths")
-    sub.add_argument("--sigma", type=float, required=True)
+    sub.add_argument("--sigma", type=_FLOAT, required=True)
     sub.add_argument("--check-mc", action="store_true", help="add Monte Carlo z-scores")
-    sub.add_argument("--n", type=int, default=1_000_000)
-    sub.add_argument("--seed", type=int, default=None)
+    sub.add_argument("--n", type=_INT, default=1_000_000)
+    sub.add_argument("--seed", type=_INT, default=None)
     _add_common(sub, params=_SIOU_PARAMS)
 
     sub = subs.add_parser("eval", help="criterion-thresholded mAP report")
@@ -165,7 +179,7 @@ def build_parser() -> _Parser:
     _add_common(sub)
 
     sub = subs.add_parser("order-check", help="order-preservation rate over random triples")
-    sub.add_argument("--n", type=int, required=True)
+    sub.add_argument("--n", type=_INT, required=True)
     _add_common(sub, params=_SIOU_PARAMS, seed_required=True)
 
     return parser
@@ -197,10 +211,10 @@ def _cmd_shift_curve(args, params, config):
 
 def _add_shift_model(sub) -> None:
     """The flags that _shift_model reads."""
-    sub.add_argument("--sigma", type=float, required=True)
-    sub.add_argument("--sigma-slope", type=float, default=0.0)
+    sub.add_argument("--sigma", type=_FLOAT, required=True)
+    sub.add_argument("--sigma-slope", type=_FLOAT, default=0.0)
     sub.add_argument("--direction", choices=("horizontal", "diagonal"), default="horizontal")
-    sub.add_argument("--size-ratio", type=float, default=1.0)
+    sub.add_argument("--size-ratio", type=_FLOAT, default=1.0)
 
 
 def _shift_model(args) -> ShiftModel:

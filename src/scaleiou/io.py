@@ -46,6 +46,18 @@ def _read_text(path: str, newline: Optional[str] = None) -> str:
         raise ParseError(f"{path}: not UTF-8: {exc}") from exc
 
 
+_UNREADABLE = {float: "could not convert string to float: {!r}", int: "invalid literal for int() with base 10: {!r}"}
+
+
+def read_number(text: str, kind: type = float):
+    """kind(text) for kind float or int, where text is ASCII and holds no '_':
+    Python's float() and int() also read digit-group underscores and non-ASCII
+    digits and spaces. Other text raises the ValueError that kind raises."""
+    if not text.isascii() or "_" in text:
+        raise ValueError(_UNREADABLE[kind].format(text))
+    return kind(text)
+
+
 def load_config(path: str, keys: Sequence[str]) -> dict:
     """The key=value lines of a config file as {key: float}, for the given
     keys. Blank lines and lines starting with # are skipped; an error names
@@ -62,17 +74,18 @@ def load_config(path: str, keys: Sequence[str]) -> dict:
         if key not in keys:
             raise ParseError(f"{path}: line {line_no}: unknown key {key!r}")
         try:
-            values[key] = float(raw.strip())
+            values[key] = read_number(raw)
         except ValueError as exc:
             raise ParseError(f"{path}: line {line_no}: invalid value {raw!r}") from exc
     return values
 
 
 def _number(value) -> float:
-    """float(value) for a number or a number string; a boolean is not a number."""
+    """float(value) for a number, read_number(value) for a number string; a
+    boolean is not a number."""
     if isinstance(value, bool):
         raise TypeError(f"{value!r} is a boolean, not a number")
-    return float(value)
+    return read_number(value) if isinstance(value, str) else float(value)
 
 
 def corner_box(bbox) -> Box:
@@ -184,7 +197,7 @@ def _optional_cell(name: str, raw: str) -> float:
     """A flag as 1.0 or 0.0, or an age; NaN when the cell is blank."""
     text = raw.strip().lower()
     try:
-        return float(int(text)) if name == "age" and text else _FLAGS[text]
+        return float(read_number(raw, int)) if name == "age" and text else _FLAGS[text]
     except (KeyError, ValueError, OverflowError):
         raise ValueError(f"invalid {name} {raw!r}") from None
 
@@ -212,8 +225,8 @@ def load_ratings(path: str) -> RatingTable:
                 continue  # a blank line
             row += [""] * (len(header) - len(row))
             try:
-                rating = int(row[column["rating"]])
-                fields = [float(row[i]) for i in numbers]
+                rating = read_number(row[column["rating"]], int)
+                fields = [read_number(row[i]) for i in numbers]
                 fields += [math.nan if i is None else _optional_cell(name, row[i]) for name, i in optional]
             except ValueError as exc:
                 _rating_table(path, lines, ratings, values)  # a rule broken on an earlier row comes first

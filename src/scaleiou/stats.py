@@ -10,23 +10,25 @@ Sampling is chunked with counter-based sub-seeds, so the samples do not
 depend on how many threads draw them, and two criteria simulated with the
 same (seed, model, n, omega) see exactly the same shift sequence. One chunk
 driver, `_map_chunks`, runs a function on each seeded chunk in a thread pool
-and returns the results in chunk order. Each chunk is drawn, scored for every
+and yields the results in chunk order. Each chunk is drawn, scored for every
 requested criterion from one `criteria.areas` call, and reduced inside its
 worker: `summarize_criteria` merges per-chunk (count, mean, M2) left to right
 (Chan, Golub & LeVeque 1979) and `simulate_histogram` adds per-chunk counts on
 fixed edges. So `moments`, `theory --check-mc` and `simulate` hold about one
 chunk per thread, not the whole draw. `simulate_criteria` concatenates the
-scored chunks for callers that need every sample. `order-check` draws its
-random box triples through the same driver, in rounds of consecutively
-numbered chunks, and counts the first n of them in chunk order; so every
-random draw here is the same for any thread count.
+scored chunks for callers that need every sample. `order-check` draws random
+box triples from the same driver, in chunk order without a set end, and stops
+once it has counted n; so every draw is the same for any thread count.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import closing
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterator, Optional, Sequence
@@ -127,28 +129,36 @@ def shift_curve(
     return list(zip(eps.tolist(), values.tolist()))
 
 
-def _chunk_seeds(seed: int, n: int, first: int = 0):
-    """(SeedSequence([seed, i]), size) of each chunk of n samples, numbered from first."""
-    n_chunks = (n + CHUNK_SIZE - 1) // CHUNK_SIZE
-    sizes = [CHUNK_SIZE] * (n_chunks - 1) + [n - CHUNK_SIZE * (n_chunks - 1)]
-    return [(np.random.SeedSequence([seed, first + i]), sz) for i, sz in enumerate(sizes)]
-
-
 def _usable_cpus() -> int:
     """CPUs this process may run on: its affinity mask where the platform has one."""
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
-def _map_chunks(fn, n: int, seed: int, n_threads: Optional[int] = None, first: int = 0) -> list:
-    """fn applied to each (SeedSequence, size) chunk of n samples, numbered from first,
-    the results in chunk order, on one thread per usable CPU, capped by the chunk count
-    and n_threads if given."""
-    chunks = _chunk_seeds(seed, n, first)
-    n_workers = min(len(chunks), _usable_cpus(), len(chunks) if n_threads is None else n_threads)
-    if n_workers > 1:
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            return list(pool.map(fn, chunks))
-    return [fn(c) for c in chunks]
+def _map_chunks(fn, n: Optional[int], seed: int, n_threads: Optional[int] = None) -> Iterator:
+    """fn applied to each chunk (SeedSequence([seed, i]), size) of n samples, or with
+    n None to CHUNK_SIZE chunks without end, yielded in chunk order. The chunks run on
+    one thread per usable CPU, capped by the chunk count and n_threads if given, at
+    most 4 per thread ahead of the caller; when the caller stops, every chunk not
+    yet started is cancelled."""
+    if n_threads is not None:
+        check_count("n_threads", n_threads, 1)
+    indices = itertools.count() if n is None else range(-(-n // CHUNK_SIZE))
+    chunks = ((np.random.SeedSequence([seed, i]), CHUNK_SIZE if n is None else min(CHUNK_SIZE, n - i * CHUNK_SIZE))
+              for i in indices)
+    n_workers = min(_usable_cpus(), n_threads or math.inf, math.inf if n is None else len(indices))
+    if n_workers <= 1:
+        yield from map(fn, chunks)
+        return
+    with ThreadPoolExecutor(max_workers=n_workers) as pool:
+        ahead = deque(pool.submit(fn, c) for c in itertools.islice(chunks, 4 * n_workers))
+        try:
+            while ahead:
+                result = ahead.popleft().result()
+                ahead.extend(pool.submit(fn, c) for c in itertools.islice(chunks, 1))
+                yield result
+        finally:
+            for future in ahead:
+                future.cancel()
 
 
 def _shift_draw(omega: float, model: ShiftModel, n: int, seed: int):
@@ -168,7 +178,7 @@ def _shift_draw(omega: float, model: ShiftModel, n: int, seed: int):
 def sample_shifts(omega: float, model: ShiftModel, n: int, seed: int, n_threads: Optional[int] = None) -> np.ndarray:
     """Draw n shifts from N(0, sigma(omega)^2) in seeded chunks, the same for any thread
     count, on one thread per usable CPU, capped by the chunk count and n_threads if given."""
-    return np.concatenate(_map_chunks(_shift_draw(omega, model, n, seed), n, seed, n_threads))
+    return np.concatenate(list(_map_chunks(_shift_draw(omega, model, n, seed), n, seed, n_threads)))
 
 
 def _scorer(
@@ -295,7 +305,7 @@ def summarize_criteria(
         return [[_moments(values if order == 1 else values * values) for order in orders]
                 for values in score(item)]
 
-    chunks = _map_chunks(reduce, n, seed, n_threads)
+    chunks = list(_map_chunks(reduce, n, seed, n_threads))
     return [[_merged_summary([chunk[i][k] for chunk in chunks], omega) for k in range(len(orders))]
             for i in range(len(cids))]
 
@@ -336,7 +346,7 @@ def simulate_histogram(
         (values,) = score(item)
         return np.histogram(values, bins=bins, range=bounds)
 
-    chunks = _map_chunks(count, n, seed, n_threads)
+    chunks = list(_map_chunks(count, n, seed, n_threads))
     return _histogram_density(sum(counts for counts, _ in chunks), chunks[0][1], n)
 
 
@@ -482,14 +492,6 @@ def _order_chunk(params: CriterionParams):
     return score
 
 
-# Triples drawn per round for each triple still needed: about 1 in 7.8 drawn
-# triples has a nonzero IoU, so one round of 8 per needed triple is usually
-# the last. A round is at most 16 chunks per usable CPU, so the flags a round
-# returns stay small for any n_triples.
-_ORDER_DRAWS_PER_COUNT = 8
-_ORDER_ROUND_CHUNKS_PER_CPU = 16
-
-
 def order_preservation_counts(
     params: CriterionParams,
     n_triples: int,
@@ -501,31 +503,28 @@ def order_preservation_counts(
 
     Triples where both IoUs are exactly zero are skipped, since the ordering
     is vacuous there. The triples are drawn in seeded chunks of CHUNK_SIZE,
-    chunk i from SeedSequence([seed, i]), by the chunk driver in rounds until
-    enough are counted: of the triples with a nonzero IoU, the first
-    n_triples in chunk order, and in draw order within a chunk, count. So the
-    counts do not depend on the thread count, and each thread holds about one
-    chunk whatever n_triples is. For gamma <= 0 the exponent p >= 1 shrinks
-    as the boxes grow, so every aligned triple is preserved; on the remaining
-    triples the smaller-IoU pair has the smaller exponent and the order can
-    flip.
+    chunk i from SeedSequence([seed, i]), by the chunk driver in chunk order,
+    and the stream stops once n_triples are counted: of the triples with a
+    nonzero IoU, the first n_triples in chunk order, and in draw order within
+    a chunk, count. So the counts do not depend on the thread count, and each
+    thread holds about one chunk whatever n_triples is. For gamma <= 0 the
+    exponent p >= 1 shrinks as the boxes grow, so every aligned triple is
+    preserved; on the remaining triples the smaller-IoU pair has the smaller
+    exponent and the order can flip.
     """
     check_count("n_triples", n_triples, 1, MAX_SAMPLES)
     check_count("seed", seed, 0)
-    score = _order_chunk(params)
     preserved = n_aligned = aligned_preserved = 0
     needed = n_triples
-    first = 0
-    while needed > 0:
-        n_chunks = min(-(-_ORDER_DRAWS_PER_COUNT * needed // CHUNK_SIZE),
-                       _ORDER_ROUND_CHUNKS_PER_CPU * _usable_cpus())
-        for ok, aligned in _map_chunks(score, n_chunks * CHUNK_SIZE, seed, first=first):
+    with closing(_map_chunks(_order_chunk(params), None, seed)) as chunks:
+        for ok, aligned in chunks:
             ok, aligned = ok[:needed], aligned[:needed]
             preserved += int(np.count_nonzero(ok))
             n_aligned += int(np.count_nonzero(aligned))
             aligned_preserved += int(np.count_nonzero(ok & aligned))
             needed -= ok.size
-        first += n_chunks
+            if needed == 0:
+                break
     return OrderPreservationCounts(n_triples, preserved, n_aligned, aligned_preserved)
 
 

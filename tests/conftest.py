@@ -1,4 +1,6 @@
+import functools
 import tracemalloc
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -41,10 +43,32 @@ def random_smooth_pair(rng, min_edge_gap=0.05, min_overlap=0.02):
         return b1, b2
 
 
+class SerialFuture(Future):
+    """A future whose call runs on its first result(), unless it was cancelled before."""
+
+    def __init__(self, call):
+        super().__init__()
+        self.call = call
+
+    def run(self):
+        if not self.done() and self.set_running_or_notify_cancel():
+            try:
+                self.set_result(self.call())
+            except Exception as exc:
+                self.set_exception(exc)
+
+    def result(self, timeout=None):
+        self.run()
+        return super().result(timeout)
+
+
 class SerialPool:
-    """Stands in for ThreadPoolExecutor: records max_workers, starts no thread."""
+    """Stands in for ThreadPoolExecutor: records max_workers, and every future it
+    hands out while a test has set futures to a list; starts no thread."""
 
     requested = []
+    futures = None
+    future_type = SerialFuture
 
     def __init__(self, max_workers):
         SerialPool.requested.append(max_workers)
@@ -55,8 +79,11 @@ class SerialPool:
     def __exit__(self, *exc):
         return False
 
-    def map(self, fn, items):
-        return map(fn, items)
+    def submit(self, fn, *args):
+        future = self.future_type(functools.partial(fn, *args))
+        if SerialPool.futures is not None:
+            SerialPool.futures.append(future)
+        return future
 
 
 def traced_peak(call) -> int:

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import json
 import os
@@ -12,7 +13,7 @@ import pytest
 import scaleiou
 import scaleiou.stats as stats
 from scaleiou import ParseError
-from scaleiou.cli import main
+from scaleiou.cli import build_parser, main
 from scaleiou.io import load_boxes, load_ratings, render_table
 
 
@@ -651,3 +652,86 @@ def test_theory_check_mc_single_sample_is_data_error(capsys):
                          "--check-mc", "--n", "1", "--seed", "1")
     assert (code, out) == (2, "")
     assert "at least 2 samples" in err
+
+
+# --- a number read from text is ASCII with no '_': float() and int() read '1_0' as 10 and '٣' as 3
+
+NUMBER_ARGV = {
+    "criterion": ["--a", "0,0,10,10", "--b", "0,0,10,10", "--id", "iou"],
+    "shift-curve": ["--id", "iou", "--omega", "8", "--max-shift", "4"],
+    "simulate": ["--id", "iou", "--omega", "8", "--sigma", "4", "--n", "100", "--seed", "1"],
+    "moments": ["--id", "iou", "--omega", "8", "--sigma", "4", "--n", "100", "--seed", "1"],
+    "theory": ["--id", "iou", "--omega", "8", "--sigma", "4"],
+    "eval": ["--boxes", "boxes.json"],
+    "rating": ["--ratings", "ratings.csv"],
+    "order-check": ["--n", "10", "--seed", "1"],
+}
+
+
+def number_flags():
+    """(command, option, type name) of every flag that argparse reads as a float or an int."""
+    (commands,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    return [(command, action.option_strings[0], action.type.__name__)
+            for command, sub in commands.choices.items() for action in sub._actions
+            if getattr(action.type, "__name__", None) in ("float", "int")]
+
+
+NUMBER_FLAGS = number_flags()
+
+
+def test_every_command_has_number_flags():
+    assert {command for command, _, _ in NUMBER_FLAGS} == set(NUMBER_ARGV)
+
+
+@pytest.mark.parametrize("text", ["1_0", "٣"])  # the Arabic-Indic digit three
+@pytest.mark.parametrize("command, option, kind", NUMBER_FLAGS, ids=[" ".join(f[:2]) for f in NUMBER_FLAGS])
+def test_a_number_flag_is_ascii_without_underscores(capsys, command, option, kind, text):
+    code, out, err = run(capsys, command, *NUMBER_ARGV[command], option, text)
+    assert (code, out, err) == (1, "", f"error: scaleiou {command}: argument {option}: invalid {kind} value: {text!r}\n")
+
+
+def test_a_number_list_flag_is_ascii_without_underscores(capsys, boxes_file):
+    argv = ["moments", "--id", "iou", "--omega", "8,1_6", "--sigma", "4", "--n", "10", "--seed", "1"]
+    assert run(capsys, *argv) == (1, "", "error: invalid number list '8,1_6'\n")
+    assert run(capsys, "eval", "--boxes", boxes_file, "--thresholds", "0.5,0٧") == (
+        1, "", "error: invalid number list '0.5,0٧'\n")
+
+
+def test_a_box_flag_is_ascii_without_underscores(capsys):
+    assert run(capsys, "criterion", "--a", "0,0,1_0,10", "--b", "0,0,10,10", "--id", "iou") == (
+        1, "", "error: invalid box ['0', '0', '1_0', '10']: could not convert string to float: '1_0'\n")
+
+
+@pytest.mark.parametrize("line", ["kappa=1_6", "gamma=0_5", "kappa=١٦", "kappa=\u200316", "kappa = 16_"])
+def test_a_config_value_is_ascii_without_underscores(capsys, tmp_path, line):
+    config = tmp_path / "scaleiou.cfg"
+    config.write_text(line + "\n", encoding="utf-8")
+    raw = line.partition("=")[2]
+    assert run(capsys, "order-check", "--n", "10", "--seed", "1", "--config", str(config)) == (
+        2, "", f"error: {config}: line 1: invalid value {raw!r}\n")
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("bbox", ["0", "0", "1_0", "10"], "invalid box ['0', '0', '1_0', '10']: could not convert string to float: '1_0'"),
+    ("score", "0_9", "invalid score '0_9': could not convert string to float: '0_9'"),
+])
+def test_a_boxes_file_number_string_is_ascii_without_underscores(capsys, tmp_path, field, value, message):
+    path = tmp_path / "boxes.json"
+    path.write_text(json.dumps({"detections": [det(**{field: value})], "annotations": [gt()]}))
+    assert run(capsys, "eval", "--boxes", str(path)) == (2, "", f"error: {path}: detections[0]: {message}\n")
+
+
+@pytest.mark.parametrize("row, message", [
+    ("٣,0,0,20,20,0,0,20,20,1,0,22", "invalid literal for int() with base 10: '٣'"),
+    ("3_0,0,0,20,20,0,0,20,20,1,0,22", "invalid literal for int() with base 10: '3_0'"),
+    ("3,0,0,2_0,20,0,0,20,20,1,0,22", "could not convert string to float: '2_0'"),
+    ("3,0,0,٢٠,20,0,0,20,20,1,0,22", "could not convert string to float: '٢٠'"),
+    ("3,0,0,20,20,0,0,20,20,1,0,2_2", "invalid age '2_2'"),
+    ("3,0,0,20,20,0,0,20,20,1,0,٢٢", "invalid age '٢٢'"),
+    ("3,0,0,20,20,0,0,20,20,1,0,\u200322", r"invalid age '\u200322'"),
+])
+def test_a_rating_csv_number_is_ascii_without_underscores(capsys, tmp_path, row, message):
+    path = tmp_path / "ratings.csv"
+    path.write_text(RATING_HEADER + row + "\n", encoding="utf-8")
+    assert run(capsys, "rating", "--ratings", str(path), "--analysis", "groups") == (
+        2, "", f"error: {path}: line 2: {message}\n")

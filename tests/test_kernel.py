@@ -375,6 +375,16 @@ def test_sample_shifts_caps_its_pool(monkeypatch, n_chunks, n_threads, cpus, exp
     assert np.array_equal(samples, sample_shifts(8.0, model, n, seed=3, n_threads=1))
 
 
+@pytest.mark.parametrize("cpus", [2, 8])
+def test_a_huge_thread_count_is_capped_by_the_chunks_and_the_cpus(monkeypatch, cpus):
+    """n_threads=10**9 on a 3-chunk draw asks the pool for min(3, usable CPUs) workers."""
+    monkeypatch.setattr(stats, "ThreadPoolExecutor", SerialPool)
+    monkeypatch.setattr(stats, "_usable_cpus", lambda: cpus)
+    SerialPool.requested = []
+    sample_shifts(8.0, ShiftModel(sigma_base=4.0), 3 * CHUNK_SIZE, seed=3, n_threads=10**9)
+    assert SerialPool.requested == [min(3, cpus)]
+
+
 def test_usable_cpus_reads_the_affinity_mask(monkeypatch):
     """The pool is sized by the CPUs the process may run on (so taskset limits
     it), or by the CPU count where the platform has no affinity mask."""

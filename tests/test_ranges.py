@@ -162,6 +162,20 @@ COUNT_ENTRY_POINTS = [
     (lambda order: stats.summarize_criteria([CriterionId.IOU], 8.0, ShiftModel(), 20, 1, orders=(1, order)),
      "order", 1, 2, 2),
     (lambda n: average_precision([MatchLabel.TP, MatchLabel.FP, MatchLabel.TP], n), "n_ground_truth", 0, INF, 3),
+    (lambda t: sample_shifts(8.0, ShiftModel(), 20, 1, n_threads=t), "n_threads", 1, INF, 2),
+    (lambda t: stats.simulate_criteria([CriterionId.IOU, CriterionId.SIOU], 16.0, ShiftModel(), 20, 1, n_threads=t),
+     "n_threads", 1, INF, 2),
+    (lambda t: stats.simulate_criterion(CriterionId.SIOU, 16.0, ShiftModel(), 20, 1, n_threads=t),
+     "n_threads", 1, INF, 2),
+    (lambda t: stats.summarize_criteria([CriterionId.IOU], 8.0, ShiftModel(), 20, 1, n_threads=t),
+     "n_threads", 1, INF, 2),
+    (lambda t: stats.simulate_histogram(CriterionId.IOU, 16.0, ShiftModel(), 20, 1, n_threads=t),
+     "n_threads", 1, INF, 2),
+    (lambda t: stats.moment_curves([CriterionId.IOU], [8.0, 16.0], ShiftModel(), 20, 1, n_threads=t),
+     "n_threads", 1, INF, 2),
+    (lambda t: stats.moment_curve(CriterionId.IOU, [8.0], ShiftModel(), 20, 1, n_threads=t), "n_threads", 1, INF, 2),
+    (lambda t: theory.moment_consistency_report([TheorySetup(16, 8)], [CriterionId.IOU], n=20, seed=1, n_threads=t),
+     "n_threads", 1, INF, 2),
 ]
 COUNT_IDS = [f"{i}-{entry[1]}" for i, entry in enumerate(COUNT_ENTRY_POINTS)]
 

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import math
+import threading
 from fractions import Fraction
 
 import numpy as np
@@ -33,7 +34,7 @@ from scaleiou import (
 from scaleiou import iou, siou
 from scaleiou.cli import main
 from scaleiou.stats import CHUNK_SIZE, criterion_on_shifts, sample_shifts
-from tests.conftest import SerialPool, random_box, traced_peak
+from tests.conftest import SerialFuture, SerialPool, random_box, traced_peak
 
 DEFAULT = CriterionParams()
 
@@ -343,29 +344,80 @@ def test_order_preservation_counts_pinned(gamma, kappa, n, seed, preserved, n_al
 
 
 def test_order_counts_do_not_depend_on_the_thread_count(monkeypatch):
-    """150000 triples need about 18 chunks: one round of 19 on 4 usable CPUs,
-    two rounds (16 chunks, then 2) on one. Both count the first 150000 triples
-    with a nonzero IoU of the chunks drawn in order, whatever the rounds."""
+    """150000 triples need about 18 chunks. One usable CPU draws them serially,
+    four draw them on a pool; both count the first 150000 triples with a
+    nonzero IoU of the chunks drawn in order."""
     params = CriterionParams(gamma=-2.0, kappa=64)
     n = 150_000
-    firsts, real_map = [], stats._map_chunks
-
-    def recording_map(fn, n, seed, n_threads=None, first=0):
-        firsts.append(first)
-        return real_map(fn, n, seed, n_threads, first)
-
-    monkeypatch.setattr(stats, "_map_chunks", recording_map)
     runs = {}
     for cpus in (1, 4):
         monkeypatch.setattr(stats, "_usable_cpus", lambda: cpus)
-        firsts.clear()
         runs[cpus] = order_preservation_counts(params, n, 3)
-        assert firsts == ([0, 16] if cpus == 1 else [0])
     score = stats._order_chunk(params)
-    ok, aligned = (np.concatenate(flags)[:n] for flags in zip(*map(score, stats._chunk_seeds(3, 19 * CHUNK_SIZE))))
+    chunks = [(np.random.SeedSequence([3, i]), CHUNK_SIZE) for i in range(19)]
+    ok, aligned = (np.concatenate(flags)[:n] for flags in zip(*map(score, chunks)))
     assert ok.size == n
     want = OrderPreservationCounts(n, int(ok.sum()), int(aligned.sum()), int((ok & aligned).sum()))
     assert runs[1] == runs[4] == want
+
+
+def test_order_counts_stop_after_the_chunk_that_completes_them(monkeypatch):
+    """One triple is counted from chunk 0: that chunk alone is scored, and every
+    other chunk the driver submitted ahead is cancelled."""
+    monkeypatch.setattr(stats, "ThreadPoolExecutor", SerialPool)
+    monkeypatch.setattr(stats, "_usable_cpus", lambda: 4)
+    scored, real_chunk = [], stats._order_chunk
+
+    def counting_chunk(params):
+        score = real_chunk(params)
+        return lambda item: scored.append(item[0].entropy) or score(item)
+
+    monkeypatch.setattr(stats, "_order_chunk", counting_chunk)
+    monkeypatch.setattr(SerialPool, "requested", [])
+    monkeypatch.setattr(SerialPool, "futures", [])
+    counts = order_preservation_counts(CriterionParams(gamma=-2.0, kappa=64), 1, 2718)
+    assert counts == OrderPreservationCounts(1, 1, 1, 1)
+    assert scored == [[2718, 0]]
+    assert SerialPool.requested == [4]
+    assert len(SerialPool.futures) > 1
+    assert [f.cancelled() for f in SerialPool.futures] == [False] + [True] * (len(SerialPool.futures) - 1)
+
+
+def test_chunks_are_yielded_in_chunk_order_whatever_order_they_finish_in(monkeypatch):
+    """A stand-in pool that finishes every submitted chunk, the last first,
+    when the first result is asked for."""
+    finished = []
+
+    class LastFirstFuture(SerialFuture):
+        def result(self, timeout=None):
+            for future in reversed(SerialPool.futures):
+                future.run()
+            return super().result(timeout)
+
+    class LastFirstPool(SerialPool):
+        future_type = LastFirstFuture
+
+    monkeypatch.setattr(stats, "ThreadPoolExecutor", LastFirstPool)
+    monkeypatch.setattr(stats, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(SerialPool, "futures", [])
+
+    def index(item):
+        finished.append(item[0].entropy[1])
+        return item[0].entropy[1], item[1]
+
+    got = list(stats._map_chunks(index, 5 * CHUNK_SIZE + 1, 9))
+    assert finished == [5, 4, 3, 2, 1, 0]
+    assert got == [(0, CHUNK_SIZE), (1, CHUNK_SIZE), (2, CHUNK_SIZE), (3, CHUNK_SIZE), (4, CHUNK_SIZE), (5, 1)]
+
+
+def test_order_check_leaves_no_pool_thread_alive(monkeypatch):
+    """Real threads: the pool of a stopped stream is shut down before
+    order-check returns."""
+    monkeypatch.setattr(stats, "_usable_cpus", lambda: 4)
+    before = threading.active_count()
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["order-check", "--n", "7", "--seed", "1", "--gamma=-2"]) == 0
+    assert threading.active_count() == before
 
 
 def test_order_counts_memory_is_one_chunk_per_thread(monkeypatch):
