@@ -9,10 +9,11 @@ positives.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
-from fractions import Fraction
 from itertools import islice
+from operator import itemgetter
 from typing import Optional, Sequence
 
 from .criteria import POSITIVE, CriterionId, CriterionParams, DEFAULT_PARAMS, boxes_array, elementwise
@@ -65,9 +66,10 @@ class _ScoredGroups:
 
     order lists the detection indices in match order, ranked by (-score,
     image_id, box). candidates[i] lists (ground-truth index, criterion value)
-    for detection i, by ground-truth box; size[j] is the size class of ground
-    truth j. `rank` orders the candidates for one size bucket, and `match`
-    labels detections from such a ranking at any threshold.
+    for detection i, sorted once by descending value and stable over the box
+    order, so the smaller box comes first on equal values. size[j] is the
+    size class of ground truth j. `rank` partitions the candidates for one
+    size bucket, and `match` reads TP ranks from that ranking at any threshold.
     """
 
     def __init__(self, dets, gts, criterion: CriterionId, params: CriterionParams):
@@ -79,43 +81,43 @@ class _ScoredGroups:
         det_boxes = boxes_array(det.box for det, js in zip(dets, gt_index) for _ in js)
         gt_boxes = boxes_array(gts[j].box for js in gt_index for j in js)
         values = iter(elementwise(criterion, det_boxes, gt_boxes, params).tolist())
-        self.candidates = [list(zip(js, islice(values, len(js)))) for js in gt_index]
+        by_value = itemgetter(1)
+        self.candidates = [sorted(zip(js, islice(values, len(js))), key=by_value, reverse=True) for js in gt_index]
         self.size = [size_class(gt.box) for gt in gts]
 
-    def rank(self, size_filter: Optional[SizeClass]) -> list[list[tuple[int, float, MatchLabel]]]:
-        """For each detection, its candidates as (ground-truth index, value,
-        label if taken) by descending key (in bucket, value): TP in bucket,
-        Ignored out of it. The sort is stable over the box-ordered candidates,
-        so the smaller box comes first on equal keys."""
-        tp = MatchLabel.TP
-        label = [tp if size_filter is None or s is size_filter else MatchLabel.IGNORED for s in self.size]
-        ranked = []
-        for candidates in self.candidates:
-            hits = [(j, value, label[j]) for j, value in candidates]
-            if len(hits) > 1:
-                hits.sort(key=lambda hit: (hit[2] is tp, hit[1]), reverse=True)
-            ranked.append(hits)
-        return ranked
+    def rank(self, size_filter: Optional[SizeClass]) -> tuple[list[list[tuple[int, float]]], list[bool]]:
+        """Each detection's candidates in the order it tries them, and whether
+        each ground truth is in the bucket. The order is a stable partition of
+        the value order, in-bucket candidates first: a stable sort of the
+        box-ordered candidates by descending key (in bucket, value)."""
+        in_bucket = [size_filter is None or s is size_filter for s in self.size]
+        ranked = self.candidates if size_filter is None else [
+            cands if len(cands) < 2 else [c for c in cands if in_bucket[c[0]]] + [c for c in cands if not in_bucket[c[0]]]
+            for cands in self.candidates]
+        return ranked, in_bucket
 
     @staticmethod
-    def match(ranked, order: Sequence[int], threshold: float) -> list[MatchLabel]:
-        """Greedy labels of the detections `order`, in that order: each takes
+    def match(ranking, order: Sequence[int], threshold: float) -> tuple[list[int], int, list[int]]:
+        """Greedy matching of the detections `order`, in that order: each takes
         the first candidate of its ranking (see `rank`) that clears the
-        threshold and is still unmatched, and gets its label; FP if none
-        does. The first such candidate has the largest key, so this is the
-        choice described in match_detections."""
-        matched: set[int] = set()
-        labels = []
-        fp = MatchLabel.FP
+        threshold and is still unmatched, the choice match_detections states.
+        Returns the TP ranks among the counted (TP and FP) labels, the count
+        of counted labels and the position in `order` of each Ignored label."""
+        ranked, in_bucket = ranking
+        matched, tp_ranks, ignored, counted = set(), [], [], 0
         for i in order:
-            for j, value, hit in ranked[i]:
+            for j, value in ranked[i]:
                 if value >= threshold and j not in matched:
                     matched.add(j)
-                    labels.append(hit)
+                    if in_bucket[j]:
+                        counted += 1
+                        tp_ranks.append(counted)
+                    else:
+                        ignored.append(counted + len(ignored))
                     break
             else:
-                labels.append(fp)
-        return labels
+                counted += 1
+        return tp_ranks, counted, ignored
 
 
 def match_detections(
@@ -139,7 +141,13 @@ def match_detections(
     """
     check_range("threshold", threshold, POSITIVE, 1.0)
     groups = _ScoredGroups(dets, gts, config.criterion, config.params)
-    labels = groups.match(groups.rank(config.size_filter), groups.order, threshold)
+    tp_ranks, n_counted, ignored = groups.match(groups.rank(config.size_filter), groups.order, threshold)
+    labels = [MatchLabel.FP] * (n_counted + len(ignored))
+    for position in ignored:
+        labels[position] = MatchLabel.IGNORED
+    counted = [position for position, label in enumerate(labels) if label is MatchLabel.FP]
+    for rank in tp_ranks:
+        labels[counted[rank - 1]] = MatchLabel.TP
     return [(dets[i], label) for i, label in zip(groups.order, labels)]
 
 
@@ -161,32 +169,34 @@ def average_precision(
     evaluate (no ground truths and no counted detections); 0.0 when
     detections exist but no ground truth does. Otherwise AP is the exact
     rational (1/n_ground_truth) * sum over k of max_{j>=k} j/rank_j, where
-    rank_j is the rank of the j-th true positive among the counted labels,
-    summed one run of equal envelope values at a time and rounded once.
+    rank_j is the rank of the j-th true positive among the counted labels
+    (`map_report` takes these ranks straight from the matcher), summed as
+    integers one run of equal envelope values at a time and rounded once.
     """
     check_count("n_ground_truth", n_ground_truth, 0)
-    ignored, tp = MatchLabel.IGNORED, MatchLabel.TP
-    counted = [lab for lab in labels if lab is not ignored]
-    # rank of each true positive among the counted labels
-    tp_ranks = [rank for rank, lab in enumerate(counted, 1) if lab is tp]
+    counted = [label for label in labels if label is not MatchLabel.IGNORED]
+    tp_ranks = [rank for rank, label in enumerate(counted, 1) if label is MatchLabel.TP]
+    return _ap_from_ranks(tp_ranks, len(counted), n_ground_truth)
+
+
+def _ap_from_ranks(tp_ranks: Sequence[int], n_counted: int, n_ground_truth: int) -> Optional[float]:
+    """average_precision from the ascending TP ranks among n_counted labels."""
     if n_ground_truth == 0:
-        return None if not counted else 0.0
+        return None if not n_counted else 0.0
     # Precision rises only at a true positive, so the monotone envelope at
     # the k-th TP is the best k'/rank over it and the later TPs, and each TP
     # adds 1/n_ground_truth of recall. Walking back from the last TP, the
-    # envelope is a step function: keep its value as the integer pair
-    # (best_k, best_rank), compare by cross-multiplication, and add one
-    # Fraction per run of TPs that share it.
-    total = Fraction(0)
-    best_k, best_rank, run = 0, 1, 0
-    for k in range(len(tp_ranks), 0, -1):
-        rank_k = tp_ranks[k - 1]
+    # envelope steps up at each record k/rank_k (compared by cross-
+    # multiplication) and holds down to the next record. The runs are summed
+    # over the lcm of the record ranks; int true division is correctly rounded.
+    records, best_k, best_rank = [], 0, 1
+    for k, rank_k in zip(range(len(tp_ranks), 0, -1), reversed(tp_ranks)):
         if k * best_rank > best_k * rank_k:
-            total += Fraction(run * best_k, best_rank)
-            best_k, best_rank, run = k, rank_k, 0
-        run += 1
-    total += Fraction(run * best_k, best_rank)
-    return float(total / n_ground_truth)
+            best_k, best_rank = k, rank_k
+            records.append((k, rank_k))
+    den = math.lcm(*(rank for _, rank in records))
+    num = sum((k - below) * k * (den // rank) for (k, rank), (below, _) in zip(records, records[1:] + [(0, 1)]))
+    return num / (den * n_ground_truth)
 
 
 _BUCKETS: tuple[tuple[str, Optional[SizeClass]], ...] = (
@@ -227,7 +237,7 @@ def map_report(
     rows = []
     for bucket_name, bucket in buckets:
         # one ranking per bucket, shared by every category and threshold
-        ranked = groups.rank(bucket)
+        ranking = groups.rank(bucket)
         n_gt = dict.fromkeys(categories, 0)
         for gt, size in zip(gts, groups.size):
             if bucket is None or size is bucket:
@@ -235,13 +245,13 @@ def map_report(
         aps_by_threshold: dict[float, list[Optional[float]]] = {t: [] for t in config.thresholds}
         for category in categories:
             for threshold in config.thresholds:
-                labels = groups.match(ranked, order_by_category[category], threshold)
-                ap = average_precision(labels, n_gt[category])
+                tp_ranks, n_counted, _ = groups.match(ranking, order_by_category[category], threshold)
+                ap = _ap_from_ranks(tp_ranks, n_counted, n_gt[category])
                 rows.append(_row(category, bucket_name, threshold, ap))
                 aps_by_threshold[threshold].append(ap)
         mean_aps = [_mean(aps_by_threshold[t]) for t in config.thresholds]
         rows += [_row("mAP", bucket_name, t, m) for t, m in zip(config.thresholds, mean_aps)]
         if len(config.thresholds) > 1:
             rows.append(_row("mAP", bucket_name, "mean", _mean(mean_aps)))
-        del ranked  # free this bucket's ranking before the next is built
+        del ranking  # free this bucket's ranking before the next is built
     return rows

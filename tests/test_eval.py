@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import math
 import random
 from fractions import Fraction
 
@@ -235,6 +236,44 @@ class TestAveragePrecisionRuns:
             assert got == reference_ap(labels, n_gt) == float(exact / n_gt)
 
 
+PRIMES = [p for p in range(2, 600) if all(p % q for q in range(2, math.isqrt(p) + 1))]
+
+
+def labels_at_ranks(tp_ranks, ignored_before):
+    """Rank-ordered labels with a TP at each counted rank in tp_ranks, an FP
+    at every other counted rank up to the last TP, and an Ignored label
+    before each counted rank in ignored_before."""
+    labels = []
+    for rank in range(1, tp_ranks[-1] + 1):
+        labels += [MatchLabel.IGNORED] * (rank in ignored_before)
+        labels.append(MatchLabel.TP if rank in tp_ranks else MatchLabel.FP)
+    return labels
+
+
+class TestAveragePrecisionLargeDenominators:
+    """TPs at distinct prime ranks: each envelope value k/rank_k is in lowest
+    terms, so the common denominator of the runs is the product of the
+    primes at which the envelope steps."""
+
+    def test_the_common_denominator_has_hundreds_of_bits(self):
+        envelope = [max(Fraction(j, p) for j, p in enumerate(PRIMES[k:], k + 1)) for k in range(len(PRIMES))]
+        assert math.lcm(*(value.denominator for value in envelope)).bit_length() > 300
+
+    @pytest.mark.parametrize("n_ground_truth", [len(PRIMES), 1000, 999_983, 10**6])
+    def test_all_primes_below_600(self, n_ground_truth):
+        labels = labels_at_ranks(PRIMES, {2, 50, 599})
+        assert average_precision(labels, n_ground_truth) == reference_ap(labels, n_ground_truth)
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_random_prime_ranks(self, data):
+        tp_ranks = sorted(data.draw(st.sets(st.sampled_from(PRIMES), min_size=1)))
+        ignored_before = data.draw(st.sets(st.integers(1, tp_ranks[-1]), max_size=8))
+        n_ground_truth = data.draw(st.integers(len(tp_ranks), 10**6))
+        labels = labels_at_ranks(tp_ranks, ignored_before)
+        assert average_precision(labels, n_ground_truth) == reference_ap(labels, n_ground_truth)
+
+
 class TestMatching:
     GT = [GroundTruthRecord("a", "cat", Box(50, 50, 20, 20))]
 
@@ -459,3 +498,42 @@ def test_report_cells_equal_the_oracle_on_ties(cid):
             assert row["ap"] == reference_ap(labels, count_ground_truths(cat_gts, size_filter)), row
 
     check()
+
+
+COCO_THRESHOLDS = tuple(round(0.5 + 0.05 * k, 2) for k in range(10))
+
+
+def tied_instance(rnd):
+    """random_instance plus ties: repeated detections (equal boxes and
+    scores), two equal-sized ground truths either side of two detections of
+    one score (equal values on distinct boxes), of a size drawn from all
+    three classes, and a category with detections but no ground truth."""
+    dets, gts = random_instance(rnd)
+    dets += [det for det in dets if rnd.random() < 0.3]
+    image, category = rnd.choice(gts).image_id, rnd.choice(gts).category
+    x, y, side, gap = rnd.randint(0, 80), rnd.randint(0, 80), rnd.choice([12, 40, 100]), rnd.randint(1, 4)
+    gts += [GroundTruthRecord(image, category, Box(x + dx, y, side, side)) for dx in (-gap, gap)]
+    dets += [DetectionRecord(image, category, Box(x, y, side, side), 0.5) for _ in range(2)]
+    dets.append(DetectionRecord(image, "kite", Box(x, y, side, side), rnd.random()))
+    return dets, gts
+
+
+@pytest.mark.parametrize("cid", [CriterionId.IOU, CriterionId.SIOU], ids=["iou", "siou"])
+def test_report_cells_equal_the_public_per_cell_path(cid):
+    """Every non-mAP cell of map_report, over the four buckets and the ten
+    COCO thresholds, equals average_precision of match_detections' labels for
+    that category, bucket and threshold, with ==."""
+    rnd = random.Random(27)
+    config = EvalConfig(criterion=cid, thresholds=COCO_THRESHOLDS)
+    for _ in range(60):
+        dets, gts = tied_instance(rnd)
+        cells = [row for row in map_report(dets, gts, config) if row["category"] != "mAP"]
+        categories = {d.category for d in dets} | {g.category for g in gts}
+        assert len(cells) == len(categories) * len(BUCKET_FILTERS) * len(COCO_THRESHOLDS)
+        for row in cells:
+            size_filter = BUCKET_FILTERS[row["bucket"]]
+            cat_dets = [d for d in dets if d.category == row["category"]]
+            cat_gts = [g for g in gts if g.category == row["category"]]
+            cell_config = EvalConfig(criterion=cid, size_filter=size_filter)
+            labels = [label for _, label in match_detections(cat_dets, cat_gts, cell_config, row["threshold"])]
+            assert row["ap"] == average_precision(labels, count_ground_truths(cat_gts, size_filter)), row

@@ -1,4 +1,4 @@
-"""Which scipy modules each command loads.
+"""Which scipy modules each command loads, and that the CLI loads no fractions.
 
 Every command runs in a fresh interpreter through scaleiou.cli.main, which
 then reports the scipy entries of sys.modules. Only the ANOVA tail
@@ -95,3 +95,15 @@ def test_scipy_footprint(name, tmp_path):
         assert [m for m in modules if m == "scipy.stats" or m.startswith("scipy.stats.")] == []
     if name == "simulate-kde":  # the probe sees an import when one happens
         assert "scipy.stats" in modules
+
+
+def test_the_cli_loads_no_fractions():
+    """AP is an exact integer sum, so importing the CLI loads no fractions
+    module, nor the decimal module that fractions imports."""
+    src = str(Path(scaleiou.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    probe = "import json, sys, scaleiou.cli; print(json.dumps(sorted(m for m in sys.modules if m in ('fractions', 'decimal'))))"
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == []
