@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from itertools import islice
 from operator import itemgetter
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .criteria import POSITIVE, CriterionId, CriterionParams, DEFAULT_PARAMS, boxes_array, elementwise
 from .criteria import check_count, check_range
@@ -68,8 +68,7 @@ class _ScoredGroups:
     image_id, box). candidates[i] lists (ground-truth index, criterion value)
     for detection i, sorted once by descending value and stable over the box
     order, so the smaller box comes first on equal values. size[j] is the
-    size class of ground truth j. `rank` partitions the candidates for one
-    size bucket, and `match` reads TP ranks from that ranking at any threshold.
+    size class of ground truth j.
     """
 
     def __init__(self, dets, gts, criterion: CriterionId, params: CriterionParams):
@@ -81,8 +80,7 @@ class _ScoredGroups:
         det_boxes = boxes_array(det.box for det, js in zip(dets, gt_index) for _ in js)
         gt_boxes = boxes_array(gts[j].box for js in gt_index for j in js)
         values = iter(elementwise(criterion, det_boxes, gt_boxes, params).tolist())
-        by_value = itemgetter(1)
-        self.candidates = [sorted(zip(js, islice(values, len(js))), key=by_value, reverse=True) for js in gt_index]
+        self.candidates = [sorted(zip(js, islice(values, len(js))), key=itemgetter(1), reverse=True) for js in gt_index]
         self.size = [size_class(gt.box) for gt in gts]
 
     def rank(self, size_filter: Optional[SizeClass]) -> tuple[list[list[tuple[int, float]]], list[bool]]:
@@ -97,27 +95,25 @@ class _ScoredGroups:
         return ranked, in_bucket
 
     @staticmethod
-    def match(ranking, order: Sequence[int], threshold: float) -> tuple[list[int], int, list[int]]:
-        """Greedy matching of the detections `order`, in that order: each takes
-        the first candidate of its ranking (see `rank`) that clears the
-        threshold and is still unmatched, the choice match_detections states.
-        Returns the TP ranks among the counted (TP and FP) labels, the count
-        of counted labels and the position in `order` of each Ignored label."""
+    def match(ranking, live: Iterable[tuple[int, int]], threshold: float) -> tuple[list[int], list[int]]:
+        """Greedy matching of the detections `live`, (position in match order,
+        detection index) pairs in that order: each takes the first candidate
+        of its ranking (see `rank`) that clears the threshold and is still
+        unmatched, the choice match_detections states. Every other detection,
+        in `live` or not, is an FP. Returns the TP ranks among the counted
+        (TP and FP) labels and the position of each Ignored label."""
         ranked, in_bucket = ranking
-        matched, tp_ranks, ignored, counted = set(), [], [], 0
-        for i in order:
+        matched, tp_ranks, ignored = set(), [], []
+        for position, i in live:
             for j, value in ranked[i]:
                 if value >= threshold and j not in matched:
                     matched.add(j)
                     if in_bucket[j]:
-                        counted += 1
-                        tp_ranks.append(counted)
+                        tp_ranks.append(position + 1 - len(ignored))
                     else:
-                        ignored.append(counted + len(ignored))
+                        ignored.append(position)
                     break
-            else:
-                counted += 1
-        return tp_ranks, counted, ignored
+        return tp_ranks, ignored
 
 
 def match_detections(
@@ -141,8 +137,8 @@ def match_detections(
     """
     check_range("threshold", threshold, POSITIVE, 1.0)
     groups = _ScoredGroups(dets, gts, config.criterion, config.params)
-    tp_ranks, n_counted, ignored = groups.match(groups.rank(config.size_filter), groups.order, threshold)
-    labels = [MatchLabel.FP] * (n_counted + len(ignored))
+    tp_ranks, ignored = groups.match(groups.rank(config.size_filter), enumerate(groups.order), threshold)
+    labels = [MatchLabel.FP] * len(groups.order)
     for position in ignored:
         labels[position] = MatchLabel.IGNORED
     counted = [position for position, label in enumerate(labels) if label is MatchLabel.FP]
@@ -234,6 +230,8 @@ def map_report(
     )
     groups = _ScoredGroups(dets, gts, config.criterion, config.params)
     order_by_category = {c: [i for i in groups.order if dets[i].category == c] for c in categories}
+    # a detection whose best value misses a threshold is an FP at it and at every higher one
+    best = [cands[0][1] if cands else -math.inf for cands in groups.candidates]
     rows = []
     for bucket_name, bucket in buckets:
         # one ranking per bucket, shared by every category and threshold
@@ -244,9 +242,11 @@ def map_report(
                 n_gt[gt.category] += 1
         aps_by_threshold: dict[float, list[Optional[float]]] = {t: [] for t in config.thresholds}
         for category in categories:
+            live = list(enumerate(order_by_category[category]))
             for threshold in config.thresholds:
-                tp_ranks, n_counted, _ = groups.match(ranking, order_by_category[category], threshold)
-                ap = _ap_from_ranks(tp_ranks, n_counted, n_gt[category])
+                live = [entry for entry in live if best[entry[1]] >= threshold]
+                tp_ranks, ignored = groups.match(ranking, live, threshold)
+                ap = _ap_from_ranks(tp_ranks, len(order_by_category[category]) - len(ignored), n_gt[category])
                 rows.append(_row(category, bucket_name, threshold, ap))
                 aps_by_threshold[threshold].append(ap)
         mean_aps = [_mean(aps_by_threshold[t]) for t in config.thresholds]
