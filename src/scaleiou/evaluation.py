@@ -77,8 +77,8 @@ class _ScoredGroups:
         for j in sorted(range(len(gts)), key=lambda j: gts[j].box.components()):
             groups.setdefault((gts[j].image_id, gts[j].category), []).append(j)
         gt_index = [groups.get((det.image_id, det.category), []) for det in dets]
-        det_boxes = boxes_array(det.box for det, js in zip(dets, gt_index) for _ in js)
-        gt_boxes = boxes_array(gts[j].box for js in gt_index for j in js)
+        det_boxes = boxes_array(det.box for det in dets)[[i for i, js in enumerate(gt_index) for _ in js]]
+        gt_boxes = boxes_array(gt.box for gt in gts)[[j for js in gt_index for j in js]]
         values = iter(elementwise(criterion, det_boxes, gt_boxes, params).tolist())
         self.candidates = [sorted(zip(js, islice(values, len(js))), key=itemgetter(1), reverse=True) for js in gt_index]
         self.size = [size_class(gt.box) for gt in gts]
