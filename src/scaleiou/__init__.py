@@ -36,9 +36,8 @@ from .errors import (
     ScaleIoUError,
 )
 from .evaluation import (
-    DetectionRecord,
+    BoxTable,
     EvalConfig,
-    GroundTruthRecord,
     MatchLabel,
     average_precision,
     count_ground_truths,

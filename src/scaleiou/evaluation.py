@@ -12,28 +12,47 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import islice
-from operator import itemgetter
 from typing import Iterable, Optional, Sequence
 
-from .criteria import POSITIVE, CriterionId, CriterionParams, DEFAULT_PARAMS, boxes_array, elementwise
+import numpy as np
+
+from .criteria import FLOAT_MAX, POSITIVE, CriterionId, CriterionParams, DEFAULT_PARAMS, elementwise
 from .criteria import check_count, check_range
-from .geometry import Box, SizeClass, size_class
+from .geometry import Box, InvalidRow, SizeClass, box_rule_probes, check_rows, size_index
 
 
-@dataclass(frozen=True)
-class GroundTruthRecord:
-    image_id: str
-    category: str
-    box: Box
+@dataclass(frozen=True, eq=False)
+class BoxTable:
+    """The boxes of one section of a boxes file as numpy columns, one row per
+    entry: image_id and category are (N,) arrays of str keys, box is
+    center-form (N, 4) float, and score is (N,) float for detections and
+    None for ground truths. Each box follows the Box rule and each score is
+    finite; a row that breaks a rule is an InvalidRow naming the first.
+    """
 
+    image_id: np.ndarray
+    category: np.ndarray
+    box: np.ndarray
+    score: Optional[np.ndarray] = None
 
-@dataclass(frozen=True)
-class DetectionRecord:
-    image_id: str
-    category: str
-    box: Box
-    score: float
+    def __post_init__(self):
+        if self.box.ndim != 2 or self.box.shape[1] != 4:
+            raise ValueError(f"boxes must have shape (N, 4), got {self.box.shape}")
+        scores = [] if self.score is None else [self.score]
+        if {len(self.image_id), len(self.category), *map(len, scores)} != {len(self)}:
+            raise ValueError("the columns of a BoxTable differ in length")
+        check_rows(len(self), box_rule_probes(self.box) + scores, self._check_row)
+
+    def _check_row(self, i: int) -> None:
+        try:
+            Box(*self.box[i].tolist())
+            if self.score is not None:
+                check_range("score", self.score[i].item(), -FLOAT_MAX, FLOAT_MAX)
+        except ValueError as exc:
+            raise InvalidRow(i, exc) from exc
+
+    def __len__(self) -> int:
+        return len(self.box)
 
 
 class MatchLabel(Enum):
@@ -60,38 +79,66 @@ class EvalConfig:
             check_range("threshold", t, POSITIVE, 1.0)
 
 
+def _ranks(*columns) -> tuple[list[str], list[np.ndarray]]:
+    """The sorted distinct keys of the columns, and each column's keys as
+    positions in them."""
+    keys = sorted(set().union(*(column.tolist() for column in columns)))
+    position = {key: i for i, key in enumerate(keys)}
+    return keys, [np.array([position[key] for key in column.tolist()], dtype=int) for column in columns]
+
+
+_SIZE_INDEX = {size: i for i, size in enumerate(SizeClass)}
+
+
+def _size_indices(boxes: np.ndarray) -> np.ndarray:
+    """The position in SizeClass of each center-form box's size class."""
+    return size_index(np.sqrt(boxes[:, 2] * boxes[:, 3]))
+
+
 class _ScoredGroups:
     """The criterion between every detection and every ground truth of its
-    (image, category) group, scored as one flat list of pairs in one call.
+    (image, category) group, scored as one flat array of pairs in one call.
 
-    order lists the detection indices in match order, ranked by (-score,
-    image_id, box). candidates[i] lists (ground-truth index, criterion value)
-    for detection i, sorted once by descending value and stable over the box
-    order, so the smaller box comes first on equal values. size[j] is the
-    size class of ground truth j.
+    order lists the detection rows in match order, ranked by (-score,
+    image_id, box), with np.lexsort on the key ranks and the box columns.
+    candidates[i] lists (ground-truth row, criterion value) for detection i,
+    sorted once by descending value and stable over the box order, so the
+    smaller box comes first on equal values. size[j] is the position in
+    SizeClass of ground truth j's size class. categories holds the sorted
+    category keys, and det_category and gt_category each row's position in it.
     """
 
-    def __init__(self, dets, gts, criterion: CriterionId, params: CriterionParams):
-        self.order = sorted(range(len(dets)), key=lambda i: (-dets[i].score, dets[i].image_id, dets[i].box.components()))
-        groups: dict[tuple[str, str], list[int]] = {}
-        for j in sorted(range(len(gts)), key=lambda j: gts[j].box.components()):
-            groups.setdefault((gts[j].image_id, gts[j].category), []).append(j)
-        gt_index = [groups.get((det.image_id, det.category), []) for det in dets]
-        det_boxes = boxes_array(det.box for det in dets)[[i for i, js in enumerate(gt_index) for _ in js]]
-        gt_boxes = boxes_array(gt.box for gt in gts)[[j for js in gt_index for j in js]]
-        values = iter(elementwise(criterion, det_boxes, gt_boxes, params).tolist())
-        self.candidates = [sorted(zip(js, islice(values, len(js))), key=itemgetter(1), reverse=True) for js in gt_index]
-        self.size = [size_class(gt.box) for gt in gts]
+    def __init__(self, dets: BoxTable, gts: BoxTable, criterion: CriterionId, params: CriterionParams):
+        _, (det_image, gt_image) = _ranks(dets.image_id, gts.image_id)
+        self.categories, (self.det_category, self.gt_category) = _ranks(dets.category, gts.category)
+        det_group = det_image * len(self.categories) + self.det_category
+        gt_group = gt_image * len(self.categories) + self.gt_category
+        self.order = np.lexsort((*dets.box.T[::-1], det_image, -dets.score)).tolist()
+        # each group's ground truths in box order, one contiguous run per group
+        gt_order = np.lexsort((*gts.box.T[::-1], gt_group))
+        grouped = gt_group[gt_order]
+        first = np.searchsorted(grouped, det_group)
+        n_pairs = np.searchsorted(grouped, det_group, side="right") - first
+        det_of_pair = np.repeat(np.arange(len(dets)), n_pairs)
+        ends = np.cumsum(n_pairs)
+        gt_of_pair = gt_order[np.arange(n_pairs.sum()) + np.repeat(first - (ends - n_pairs), n_pairs)]
+        values = elementwise(criterion, dets.box[det_of_pair], gts.box[gt_of_pair], params)
+        by_value = np.lexsort((-values, det_of_pair))
+        pairs = list(zip(gt_of_pair[by_value].tolist(), values[by_value].tolist()))
+        ends = ends.tolist()
+        self.candidates = [pairs[start:end] for start, end in zip([0] + ends, ends)]
+        self.size = _size_indices(gts.box)
 
     def rank(self, size_filter: Optional[SizeClass]) -> tuple[list[list[tuple[int, float]]], list[bool]]:
         """Each detection's candidates in the order it tries them, and whether
         each ground truth is in the bucket. The order is a stable partition of
         the value order, in-bucket candidates first: a stable sort of the
         box-ordered candidates by descending key (in bucket, value)."""
-        in_bucket = [size_filter is None or s is size_filter for s in self.size]
-        ranked = self.candidates if size_filter is None else [
-            cands if len(cands) < 2 else [c for c in cands if in_bucket[c[0]]] + [c for c in cands if not in_bucket[c[0]]]
-            for cands in self.candidates]
+        if size_filter is None:
+            return self.candidates, [True] * len(self.size)
+        in_bucket = (self.size == _SIZE_INDEX[size_filter]).tolist()
+        ranked = [cands if len(cands) < 2 else [c for c in cands if in_bucket[c[0]]] + [c for c in cands if not in_bucket[c[0]]]
+                  for cands in self.candidates]
         return ranked, in_bucket
 
     @staticmethod
@@ -116,12 +163,7 @@ class _ScoredGroups:
         return tp_ranks, ignored
 
 
-def match_detections(
-    dets: Sequence[DetectionRecord],
-    gts: Sequence[GroundTruthRecord],
-    config: EvalConfig,
-    threshold: float,
-) -> list[tuple[DetectionRecord, MatchLabel]]:
+def match_detections(dets: BoxTable, gts: BoxTable, config: EvalConfig, threshold: float) -> list[tuple[int, MatchLabel]]:
     """Greedy matching within each (image, category) group.
 
     Each detection, in rank order, takes the unmatched same-group ground
@@ -131,9 +173,9 @@ def match_detections(
     if none clears. Without a size filter every ground truth is in the
     bucket; with one, out-of-bucket ground truths act as ignore regions.
 
-    Returns (detection, label) pairs in rank order: by descending score, then
-    image id, then box. Boxes compare as (x, y, w, h) tuples, and equal boxes
-    are interchangeable, so the input order changes no label.
+    Returns (detection row, label) pairs in rank order: by descending score,
+    then image id, then box. Boxes compare as (x, y, w, h) tuples, and equal
+    boxes are interchangeable, so the row order changes no label.
     """
     check_range("threshold", threshold, POSITIVE, 1.0)
     groups = _ScoredGroups(dets, gts, config.criterion, config.params)
@@ -144,16 +186,14 @@ def match_detections(
     counted = [position for position, label in enumerate(labels) if label is MatchLabel.FP]
     for rank in tp_ranks:
         labels[counted[rank - 1]] = MatchLabel.TP
-    return [(dets[i], label) for i, label in zip(groups.order, labels)]
+    return list(zip(groups.order, labels))
 
 
-def count_ground_truths(
-    gts: Sequence[GroundTruthRecord], size_filter: Optional[SizeClass] = None
-) -> int:
+def count_ground_truths(gts: BoxTable, size_filter: Optional[SizeClass] = None) -> int:
     """Number of ground truths counted against recall (in-bucket only)."""
     if size_filter is None:
         return len(gts)
-    return sum(1 for g in gts if size_class(g.box) is size_filter)
+    return int(np.count_nonzero(_size_indices(gts.box) == _SIZE_INDEX[size_filter]))
 
 
 def average_precision(
@@ -213,40 +253,38 @@ def _row(category: str, bucket: str, threshold: float | str, ap: Optional[float]
     return {"category": category, "bucket": bucket, "threshold": threshold, "ap": ap}
 
 
-def map_report(
-    dets: Sequence[DetectionRecord],
-    gts: Sequence[GroundTruthRecord],
-    config: EvalConfig,
-) -> list[dict]:
-    """AP per (category, size bucket, threshold) plus mAP aggregates.
+def map_report(dets: BoxTable, gts: BoxTable, config: EvalConfig) -> list[dict]:
+    """AP per (category, size bucket, threshold) plus mAP aggregates, from
+    the detection and ground-truth tables of a boxes file.
 
     mAP is the unweighted mean over categories, skipping categories whose AP
     is undefined for the bucket. Aggregate rows use category "mAP"; the
     threshold-averaged aggregate uses threshold "mean".
     """
-    categories = sorted({g.category for g in gts} | {d.category for d in dets})
     buckets = _BUCKETS if config.size_filter is None else tuple(
         (name, sc) for name, sc in _BUCKETS if sc is config.size_filter
     )
     groups = _ScoredGroups(dets, gts, config.criterion, config.params)
-    order_by_category = {c: [i for i in groups.order if dets[i].category == c] for c in categories}
+    categories = groups.categories
+    order_by_category = [[] for _ in categories]  # each category's detection rows in match order
+    det_category = groups.det_category.tolist()
+    for i in groups.order:
+        order_by_category[det_category[i]].append(i)
     # a detection whose best value misses a threshold is an FP at it and at every higher one
     best = [cands[0][1] if cands else -math.inf for cands in groups.candidates]
     rows = []
     for bucket_name, bucket in buckets:
         # one ranking per bucket, shared by every category and threshold
         ranking = groups.rank(bucket)
-        n_gt = dict.fromkeys(categories, 0)
-        for gt, size in zip(gts, groups.size):
-            if bucket is None or size is bucket:
-                n_gt[gt.category] += 1
+        in_bucket = np.array(ranking[1], dtype=bool)
+        n_gt = np.bincount(groups.gt_category[in_bucket], minlength=len(categories)).tolist()
         aps_by_threshold: dict[float, list[Optional[float]]] = {t: [] for t in config.thresholds}
-        for category in categories:
-            live = list(enumerate(order_by_category[category]))
+        for category, category_order, category_n_gt in zip(categories, order_by_category, n_gt):
+            live = list(enumerate(category_order))
             for threshold in config.thresholds:
                 live = [entry for entry in live if best[entry[1]] >= threshold]
                 tp_ranks, ignored = groups.match(ranking, live, threshold)
-                ap = _ap_from_ranks(tp_ranks, len(order_by_category[category]) - len(ignored), n_gt[category])
+                ap = _ap_from_ranks(tp_ranks, len(category_order) - len(ignored), category_n_gt)
                 rows.append(_row(category, bucket_name, threshold, ap))
                 aps_by_threshold[threshold].append(ap)
         mean_aps = [_mean(aps_by_threshold[t]) for t in config.thresholds]

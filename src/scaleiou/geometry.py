@@ -11,6 +11,8 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
+import numpy as np
+
 from .criteria import FLOAT_MAX, MAX_COORDINATE, POSITIVE, areas, check_range, check_size
 
 
@@ -97,6 +99,43 @@ def union_area(b1: Box, b2: Box) -> float:
 def enclosing_hull_area(b1: Box, b2: Box) -> float:
     """Area of the smallest axis-aligned rectangle containing both boxes."""
     return float(areas(b1.components(), b2.components(), hull=True)[2])
+
+
+def corner_to_center(corner: np.ndarray) -> np.ndarray:
+    """Center form of corner-form (..., 4) boxes, with the bits of
+    Box.from_corner: x_min + w / 2, y_min + h / 2, w, h."""
+    with np.errstate(over="ignore"):  # a center that overflows to inf is the box rule's to reject
+        return np.concatenate([corner[..., :2] + corner[..., 2:] / 2, corner[..., 2:]], axis=-1)
+
+
+def box_rule_probes(boxes: np.ndarray) -> list[np.ndarray]:
+    """The columns x, y, w, h and w * h of center-form (N, 4) boxes. The Box
+    rule is an interval on each of them."""
+    with np.errstate(over="ignore", invalid="ignore"):  # an inf or NaN area is an extreme that fails
+        return [*boxes.T, boxes[:, 2] * boxes[:, 3]]
+
+
+class InvalidRow(ValueError):
+    """Raised by a table's row check: row `row` breaks the rule whose error is `reason`."""
+
+    def __init__(self, row: int, reason: ValueError):
+        super().__init__(f"row {row}: {reason}")
+        self.row, self.reason = row, reason
+
+
+def check_rows(n_rows: int, probes: list[np.ndarray], check_row) -> None:
+    """Run check_row(i), which raises InvalidRow, on a table of n_rows rows
+    whose every rule is an interval on one probe column. The rows holding the
+    extremes of each probe (argmin and argmax land on the first NaN) pass
+    only if all do, so they are checked first; on a failure every row is
+    checked in order, so the error names the first row that breaks a rule."""
+    extremes = {int(f(c)) for c in probes for f in (np.argmin, np.argmax)} if n_rows else ()
+    try:
+        for i in sorted(extremes):
+            check_row(i)
+    except InvalidRow:
+        for i in range(n_rows):
+            check_row(i)
 
 
 def size_index(s):

@@ -24,9 +24,9 @@ import numpy as np
 
 from .criteria import FLOAT_MAX, check_range
 from .errors import ParseError
-from .evaluation import DetectionRecord, GroundTruthRecord
-from .geometry import Box
-from .rating import InvalidRow, RatingTable
+from .evaluation import BoxTable
+from .geometry import Box, InvalidRow, corner_to_center
+from .rating import RatingTable
 
 
 def format_number(value) -> str:
@@ -88,25 +88,37 @@ def _number(value) -> float:
     return read_number(value) if isinstance(value, str) else float(value)
 
 
-def corner_box(bbox) -> Box:
-    """A Box from corner form [x_min, y_min, w, h]: a list of four numbers,
-    or of four number strings. A ValueError names the box."""
+def _corner(bbox) -> list[float]:
+    """The numbers of a corner-form box [x_min, y_min, w, h]: a list of four
+    numbers, or of four number strings. A ValueError names the box."""
     if not isinstance(bbox, (list, tuple)) or len(bbox) != 4:
         raise ValueError(f"box must be [x_min, y_min, w, h], got {bbox!r}")
     try:
-        return Box.from_corner(*(_number(v) for v in bbox))
+        return [_number(v) for v in bbox]
     except (TypeError, ValueError, OverflowError) as exc:  # OverflowError: an integer too large for a float
         raise ValueError(f"invalid box {bbox!r}: {exc}") from exc
 
 
-def load_boxes(path: str) -> tuple[list[DetectionRecord], list[GroundTruthRecord]]:
-    """Load a detection/ground-truth JSON file.
+def corner_box(bbox) -> Box:
+    """A Box from corner form [x_min, y_min, w, h], as _corner reads it. A
+    ValueError names the box."""
+    corner = _corner(bbox)
+    try:
+        return Box.from_corner(*corner)
+    except ValueError as exc:
+        raise ValueError(f"invalid box {bbox!r}: {exc}") from exc
+
+
+def load_boxes(path: str) -> tuple[BoxTable, BoxTable]:
+    """Load a detection/ground-truth JSON file as (detections, ground
+    truths), one BoxTable per section, its rows in file order.
 
     Schema: an object with arrays "images" (ids or {"id": ...} objects),
     "annotations" ({image_id, category, bbox}), and "detections" (same plus
     "score"); bbox is corner form [x_min, y_min, w, h]. Each array may be
     left out, and is then empty. An id or category is a string or an
-    integer, keyed by its text: one text may not come as both.
+    integer, keyed by its text: one text may not come as both. An error
+    names the first entry, in file order, that breaks a rule.
     """
     try:
         data = json.loads(_read_text(path))
@@ -132,15 +144,36 @@ def load_boxes(path: str) -> tuple[list[DetectionRecord], list[GroundTruthRecord
             raise ParseError(f"{path}: {where}: {exc}") from exc
 
     listed = bool(image_ids)
-    records = {"annotations": [], "detections": []}
-    for key, found in records.items():
-        for i, entry in enumerate(sections[key]):
-            where = f"{key}[{i}]"
+    tables = {}
+    for key in ("annotations", "detections"):
+        entries = sections[key]
+        # the image and category keys and the corner numbers of each entry, then its score
+        columns = ([], [], array("d"), array("d") if key == "detections" else None)
+        for i, entry in enumerate(entries):
             try:
-                found.append(_record(entry, where, image_ids, listed, categories, scored=key == "detections"))
+                _entry(entry, f"{key}[{i}]", image_ids, listed, categories, *columns)
             except ValueError as exc:
-                raise ParseError(f"{path}: {where}: {exc}") from exc
-    return records["detections"], records["annotations"]
+                _box_table(path, key, entries, *columns[:3])  # a box rule broken on an earlier row comes first
+                raise ParseError(f"{path}: {key}[{i}]: {exc}") from exc
+        tables[key] = _box_table(path, key, entries, *columns)
+    return tables["detections"], tables["annotations"]
+
+
+def _box_table(path: str, key: str, entries: list, image_ids: list, categories: list, corners: array,
+               scores: Optional[array] = None) -> BoxTable:
+    """The table of a section's parsed entries, the first len(corners) / 4 of
+    entries; an entry whose box breaks the Box rule is a ParseError naming
+    it, in the text corner_box gives that entry."""
+    boxes = corner_to_center(np.frombuffer(corners, dtype=float).reshape(-1, 4))
+    try:
+        return BoxTable(np.array(image_ids, dtype=object), np.array(categories, dtype=object), boxes,
+                        None if scores is None else np.frombuffer(scores, dtype=float))
+    except InvalidRow as exc:
+        try:
+            corner_box(entries[exc.row]["bbox"])
+        except ValueError as box_error:  # the entry's own text of the rule its box breaks
+            raise ParseError(f"{path}: {key}[{exc.row}]: {box_error}") from box_error
+        raise
 
 
 _KEY_TYPES = {str: "string", int: "integer"}
@@ -166,26 +199,31 @@ def _key(name: str, value, first: dict, where: str, listed: bool = False) -> str
     return key
 
 
-def _record(entry, where: str, image_ids: dict, listed: bool, categories: dict, scored: bool):
-    """A boxes-file entry as a GroundTruthRecord, or when scored a
-    DetectionRecord; its ids are keyed by _key, listed when the file lists
-    its images. A ValueError says what is wrong with it."""
+def _entry(entry, where: str, image_ids: dict, listed: bool, categories: dict,
+           images: list, cats: list, corners: array, scores: Optional[array]) -> None:
+    """Append a boxes-file entry to the columns: its image id and category
+    keyed by _key (listed when the file lists its images), its corner
+    numbers, and when scores is given its score. A ValueError says what is
+    wrong with it; the Box rule is left to BoxTable."""
     if not isinstance(entry, dict):
         raise ValueError(f"must be an object, got {entry!r}")
     for key in ("image_id", "category", "bbox"):
         if key not in entry:
             raise ValueError(f"missing field {key!r}")
-    fields = (_key("image_id", entry["image_id"], image_ids, where, listed),
-              _key("category", entry["category"], categories, where), corner_box(entry["bbox"]))
-    if not scored:
-        return GroundTruthRecord(*fields)
+    image = _key("image_id", entry["image_id"], image_ids, where, listed)
+    category = _key("category", entry["category"], categories, where)
+    corner = _corner(entry["bbox"])
+    images.append(image)
+    cats.append(category)
+    corners.extend(corner)
+    if scores is None:
+        return
     if "score" not in entry:
         raise ValueError("missing field 'score'")
     try:
-        score = check_range("score", _number(entry["score"]), -FLOAT_MAX, FLOAT_MAX)
+        scores.append(check_range("score", _number(entry["score"]), -FLOAT_MAX, FLOAT_MAX))
     except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"invalid score {entry['score']!r}: {exc}") from exc
-    return DetectionRecord(*fields, score)
 
 
 _RATING_REQUIRED = ("rating", "gt_x", "gt_y", "gt_w", "gt_h", "px", "py", "pw", "ph")
@@ -242,9 +280,7 @@ def load_ratings(path: str) -> RatingTable:
 def _rating_table(path: str, lines: list[int], ratings: list[int], values: array) -> RatingTable:
     """The table of the parsed rows; a row that breaks a rule is a ParseError naming its line."""
     values = np.array(values, dtype=float).reshape(-1, 11)
-    corner = values[:, :8].reshape(-1, 2, 4)
-    # to center form, as Box.from_corner: x_min + w / 2, y_min + h / 2
-    center = np.concatenate([corner[:, :, :2] + corner[:, :, 2:] / 2, corner[:, :, 2:]], axis=2)
+    center = corner_to_center(values[:, :8].reshape(-1, 2, 4))
     try:
         rating = np.array(ratings, dtype=int)
     except OverflowError:

@@ -17,7 +17,7 @@ import numpy as np
 
 from .criteria import CriterionId, CriterionParams, DEFAULT_PARAMS, check_count, elementwise
 from .errors import DegenerateInput, EmptyCell
-from .geometry import Box, SizeClass, size_index
+from .geometry import Box, InvalidRow, SizeClass, box_rule_probes, check_rows, size_index
 
 AGE_BUCKETS = ((10, 25), (25, 40), (40, 65))  # half-open (lo, hi] tertiles
 # the groups of each grouping; a row's group is its position here
@@ -27,14 +27,6 @@ _GROUPS = {
     "expertise": ("inexperienced", "expert"),
     "age": tuple(f"({lo}, {hi}]" for lo, hi in AGE_BUCKETS),
 }
-
-
-class InvalidRow(ValueError):
-    """Raised by RatingTable: row `row` breaks the rule whose error is `reason`."""
-
-    def __init__(self, row: int, reason: ValueError):
-        super().__init__(f"row {row}: {reason}")
-        self.row, self.reason = row, reason
 
 
 @dataclass(frozen=True, eq=False)
@@ -56,19 +48,9 @@ class RatingTable:
     def __post_init__(self):
         if {len(getattr(self, f.name)) for f in fields(self)} != {len(self)}:
             raise ValueError("the columns of a RatingTable differ in length")
-        # Each rule is an interval on one column (the rating, a box's x, y, w,
-        # h or w*h), so the rows holding the extremes (argmin and argmax land
-        # on the first NaN) pass only if all do. On a failure the rows are
-        # scanned in order, so the error names the first row that breaks a rule.
-        with np.errstate(over="ignore", invalid="ignore"):  # an inf or NaN area is an extreme that fails
-            probes = [self.rating] + [c for b in (self.gt, self.proposal) for c in (*b.T, b[:, 2] * b[:, 3])]
-        extremes = {int(f(c)) for c in probes for f in (np.argmin, np.argmax)} if len(self) else ()
-        try:
-            for i in sorted(extremes):
-                self._check_row(i)
-        except InvalidRow:
-            for i in range(len(self)):
-                self._check_row(i)
+        # each rule is an interval on the rating or on a box rule probe
+        check_rows(len(self), [self.rating, *box_rule_probes(self.gt), *box_rule_probes(self.proposal)],
+                   self._check_row)
 
     def _check_row(self, i: int) -> None:
         try:

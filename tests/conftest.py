@@ -1,11 +1,12 @@
 import functools
 import tracemalloc
 from concurrent.futures import Future
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
-from scaleiou import Box, giou, iou
+from scaleiou import Box, BoxTable, boxes_array, giou, iou
 
 
 @pytest.fixture
@@ -41,6 +42,42 @@ def random_smooth_pair(rng, min_edge_gap=0.05, min_overlap=0.02):
         if abs(g) < min_overlap or (0 < u < min_overlap):
             continue
         return b1, b2
+
+
+@dataclass(frozen=True)
+class GroundTruth:
+    """One ground-truth row of a test instance."""
+
+    image_id: str
+    category: str
+    box: Box
+
+
+@dataclass(frozen=True)
+class Detection:
+    """One detection row of a test instance."""
+
+    image_id: str
+    category: str
+    box: Box
+    score: float
+
+
+def ground_truth_table(gts) -> BoxTable:
+    """The BoxTable of GroundTruth rows, in their order."""
+    return BoxTable(np.array([g.image_id for g in gts], dtype=object), np.array([g.category for g in gts], dtype=object),
+                    boxes_array(g.box for g in gts))
+
+
+def detection_table(dets) -> BoxTable:
+    """The BoxTable of Detection rows, in their order."""
+    return BoxTable(np.array([d.image_id for d in dets], dtype=object), np.array([d.category for d in dets], dtype=object),
+                    boxes_array(d.box for d in dets), np.array([d.score for d in dets], dtype=float))
+
+
+def tables(dets, gts) -> tuple[BoxTable, BoxTable]:
+    """The detection and ground-truth tables of a test instance."""
+    return detection_table(dets), ground_truth_table(gts)
 
 
 class SerialFuture(Future):
@@ -84,6 +121,14 @@ class SerialPool:
         if SerialPool.futures is not None:
             SerialPool.futures.append(future)
         return future
+
+
+@pytest.fixture(autouse=True)
+def fresh_serial_pool(monkeypatch):
+    """Every test starts with SerialPool's records empty and gets the class's
+    own back after it ends."""
+    monkeypatch.setattr(SerialPool, "requested", [])
+    monkeypatch.setattr(SerialPool, "futures", None)
 
 
 def traced_peak(call) -> int:

@@ -44,7 +44,7 @@ import scaleiou.stats as stats
 from scaleiou.cli import main
 from scaleiou.evaluation import EvalConfig
 from scaleiou.rating import relative_gap_from_means
-from tests.conftest import random_box, random_smooth_pair
+from tests.conftest import ground_truth_table, random_box, random_smooth_pair, tables
 from tests.test_eval import oracle_ap, oracle_match, random_instance
 
 
@@ -232,10 +232,10 @@ def test_08_evaluation_oracle():
         dets = dets[:5]
         for size_filter in (None, SizeClass.SMALL):
             config = EvalConfig(thresholds=(0.4,), size_filter=size_filter)
-            got = [lab for _, lab in match_detections(dets, gts, config, 0.4)]
+            got = [lab for _, lab in match_detections(*tables(dets, gts), config, 0.4)]
             want = oracle_match(dets, gts, config.criterion, config.params, 0.4, size_filter)
             assert got == want
-            n_gt = count_ground_truths(gts, size_filter)
+            n_gt = count_ground_truths(ground_truth_table(gts), size_filter)
             expected = oracle_ap(want, n_gt)
             actual = average_precision(got, n_gt)
             if expected is None:
@@ -247,9 +247,9 @@ def test_08_evaluation_oracle():
 
     rnd = _random.Random(13)
     dets, gts = random_instance(rnd)
-    iou_report = map_report(dets, gts, EvalConfig(criterion=CriterionId.IOU))
+    iou_report = map_report(*tables(dets, gts), EvalConfig(criterion=CriterionId.IOU))
     siou_report = map_report(
-        dets, gts,
+        *tables(dets, gts),
         EvalConfig(criterion=CriterionId.SIOU, params=CriterionParams(gamma=0.0)),
     )
     assert iou_report == siou_report

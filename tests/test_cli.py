@@ -431,8 +431,7 @@ class TestLoaders:
     def test_load_boxes_corner_to_center(self, boxes_file):
         detections, ground_truths = load_boxes(boxes_file)
         assert len(detections) == 3 and len(ground_truths) == 2
-        cat_gt = ground_truths[0].box
-        assert (cat_gt.x, cat_gt.y, cat_gt.w, cat_gt.h) == (18, 18, 16, 16)
+        assert ground_truths.box[0].tolist() == [18, 18, 16, 16]
 
     def test_load_boxes_unknown_image(self, tmp_path):
         path = tmp_path / "boxes.json"

@@ -4,6 +4,7 @@ import json
 import math
 import random
 from fractions import Fraction
+from operator import itemgetter
 
 import pytest
 from hypothesis import example, given, settings
@@ -13,9 +14,7 @@ from scaleiou import (
     Box,
     CriterionId,
     CriterionParams,
-    DetectionRecord,
     EvalConfig,
-    GroundTruthRecord,
     MatchLabel,
     SizeClass,
     average_precision,
@@ -26,7 +25,9 @@ from scaleiou import (
     size_class,
 )
 from scaleiou.cli import main
+from scaleiou.evaluation import _ScoredGroups
 from scaleiou.io import corner_box
+from tests.conftest import Detection, GroundTruth, ground_truth_table, tables
 
 
 def oracle_match(dets, gts, cid, params, threshold, size_filter=None):
@@ -95,7 +96,7 @@ def random_instance(rnd):
     for _ in range(rnd.randint(1, 4)):
         w, h = rnd.uniform(5, 120), rnd.uniform(5, 120)
         gts.append(
-            GroundTruthRecord(
+            GroundTruth(
                 rnd.choice(images), rnd.choice(cats),
                 Box(rnd.uniform(0, 100), rnd.uniform(0, 100), w, h),
             )
@@ -104,7 +105,7 @@ def random_instance(rnd):
     for _ in range(rnd.randint(0, 5)):
         base = rnd.choice(gts).box
         dets.append(
-            DetectionRecord(
+            Detection(
                 rnd.choice(images), rnd.choice(cats),
                 Box(
                     base.x + rnd.uniform(-15, 15), base.y + rnd.uniform(-15, 15),
@@ -125,10 +126,10 @@ class TestAgainstOracle:
             threshold = rnd.choice([0.2, 0.4, 0.5])
             cid = rnd.choice([CriterionId.IOU, CriterionId.SIOU])
             config = EvalConfig(criterion=cid, thresholds=(threshold,), size_filter=size_filter)
-            got = [lab for _, lab in match_detections(dets, gts, config, threshold)]
+            got = [lab for _, lab in match_detections(*tables(dets, gts), config, threshold)]
             want = oracle_match(dets, gts, cid, config.params, threshold, size_filter)
             assert got == want
-            n_gt = count_ground_truths(gts, size_filter)
+            n_gt = count_ground_truths(ground_truth_table(gts), size_filter)
             ap = average_precision(got, n_gt)
             expected = oracle_ap(want, n_gt)
             if expected is None:
@@ -275,73 +276,73 @@ class TestAveragePrecisionLargeDenominators:
 
 
 class TestMatching:
-    GT = [GroundTruthRecord("a", "cat", Box(50, 50, 20, 20))]
+    GT = [GroundTruth("a", "cat", Box(50, 50, 20, 20))]
 
     def test_best_overlap_wins(self):
-        gts = self.GT + [GroundTruthRecord("a", "cat", Box(80, 50, 20, 20))]
-        det = DetectionRecord("a", "cat", Box(52, 50, 20, 20), 0.9)
+        gts = self.GT + [GroundTruth("a", "cat", Box(80, 50, 20, 20))]
+        det = Detection("a", "cat", Box(52, 50, 20, 20), 0.9)
         config = EvalConfig(thresholds=(0.5,))
-        results = match_detections([det], gts, config, 0.5)
-        assert results == [(det, MatchLabel.TP)]
+        results = match_detections(*tables([det], gts), config, 0.5)
+        assert results == [(0, MatchLabel.TP)]
 
     def test_double_detection_second_is_fp(self):
-        d1 = DetectionRecord("a", "cat", Box(50, 50, 20, 20), 0.9)
-        d2 = DetectionRecord("a", "cat", Box(51, 50, 20, 20), 0.8)
-        results = match_detections([d1, d2], self.GT, EvalConfig(), 0.5)
+        d1 = Detection("a", "cat", Box(50, 50, 20, 20), 0.9)
+        d2 = Detection("a", "cat", Box(51, 50, 20, 20), 0.8)
+        results = match_detections(*tables([d1, d2], self.GT), EvalConfig(), 0.5)
         assert [lab for _, lab in results] == [MatchLabel.TP, MatchLabel.FP]
 
     def test_wrong_category_is_fp(self):
-        det = DetectionRecord("a", "dog", Box(50, 50, 20, 20), 0.9)
-        results = match_detections([det], self.GT, EvalConfig(), 0.5)
+        det = Detection("a", "dog", Box(50, 50, 20, 20), 0.9)
+        results = match_detections(*tables([det], self.GT), EvalConfig(), 0.5)
         assert results[0][1] is MatchLabel.FP
 
     def test_out_of_bucket_match_is_ignored(self):
         # Under a small-size filter a detection on a large ground truth is
         # dropped from the ranking rather than punished as a false positive.
-        large_gt = GroundTruthRecord("a", "cat", Box(0, 0, 200, 200))
-        det = DetectionRecord("a", "cat", Box(0, 0, 200, 200), 0.9)
+        large_gt = GroundTruth("a", "cat", Box(0, 0, 200, 200))
+        det = Detection("a", "cat", Box(0, 0, 200, 200), 0.9)
         config = EvalConfig(size_filter=SizeClass.SMALL)
-        results = match_detections([det], [large_gt], config, 0.5)
+        results = match_detections(*tables([det], [large_gt]), config, 0.5)
         assert results[0][1] is MatchLabel.IGNORED
-        assert count_ground_truths([large_gt], SizeClass.SMALL) == 0
+        assert count_ground_truths(ground_truth_table([large_gt]), SizeClass.SMALL) == 0
 
     @pytest.mark.parametrize("threshold", [float("nan"), -5.0, 0.0, 1.5])
     def test_rejects_out_of_range_threshold(self, threshold):
-        det = DetectionRecord("a", "cat", Box(50, 50, 20, 20), 0.9)
+        det = Detection("a", "cat", Box(50, 50, 20, 20), 0.9)
         with pytest.raises(ValueError, match="^threshold out of range"):
-            match_detections([det], self.GT, EvalConfig(), threshold)
+            match_detections(*tables([det], self.GT), EvalConfig(), threshold)
 
     def test_threshold_one_matches_an_exact_copy(self):
-        det = DetectionRecord("a", "cat", Box(50, 50, 20, 20), 0.9)
-        assert match_detections([det], self.GT, EvalConfig(), 1.0) == [(det, MatchLabel.TP)]
+        det = Detection("a", "cat", Box(50, 50, 20, 20), 0.9)
+        assert match_detections(*tables([det], self.GT), EvalConfig(), 1.0) == [(0, MatchLabel.TP)]
 
     def test_input_order_independent(self):
         rnd = random.Random(5)
         dets, gts = random_instance(rnd)
         config = EvalConfig(thresholds=(0.3,))
-        baseline = {d: lab for d, lab in match_detections(dets, gts, config, 0.3)}
+        baseline = {dets[i]: lab for i, lab in match_detections(*tables(dets, gts), config, 0.3)}
         shuffled = list(dets)
         rnd.shuffle(shuffled)
-        assert {d: lab for d, lab in match_detections(shuffled, gts, config, 0.3)} == baseline
+        assert {shuffled[i]: lab for i, lab in match_detections(*tables(shuffled, gts), config, 0.3)} == baseline
 
 
 class TestMapReport:
     def small_world(self):
         gts = [
-            GroundTruthRecord("a", "cat", Box(10, 10, 16, 16)),
-            GroundTruthRecord("a", "dog", Box(60, 60, 120, 120)),
+            GroundTruth("a", "cat", Box(10, 10, 16, 16)),
+            GroundTruth("a", "dog", Box(60, 60, 120, 120)),
         ]
         dets = [
-            DetectionRecord("a", "cat", Box(11, 10, 16, 16), 0.9),
-            DetectionRecord("a", "dog", Box(60, 62, 120, 120), 0.8),
-            DetectionRecord("a", "dog", Box(300, 300, 50, 50), 0.7),
+            Detection("a", "cat", Box(11, 10, 16, 16), 0.9),
+            Detection("a", "dog", Box(60, 62, 120, 120), 0.8),
+            Detection("a", "dog", Box(300, 300, 50, 50), 0.7),
         ]
         return dets, gts
 
     def test_structure_and_aggregates(self):
         dets, gts = self.small_world()
         config = EvalConfig(thresholds=(0.5, 0.75))
-        rows = map_report(dets, gts, config)
+        rows = map_report(*tables(dets, gts), config)
         buckets = {r["bucket"] for r in rows}
         assert buckets == {"all", "small", "medium", "large"}
         mean_rows = [r for r in rows if r["threshold"] == "mean"]
@@ -352,9 +353,9 @@ class TestMapReport:
 
     def test_siou_gamma_zero_identity(self):
         dets, gts = self.small_world()
-        iou_rows = map_report(dets, gts, EvalConfig(criterion=CriterionId.IOU))
+        iou_rows = map_report(*tables(dets, gts), EvalConfig(criterion=CriterionId.IOU))
         siou_rows = map_report(
-            dets, gts,
+            *tables(dets, gts),
             EvalConfig(criterion=CriterionId.SIOU, params=CriterionParams(gamma=0.0)),
         )
         assert iou_rows == siou_rows
@@ -363,16 +364,16 @@ class TestMapReport:
         # A small-box detection whose IoU sits just below threshold clears it
         # under the lenient evaluation setting (gamma > 0 shrinks the exponent
         # for small objects, raising the criterion value).
-        gt = [GroundTruthRecord("a", "cat", Box(10, 10, 10, 10))]
-        det = [DetectionRecord("a", "cat", Box(12.4, 10, 10, 10), 0.9)]
+        gt = [GroundTruth("a", "cat", Box(10, 10, 10, 10))]
+        det = [Detection("a", "cat", Box(12.4, 10, 10, 10), 0.9)]
         iou_value = evaluate(CriterionId.IOU, det[0].box, gt[0].box)
         params = CriterionParams(gamma=0.5, kappa=64)
         siou_value = evaluate(CriterionId.SIOU, det[0].box, gt[0].box, params)
         assert iou_value < 0.65 < siou_value
-        iou_ap = [r for r in map_report(det, gt, EvalConfig(thresholds=(0.65,)))
+        iou_ap = [r for r in map_report(*tables(det, gt), EvalConfig(thresholds=(0.65,)))
                   if r["category"] == "mAP" and r["bucket"] == "all"][0]["ap"]
         siou_ap = [r for r in map_report(
-            det, gt,
+            *tables(det, gt),
             EvalConfig(criterion=CriterionId.SIOU, params=params, thresholds=(0.65,)))
             if r["category"] == "mAP" and r["bucket"] == "all"][0]["ap"]
         assert iou_ap == 0.0
@@ -380,7 +381,7 @@ class TestMapReport:
 
     def test_empty_detections(self):
         _, gts = self.small_world()
-        rows = map_report([], gts, EvalConfig())
+        rows = map_report(*tables([], gts), EvalConfig())
         all_rows = [r for r in rows if r["bucket"] == "all" and r["category"] != "mAP"]
         assert all(r["ap"] == 0.0 for r in all_rows)
 
@@ -484,10 +485,10 @@ def test_report_cells_equal_the_oracle_on_ties(cid):
     @example(doc=one_image([[-1, 0, 10, 10], [1, 0, 10, 10]], [([0, 0, 10, 10], 0.9), ([-2, 0, 10, 10], 0.5)]))
     @example(doc=one_image([[-6, 0, 10, 10], [6, 0, 10, 10]], [([0, 0, 10, 10], 0.9), ([-8, 0, 10, 10], 0.5)]))
     def check(doc):
-        gts = [GroundTruthRecord(a["image_id"], a["category"], corner_box(a["bbox"])) for a in doc["annotations"]]
-        dets = [DetectionRecord(d["image_id"], d["category"], corner_box(d["bbox"]), d["score"])
+        gts = [GroundTruth(a["image_id"], a["category"], corner_box(a["bbox"])) for a in doc["annotations"]]
+        dets = [Detection(d["image_id"], d["category"], corner_box(d["bbox"]), d["score"])
                 for d in doc["detections"]]
-        cells = [row for row in map_report(dets, gts, config) if row["category"] != "mAP"]
+        cells = [row for row in map_report(*tables(dets, gts), config) if row["category"] != "mAP"]
         assert {(row["bucket"], row["threshold"]) for row in cells} == {
             (bucket, t) for bucket in BUCKET_FILTERS for t in config.thresholds}
         for row in cells:
@@ -495,7 +496,7 @@ def test_report_cells_equal_the_oracle_on_ties(cid):
             cat_dets = [d for d in dets if d.category == row["category"]]
             cat_gts = [g for g in gts if g.category == row["category"]]
             labels = oracle_match(cat_dets, cat_gts, cid, config.params, row["threshold"], size_filter)
-            assert row["ap"] == reference_ap(labels, count_ground_truths(cat_gts, size_filter)), row
+            assert row["ap"] == reference_ap(labels, count_ground_truths(ground_truth_table(cat_gts), size_filter)), row
 
     check()
 
@@ -512,9 +513,9 @@ def tied_instance(rnd):
     dets += [det for det in dets if rnd.random() < 0.3]
     image, category = rnd.choice(gts).image_id, rnd.choice(gts).category
     x, y, side, gap = rnd.randint(0, 80), rnd.randint(0, 80), rnd.choice([12, 40, 100]), rnd.randint(1, 4)
-    gts += [GroundTruthRecord(image, category, Box(x + dx, y, side, side)) for dx in (-gap, gap)]
-    dets += [DetectionRecord(image, category, Box(x, y, side, side), 0.5) for _ in range(2)]
-    dets.append(DetectionRecord(image, "kite", Box(x, y, side, side), rnd.random()))
+    gts += [GroundTruth(image, category, Box(x + dx, y, side, side)) for dx in (-gap, gap)]
+    dets += [Detection(image, category, Box(x, y, side, side), 0.5) for _ in range(2)]
+    dets.append(Detection(image, "kite", Box(x, y, side, side), rnd.random()))
     return dets, gts
 
 
@@ -527,7 +528,7 @@ def test_report_cells_equal_the_public_per_cell_path(cid):
     config = EvalConfig(criterion=cid, thresholds=COCO_THRESHOLDS)
     for _ in range(60):
         dets, gts = tied_instance(rnd)
-        cells = [row for row in map_report(dets, gts, config) if row["category"] != "mAP"]
+        cells = [row for row in map_report(*tables(dets, gts), config) if row["category"] != "mAP"]
         categories = {d.category for d in dets} | {g.category for g in gts}
         assert len(cells) == len(categories) * len(BUCKET_FILTERS) * len(COCO_THRESHOLDS)
         for row in cells:
@@ -535,5 +536,28 @@ def test_report_cells_equal_the_public_per_cell_path(cid):
             cat_dets = [d for d in dets if d.category == row["category"]]
             cat_gts = [g for g in gts if g.category == row["category"]]
             cell_config = EvalConfig(criterion=cid, size_filter=size_filter)
-            labels = [label for _, label in match_detections(cat_dets, cat_gts, cell_config, row["threshold"])]
-            assert row["ap"] == average_precision(labels, count_ground_truths(cat_gts, size_filter)), row
+            labels = [label for _, label in match_detections(*tables(cat_dets, cat_gts), cell_config, row["threshold"])]
+            assert row["ap"] == average_precision(labels, count_ground_truths(ground_truth_table(cat_gts), size_filter)), row
+
+
+@pytest.mark.parametrize("cid", list(CriterionId), ids=[c.value for c in CriterionId])
+def test_scored_groups_equal_the_per_detection_sorts(cid):
+    """The match order, from one np.lexsort over the columns, is a stable
+    sort of the rows by (-score, image id, box); and each detection's
+    candidates, from one np.lexsort over all pairs, are its same-group
+    ground truths in box order, stably sorted by descending value."""
+    rnd = random.Random(74)
+    params = CriterionParams(gamma=0.5, kappa=32.0)
+    for _ in range(40):
+        dets, gts = tied_instance(rnd)
+        dets += [Detection(d.image_id, d.category, d.box, -0.0) for d in dets if rnd.random() < 0.2]
+        dets.append(Detection(dets[0].image_id, dets[0].category, dets[0].box, 0.0))
+        groups = _ScoredGroups(*tables(dets, gts), cid, params)
+        assert groups.order == sorted(range(len(dets)), key=lambda i: (-dets[i].score, dets[i].image_id,
+                                                                       dets[i].box.components()))
+        box_order = sorted(range(len(gts)), key=lambda j: gts[j].box.components())
+        for det, candidates in zip(dets, groups.candidates):
+            same = [j for j in box_order if (gts[j].image_id, gts[j].category) == (det.image_id, det.category)]
+            want = sorted(((j, evaluate(cid, det.box, gts[j].box, params)) for j in same),
+                          key=itemgetter(1), reverse=True)
+            assert candidates == want

@@ -13,9 +13,7 @@ from scaleiou import (
     Box,
     CriterionId,
     CriterionParams,
-    DetectionRecord,
     EvalConfig,
-    GroundTruthRecord,
     MatchLabel,
     ParseError,
     SizeClass,
@@ -33,7 +31,7 @@ from scaleiou.criteria import areas, boxes_array, elementwise, from_areas, kerne
 from scaleiou.geometry import MAX_COORDINATE, enclosing_hull_area, intersection_area, union_area
 from scaleiou.io import load_boxes, load_ratings
 from scaleiou.stats import CHUNK_SIZE, ShiftModel, criterion_on_shifts, sample_shifts
-from tests.conftest import SerialPool
+from tests.conftest import Detection, GroundTruth, SerialPool, tables
 
 ALL_IDS = list(CriterionId)
 
@@ -171,14 +169,14 @@ def random_detection_set(seed):
             for _ in range(rnd.randint(0, 4)):
                 s = rnd.choice([8.0, 20.0, 31.0, 40.0, 90.0, 150.0])
                 box = Box(rnd.uniform(0, 200), rnd.uniform(0, 200), s * rnd.uniform(0.7, 1.3), s)
-                gts.append(GroundTruthRecord(image, category, box))
+                gts.append(GroundTruth(image, category, box))
                 for _ in range(rnd.randint(0, 2)):
                     moved = Box(box.x + rnd.uniform(-6, 6), box.y + rnd.uniform(-6, 6),
                                 box.w * rnd.uniform(0.8, 1.2), box.h * rnd.uniform(0.8, 1.2))
-                    dets.append(DetectionRecord(image, category, moved, rnd.choice([0.3, 0.5, 0.9])))
+                    dets.append(Detection(image, category, moved, rnd.choice([0.3, 0.5, 0.9])))
             for _ in range(rnd.randint(0, 2)):
                 box = Box(rnd.uniform(0, 200), rnd.uniform(0, 200), rnd.uniform(5, 120), rnd.uniform(5, 120))
-                dets.append(DetectionRecord(image, category, box, rnd.choice([0.3, 0.5, 0.9])))
+                dets.append(Detection(image, category, box, rnd.choice([0.3, 0.5, 0.9])))
     rnd.shuffle(dets)
     return dets, gts
 
@@ -192,7 +190,7 @@ def test_match_detections_equals_scalar_greedy(cid, size_filter):
         for threshold in (0.3, 0.5, 0.75):
             config = EvalConfig(criterion=cid, params=params, thresholds=(threshold,),
                                 size_filter=size_filter)
-            got = match_detections(dets, gts, config, threshold)
+            got = match_detections(*tables(dets, gts), config, threshold)
             expected = scalar_greedy(dets, gts, cid, params, threshold, size_filter)
             assert [label for _, label in got] == expected
 
@@ -201,10 +199,10 @@ def test_match_tie_goes_to_the_first_ground_truth():
     """A detection equidistant from two ground truths takes the first in box
     order (x, y, w, h), here listed second, which leaves the other one for
     the next detection."""
-    gts = [GroundTruthRecord("i", "c", Box(10, 0, 20, 20)), GroundTruthRecord("i", "c", Box(0, 0, 20, 20))]
-    dets = [DetectionRecord("i", "c", Box(5, 0, 20, 20), 0.9), DetectionRecord("i", "c", Box(0, 0, 20, 20), 0.8)]
+    gts = [GroundTruth("i", "c", Box(10, 0, 20, 20)), GroundTruth("i", "c", Box(0, 0, 20, 20))]
+    dets = [Detection("i", "c", Box(5, 0, 20, 20), 0.9), Detection("i", "c", Box(0, 0, 20, 20), 0.8)]
     config = EvalConfig(criterion=CriterionId.IOU)
-    labels = [label for _, label in match_detections(dets, gts, config, 0.5)]
+    labels = [label for _, label in match_detections(*tables(dets, gts), config, 0.5)]
     assert labels == scalar_greedy(dets, gts, CriterionId.IOU, config.params, 0.5, None)
     assert labels == [MatchLabel.TP, MatchLabel.FP]
 
@@ -219,7 +217,7 @@ def test_map_report_equals_match_per_cell():
     for seed in range(5):
         dets, gts = random_detection_set(seed)
         config = EvalConfig(criterion=CriterionId.SIOU, params=params, thresholds=thresholds)
-        for row in map_report(dets, gts, config):
+        for row in map_report(*tables(dets, gts), config):
             if row["category"] == "mAP":
                 continue
             bucket = buckets[row["bucket"]]
@@ -227,7 +225,7 @@ def test_map_report_equals_match_per_cell():
             cat_gts = [g for g in gts if g.category == row["category"]]
             cell = EvalConfig(criterion=CriterionId.SIOU, params=params,
                               thresholds=thresholds, size_filter=bucket)
-            labels = [lab for _, lab in match_detections(cat_dets, cat_gts, cell, row["threshold"])]
+            labels = [lab for _, lab in match_detections(*tables(cat_dets, cat_gts), cell, row["threshold"])]
             n_gt = sum(1 for g in cat_gts if bucket is None or size_class(g.box) is bucket)
             assert row["ap"] == average_precision(labels, n_gt)
 
@@ -245,9 +243,9 @@ def test_one_kernel_call_per_scoring(monkeypatch):
     dets, gts = random_detection_set(0)
     assert len({(d.image_id, d.category) for d in dets}) > 2
     config = EvalConfig(criterion=CriterionId.SIOU, thresholds=(0.3, 0.5, 0.7))
-    map_report(dets, gts, config)
+    map_report(*tables(dets, gts), config)
     assert calls == [CriterionId.SIOU]
-    match_detections(dets, gts, config, 0.5)
+    match_detections(*tables(dets, gts), config, 0.5)
     assert calls == [CriterionId.SIOU] * 2
 
 
@@ -281,7 +279,7 @@ def test_non_finite_score_is_a_parse_error(tmp_path, capsys, score):
 
 
 @pytest.mark.parametrize("bbox", [(0, 0, 1e308, 1e308), (0, 0, 1e200, 1e200), (1e300, 0, 5, 5),
-                                  (0, 0, 1e-200, 1e-200)])
+                                  (0, 0, 1e-200, 1e-200), (1.7e308, 0, 1e308, 5)])
 def test_overflowing_box_is_a_parse_error(tmp_path, capsys, bbox):
     path = write_boxes(tmp_path, one_pair(det_bbox=bbox, gt_bbox=bbox))
     with pytest.raises(ParseError, match="out of range"):
@@ -289,9 +287,10 @@ def test_overflowing_box_is_a_parse_error(tmp_path, capsys, bbox):
     assert eval_exit(path) == 2
 
 
-# the bboxes of test_overflowing_box_is_a_parse_error, for the other loaders
+# the bboxes of test_overflowing_box_is_a_parse_error, for the other loaders; the last
+# one's center overflows to inf, with no RuntimeWarning
 OVERFLOWING_BBOXES = [(0, 0, 1e308, 1e308), (0, 0, 1e200, 1e200), (1e300, 0, 5, 5),
-                      (0, 0, 1e-200, 1e-200)]
+                      (0, 0, 1e-200, 1e-200), (1.7e308, 0, 1e308, 5)]
 
 
 @pytest.mark.parametrize("bbox", OVERFLOWING_BBOXES)
@@ -367,7 +366,6 @@ def test_sample_shifts_caps_its_pool(monkeypatch, n_chunks, n_threads, cpus, exp
     an explicit n_threads; serial for one chunk or one CPU."""
     monkeypatch.setattr(stats, "ThreadPoolExecutor", SerialPool)
     monkeypatch.setattr(stats, "_usable_cpus", lambda: cpus)
-    SerialPool.requested = []
     model = ShiftModel(sigma_base=4.0)
     n = n_chunks * CHUNK_SIZE
     samples = sample_shifts(8.0, model, n, seed=3, n_threads=n_threads)
@@ -380,7 +378,6 @@ def test_a_huge_thread_count_is_capped_by_the_chunks_and_the_cpus(monkeypatch, c
     """n_threads=10**9 on a 3-chunk draw asks the pool for min(3, usable CPUs) workers."""
     monkeypatch.setattr(stats, "ThreadPoolExecutor", SerialPool)
     monkeypatch.setattr(stats, "_usable_cpus", lambda: cpus)
-    SerialPool.requested = []
     sample_shifts(8.0, ShiftModel(sigma_base=4.0), 3 * CHUNK_SIZE, seed=3, n_threads=10**9)
     assert SerialPool.requested == [min(3, cpus)]
 
