@@ -195,6 +195,8 @@ BREAKS = {
     "center overflows": lambda e, scored, k: {**e, "bbox": [1.7e308, 0, 1e308, 1]},
     "score": lambda e, scored, k: {**e, "score": ["nan", "-inf", True, "abc", 10 ** 400, 1e309][k % 6]},
 }
+BOX_RULE_BREAKS = ["x out of range", "y out of range", "w not positive", "h too large", "area rounds to 0",
+                   "center overflows"]
 IMAGE_BREAKS = {
     "missing id": lambda image, k: {"file": "a.jpg"},
     "id type": lambda image, k: [1.5, None, False][k % 3],
@@ -216,6 +218,9 @@ def broken_documents(draw):
     doc["detections"] = doc["detections"] or [{"image_id": 1, "category": 5, "bbox": [0, 0, 10, 10], "score": 1}]
     positions = [(key, i) for key in ("images", "annotations", "detections") for i in range(len(doc[key]))
                  if i or key == "detections"]
+    # half the breaks repeat one box-rule kind, so that a later break of the
+    # same column, not the first, is often that column's extreme
+    repeated = draw(st.sampled_from(BOX_RULE_BREAKS))
     for order, (key, i) in enumerate(sorted(draw(st.lists(st.sampled_from(positions), min_size=1, max_size=3,
                                                           unique=True)), key=positions.index)):
         if key == "images":
@@ -223,7 +228,8 @@ def broken_documents(draw):
         else:
             scored = key == "detections"
             kinds = [kind for kind in BREAKS if (scored or "score" not in kind) and (listed or "unknown" not in kind)]
-            doc[key][i] = BREAKS[draw(st.sampled_from(kinds))](doc[key][i], scored, order)
+            kind = repeated if draw(st.booleans()) else draw(st.sampled_from(kinds))
+            doc[key][i] = BREAKS[kind](doc[key][i], scored, order)
     return doc
 
 
@@ -270,9 +276,12 @@ def reference_error(path):
                               {"image_id": "a", "category": "c", "bbox": [0, 0, -1, 5]},
                               {"image_id": "a", "category": "c", "bbox": [0, 0, 5, 5]},
                               {"image_id": 1.5, "category": "c", "bbox": [0, 0, 5, 5]}]})
-# the same across sections, and an earlier break that is not its column's extreme
-@example(doc={"annotations": [{"image_id": "a", "category": "c", "bbox": [2e150, 0, 5, 5]},
-                              {"image_id": "a", "category": "c", "bbox": [4e150, 0, 5, 5]}],
+# an earlier box-rule break that is not its column's extreme
+@example(doc={"annotations": [{"image_id": "a", "category": "c", "bbox": [0, 0, 5, 5]},
+                              {"image_id": "a", "category": "c", "bbox": [2e150, 0, 5, 5]},
+                              {"image_id": "a", "category": "c", "bbox": [4e150, 0, 5, 5]}]})
+# a box-rule break before an entry of the next section that breaks another rule
+@example(doc={"annotations": [{"image_id": "a", "category": "c", "bbox": [2e150, 0, 5, 5]}],
               "detections": [{"image_id": "a", "category": "c", "bbox": [0, 0, 5, 5]}]})
 @example(doc={"annotations": [{"image_id": "a", "category": "c", "bbox": [0, 0, 5, 5]}],
               "detections": [{"image_id": "a", "category": "c", "bbox": [0, 0, 5, 1e-170], "score": 1},
