@@ -14,6 +14,7 @@ CPU (limit them with taskset); the output does not depend on the count.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from dataclasses import fields
 from typing import Optional, Sequence
@@ -321,10 +322,15 @@ _COMMANDS = {
 }
 
 
+@functools.cache
+def _parser() -> _Parser:
+    """The parser, built on the first call: it keeps no state between parses."""
+    return build_parser()
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
         config = {} if args.config is None else load_config(args.config, _CONFIG_KEYS)
         output = _COMMANDS[args.command](args, _resolve_params(args, config), config)
         if isinstance(output, str):  # criterion prints one value, not a table

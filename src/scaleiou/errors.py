@@ -31,7 +31,8 @@ class EmptyCell(ScaleIoUError):
 
 
 class QuadratureNonConvergence(ScaleIoUError):
-    """Raised when adaptive quadrature does not reach the requested tolerance."""
+    """Raised when an iterative numerical method (adaptive quadrature, the
+    F tail's continued fraction) does not reach its tolerance."""
 
 
 class ParseError(ScaleIoUError):

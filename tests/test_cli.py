@@ -574,6 +574,21 @@ class TestRatingCsvRules:
         assert np.isnan(table.context).all() and np.isnan(table.expertise).all() and np.isnan(table.age).all()
 
 
+class TestParserReuse:
+    """main builds its parser on the first call and reuses it; a parse leaves
+    nothing behind for the next one."""
+
+    GOOD = ["order-check", "--n", "300", "--seed", "2", "--gamma=-1", "--format", "json"]
+
+    def test_an_error_between_two_calls_leaves_the_output_alone(self, capsys):
+        first = run(capsys, *self.GOOD)
+        assert first[0] == 0 and first[1]
+        assert run(capsys, "order-check", "--n", "1_0", "--seed", "2")[0] == 1  # a bad flag value
+        assert run(capsys, "order-check", "--seed", "2", "--gamma=-3")[0] == 1  # a missing flag
+        assert run(capsys, "simulate", "--bogus")[0] == 1
+        assert run(capsys, *self.GOOD) == first
+
+
 def run_module(*argv):
     """Run `python -m scaleiou.cli` in a fresh interpreter on this checkout."""
     src = str(Path(scaleiou.__file__).resolve().parents[1])

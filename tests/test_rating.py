@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats as sp_stats
+from scipy.special import fdtrc
 
 from scaleiou import (
     Box,
@@ -25,7 +26,7 @@ from scaleiou import (
 )
 from scaleiou.criteria import boxes_array
 from scaleiou.io import load_ratings
-from scaleiou.rating import InvalidRow, group_records, relative_gap_from_means
+from scaleiou.rating import InvalidRow, f_tail, group_records, relative_gap_from_means
 
 SMALL = Box(0, 0, 16, 16)
 MEDIUM = Box(0, 0, 64, 64)
@@ -330,6 +331,14 @@ class TestRatingTable:
 # --- kendall_tau and one_way_anova against the scipy functions they replace
 
 ORDINAL = st.integers(1, 5)
+# one_way_anova's p-value is f_tail, which cannot keep scipy's last bits: it is
+# compared with scipy's by this relative bound, plus an absolute floor of
+# 1e-300. The largest distance f_tail reaches on the grids below is 6.4e-13.
+P_VALUE_REL = 1e-12
+
+
+def p_value_close(p_value, reference):
+    return abs(p_value - reference) <= P_VALUE_REL * max(abs(p_value), abs(reference)) + 1e-300
 
 
 @st.composite
@@ -375,7 +384,7 @@ def test_anova_p_is_scipys_f_sf(groups):
         f_stat, p_value = one_way_anova(groups)
     except DegenerateInput:
         return
-    assert p_value == scipy_anova_p(groups, f_stat)
+    assert p_value_close(p_value, scipy_anova_p(groups, f_stat))
 
 
 def test_bench_table_matches_scipy(tmp_path):
@@ -390,4 +399,58 @@ def test_bench_table_matches_scipy(tmp_path):
     for grouping in ("size", "context", "expertise", "age"):
         groups = [table.rating[index] for index in group_records(table, grouping).values()]
         f_stat, p_value = one_way_anova(groups)
-        assert p_value == scipy_anova_p(groups, f_stat), grouping
+        assert p_value_close(p_value, scipy_anova_p(groups, f_stat)), grouping
+
+
+# --- f_tail against scipy.special.fdtrc
+
+GRID_DFD = sorted(set(np.geomspace(3, 8000, 40).astype(int).tolist()))
+
+
+def test_f_tail_matches_fdtrc_on_a_grid():
+    """dfn 1-9, dfd 3-8,000 and F from 1e-6 to 1e4: p from about 1 down to
+    below 1e-300, where the floor takes over."""
+    fs = np.geomspace(1e-6, 1e4, 60)
+    for dfn in range(1, 10):
+        for dfd in GRID_DFD:
+            for f, reference in zip(fs.tolist(), fdtrc(dfn, dfd, fs).tolist()):
+                assert p_value_close(f_tail(f, dfn, dfd), reference), (dfn, dfd, f)
+
+
+@pytest.mark.parametrize("target", [1e-30, 1e-100, 1e-200, 1e-295])
+def test_f_tail_keeps_its_digits_in_the_far_tail(target):
+    """The F at which fdtrc is the target, found by bisection on log10 F. The
+    grid stops at 1e-295: below it fdtrc itself drifts as it nears underflow
+    (1.1e-8 relative at 1e-300, dfn 8, dfd 50, against a 40-digit reference)."""
+    dfn, dfd = (a.ravel() for a in np.meshgrid(np.arange(1, 10), [3, 10, 50, 300, 2000, 8000]))
+    lo, hi = np.zeros(dfn.size), np.full(dfn.size, 300.0)
+    for _ in range(60):
+        mid = (lo + hi) / 2
+        above = fdtrc(dfn, dfd, 10.0 ** mid) > target
+        lo, hi = np.where(above, mid, lo), np.where(above, hi, mid)
+    for n, d, f in zip(dfn.tolist(), dfd.tolist(), (10.0 ** lo).tolist()):
+        reference = float(fdtrc(n, d, f))
+        assert target / 10 < reference < target * 10
+        assert p_value_close(f_tail(f, n, d), reference), (n, d, f)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.integers(1, 50), st.integers(1, 10**6), st.floats(0, 1e6), st.floats(0, 1e6))
+def test_f_tail_is_a_tail_probability(dfn, dfd, f1, f2):
+    """p is in [0, 1] and does not increase with F, up to the rounding that
+    P_VALUE_REL bounds (no float implementation is monotone to the last bit)."""
+    lo, hi = sorted((f1, f2))
+    p_lo, p_hi = f_tail(lo, dfn, dfd), f_tail(hi, dfn, dfd)
+    assert 0 <= p_hi <= 1 and 0 <= p_lo <= 1
+    assert p_hi <= p_lo * (1 + P_VALUE_REL) + 1e-300
+
+
+def test_f_tail_special_values():
+    assert f_tail(0.0, 2, 10) == 1.0 == float(fdtrc(2, 10, 0.0))
+    assert f_tail(5e-324, 2, 10) == 1.0 == float(fdtrc(2, 10, 5e-324))
+    assert f_tail(math.inf, 2, 10) == 0.0 == float(fdtrc(2, 10, math.inf))
+    assert f_tail(1e308, 9, 3) == 0.0 == float(fdtrc(9, 3, 1e308))
+    assert math.isnan(f_tail(math.nan, 2, 10)) and math.isnan(fdtrc(2, 10, math.nan))
+    assert math.isnan(f_tail(-1.0, 2, 10)) and math.isnan(fdtrc(2, 10, -1.0))
+    with pytest.raises(ValueError, match="degrees of freedom"):
+        f_tail(1.0, 0, 10)

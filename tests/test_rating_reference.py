@@ -7,7 +7,10 @@ one columnar RatingTable. On valid CSVs whose flags are all present (the one
 input where the two read the data the same way: the reference counted an
 absent flag as False), every analysis must match the reference bit for bit:
 criterion values, Kendall tau, group means for all four groupings, relative
-gaps (or the same EmptyCell), and the ANOVA, for all six criteria.
+gaps (or the same EmptyCell), and the ANOVA's F statistic and errors, for
+all six criteria. The reference took its ANOVA p-value from scipy; the
+library's f_tail is compared with it by a relative bound (see
+tests/test_rating.py, P_VALUE_REL).
 """
 
 import csv
@@ -31,6 +34,7 @@ from scaleiou.rating import (
     relative_gap,
     relative_gap_from_means,
 )
+from tests.test_rating import p_value_close
 
 GROUPINGS = ("size", "context", "expertise", "age")
 
@@ -174,6 +178,16 @@ def outcome(call):
         return f"{type(exc).__name__}: {exc}"
 
 
+def anova_outcome(call):
+    """outcome of an ANOVA with the p-value left out of the repr; the p-value
+    itself, or None after an error."""
+    try:
+        f_stat, p_value = call()
+    except (ValueError, DegenerateInput, EmptyCell) as exc:
+        return f"{type(exc).__name__}: {exc}", None
+    return repr(f_stat), p_value
+
+
 HEADER = ["rating", "gt_x", "gt_y", "gt_w", "gt_h", "px", "py", "pw", "ph", "context", "expertise", "age"]
 FLAGS = ["1", "0", "true", "false", "yes", "no", " TRUE ", "No"]
 # widths around the size-class edges: sqrt(16 * 64) = 32 and sqrt(48 * 192) = 96
@@ -221,8 +235,13 @@ def test_rating_analyses_match_reference(tmp_path_factory, rows, params):
     for grouping in GROUPINGS:
         groups = {key: index.tolist() for key, index in group_records(table, grouping).items()}
         assert groups == _ref_group_records(records, grouping)
-        assert outcome(lambda: one_way_anova([table.rating[index] for index in group_records(table, grouping).values()])
-                       ) == outcome(lambda: _ref_anova(records, grouping))
+        (got, p_value), (want, reference) = (
+            anova_outcome(lambda: one_way_anova([table.rating[index] for index in group_records(table, grouping).values()])),
+            anova_outcome(lambda: _ref_anova(records, grouping)))
+        assert got == want
+        assert (p_value is None) == (reference is None)
+        if reference is not None:
+            assert p_value_close(p_value, reference)
     for cid in CriterionId:
         assert repr(criterion_values(table, cid, params).tolist()) == repr(_ref_criterion_values(records, cid, params))
         assert outcome(lambda: kendall_tau(criterion_values(table, cid, params), table.rating)) == outcome(

@@ -33,7 +33,7 @@ from scaleiou import (
 )
 from scaleiou import iou, siou
 from scaleiou.cli import main
-from scaleiou.stats import CHUNK_SIZE, criterion_on_shifts, sample_shifts
+from scaleiou.stats import CHUNK_SIZE, KDE_BLOCK, criterion_on_shifts, gaussian_kde, sample_shifts, silverman_bandwidth
 from tests.conftest import SerialFuture, SerialPool, random_box, traced_peak
 
 DEFAULT = CriterionParams()
@@ -185,6 +185,51 @@ class TestEmpiricalPdf:
     def test_unknown_method(self):
         with pytest.raises(ValueError, match="^unknown pdf method 'kde'$"):
             empirical_pdf(np.arange(20.0), "kde")
+
+
+# empirical_pdf's KDE against scipy.stats.gaussian_kde: relative, with an
+# absolute floor for the densities that underflow. The largest distance on
+# the samples below is 3.4e-14.
+KDE_REL = 1e-13
+
+
+@pytest.mark.parametrize("n", [5_000, 100_000])
+@pytest.mark.parametrize("cid", [CriterionId.IOU, CriterionId.GIOU, CriterionId.SIOU, CriterionId.GSIOU])
+def test_kde_matches_scipys_gaussian_kde(cid, n):
+    from scipy.stats import gaussian_kde as scipy_kde
+
+    samples = simulate_criterion(cid, 16.0, ShiftModel(sigma_base=4.0), n, 1)
+    grid, density = np.array(empirical_pdf(samples, PdfMethod.GAUSSIAN_KDE, bounds=value_range(cid))).T
+    reference = scipy_kde(samples, bw_method=silverman_bandwidth(samples) / np.std(samples))(grid)
+    assert grid.size == 256
+    assert np.all(np.abs(density - reference) <= KDE_REL * np.maximum(density, reference) + 1e-300)
+
+
+def test_kde_memory_is_one_block_of_points():
+    """At n = 1e5, evaluating all 256 grid points at once would hold 205 MB;
+    blocked, the peak is one block of KDE_BLOCK points by n, and three arrays of
+    n (the scaled samples, and the percentile and covariance copies before it)."""
+    n = 100_000
+    samples = simulate_criterion(CriterionId.SIOU, 16.0, ShiftModel(sigma_base=4.0), n, 1)
+    peak = traced_peak(lambda: empirical_pdf(samples, PdfMethod.GAUSSIAN_KDE, bounds=(0.0, 1.0)))
+    assert peak <= (KDE_BLOCK + 3) * n * 8
+
+
+def test_kde_block_boundaries_do_not_change_the_density():
+    """Each point's density is its own row sum, so the block a point falls in,
+    and how many points share it, leaves its bits alone."""
+    samples = np.random.default_rng(3).normal(size=1000)
+    points = np.linspace(-4.0, 4.0, 2 * KDE_BLOCK + 3)
+    whole = gaussian_kde(samples, points, 0.3)
+    one_by_one = np.concatenate([gaussian_kde(samples, points[i:i + 1], 0.3) for i in range(points.size)])
+    assert whole.tobytes() == one_by_one.tobytes()
+
+
+def test_kde_bandwidth_below_the_float_range_is_a_data_error():
+    """Quartiles one subnormal apart: Silverman's bandwidth underflows to 0."""
+    samples = np.r_[np.zeros(50), np.full(50, 5e-324), 1.0]
+    with pytest.raises(InsufficientSamples, match="^KDE bandwidth is below the float range$"):
+        empirical_pdf(samples, PdfMethod.GAUSSIAN_KDE)
 
 
 class TestMomentCurve:
