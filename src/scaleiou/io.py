@@ -13,6 +13,7 @@ formatting so identical inputs produce byte-identical files.
 from __future__ import annotations
 
 import csv
+import functools
 import io as _io
 import json
 import math
@@ -244,8 +245,83 @@ def load_ratings(path: str) -> RatingTable:
     """Load a rating CSV with columns rating,gt_x,gt_y,gt_w,gt_h,px,py,pw,ph
     and optional context,expertise,age. Box columns are corner form. A flag
     is 1/0, true/false or yes/no in any case; an empty cell is absent. Errors
-    name the file line of the offending row."""
-    reader = csv.reader(_io.StringIO(_read_text(path, newline=""), newline=""))
+    name the file line of the offending row.
+
+    The file is read by column first (_rating_columns: one np.loadtxt call),
+    and row by row (_rating_rows) only where that gives no table. The row
+    loop is the definition of the format: the column path returns its table
+    bit for bit or nothing, so every error comes from the row loop.
+    """
+    text = _read_text(path, newline="")
+    table = _rating_columns(text)
+    return _rating_rows(path, text) if table is None else table
+
+
+# characters the column path leaves to the row loop, anywhere in the file:
+# the csv quote; NUL, which csv.reader rejects before Python 3.11; and the
+# separators \x1c-\x1f, which np.loadtxt strips around a number and float() does not
+_ROW_LOOP_CHARS = ('"', "\x00", "\x1c", "\x1d", "\x1e", "\x1f")
+
+
+def _exact_rating(text: str) -> float:
+    """A rating cell as the row loop reads it, as a float; one too large for
+    a float to hold exactly is a ValueError, left to the row loop."""
+    rating = read_number(text, int)
+    if abs(rating) > 2**53:
+        raise ValueError(f"rating {text!r} is left to the row loop")
+    return float(rating)
+
+
+def _rating_columns(text: str) -> Optional[RatingTable]:
+    """The table of a rating CSV's text read by column, bit for bit the one
+    _rating_rows reads, or None where the row loop must read it.
+
+    np.loadtxt's C parser reads the box numbers: on ASCII text without '_'
+    it reads a number as float() does. The rating, flag and age cells go
+    through the row loop's own rules, each distinct text once. None on any
+    doubt:
+    - text the two readers could split or read apart: non-ASCII text, '_'
+      below the header, one of _ROW_LOOP_CHARS, a carriage return not
+      before a newline (np.loadtxt rejects one inside a line), a line as
+      long as csv.field_size_limit();
+    - a missing column, or any np.loadtxt error: a cell that breaks a rule,
+      a short row;
+    - a row count other than the non-blank lines below the header;
+    - a row that breaks a RatingTable rule.
+    """
+    head, _, body = text.partition("\n")
+    header = head.removesuffix("\r")
+    if not text.isascii() or "_" in body or "\r" in header or any(c in text for c in _ROW_LOOP_CHARS):
+        return None
+    column = {name: i for i, name in enumerate(header.split(","))}  # a repeated name means its last column
+    if any(name not in column for name in _RATING_REQUIRED):
+        return None
+    lines = body.split("\n")
+    rows = len(lines) - lines.count("") - lines.count("\r")  # csv.reader skips blank lines, as np.loadtxt does
+    if not rows or max(len(head), *map(len, lines)) >= csv.field_size_limit():
+        return None
+    optional = [name for name in _RATING_OPTIONAL if name in column]
+    readers = {"rating": _exact_rating, **{name: functools.partial(_optional_cell, name) for name in optional}}
+    try:
+        cells = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2,
+                           usecols=[column[name] for name in (*_RATING_REQUIRED, *optional)],
+                           converters={column[name]: functools.cache(read) for name, read in readers.items()})
+    except ValueError:
+        return None
+    if len(cells) != rows:
+        return None
+    values = np.full((rows, 11), math.nan)  # as _rating_rows lays them out, NaN for an absent column
+    values[:, [*range(8), *(8 + _RATING_OPTIONAL.index(name) for name in optional)]] = cells[:, 1:]
+    try:
+        return _rating_table(cells[:, 0].astype(int), values)
+    except InvalidRow:
+        return None
+
+
+def _rating_rows(path: str, text: str) -> RatingTable:
+    """The table of a rating CSV's text read row by row with csv.reader; an
+    error names the first broken rule, in file order, and its file line."""
+    reader = csv.reader(_io.StringIO(text, newline=""))
     try:
         header = next(reader, None)
         if header is None:
@@ -267,28 +343,33 @@ def load_ratings(path: str) -> RatingTable:
                 fields = [read_number(row[i]) for i in numbers]
                 fields += [math.nan if i is None else _optional_cell(name, row[i]) for name, i in optional]
             except ValueError as exc:
-                _rating_table(path, lines, ratings, values)  # a rule broken on an earlier row comes first
+                _checked_rows(path, lines, ratings, values)  # a rule broken on an earlier row comes first
                 raise ParseError(f"{path}: line {reader.line_num}: {exc}") from exc
             lines.append(reader.line_num)
             ratings.append(rating)
             values.extend(fields)
     except csv.Error as exc:  # an oversized field
         raise ParseError(f"{path}: {exc}") from exc
-    return _rating_table(path, lines, ratings, values)
+    return _checked_rows(path, lines, ratings, values)
 
 
-def _rating_table(path: str, lines: list[int], ratings: list[int], values: array) -> RatingTable:
-    """The table of the parsed rows; a row that breaks a rule is a ParseError naming its line."""
-    values = np.array(values, dtype=float).reshape(-1, 11)
-    center = corner_to_center(values[:, :8].reshape(-1, 2, 4))
+def _checked_rows(path: str, lines: list[int], ratings: list[int], values: array) -> RatingTable:
+    """The table of the rows parsed so far; a row that breaks a rule is a ParseError naming its line."""
     try:
         rating = np.array(ratings, dtype=int)
     except OverflowError:
         rating = np.array(ratings, dtype=object)  # exact, for the rating rule to reject
     try:
-        return RatingTable(rating, center[:, 0], center[:, 1], *values[:, 8:].T)
+        return _rating_table(rating, np.array(values, dtype=float).reshape(-1, 11))
     except InvalidRow as exc:
         raise ParseError(f"{path}: line {lines[exc.row]}: {exc.reason}") from exc
+
+
+def _rating_table(rating: np.ndarray, values: np.ndarray) -> RatingTable:
+    """The RatingTable of the ratings and the (N, 11) rows of 8 corner-form
+    box fields and the 3 optionals; InvalidRow names a row that breaks a rule."""
+    center = corner_to_center(values[:, :8].reshape(-1, 2, 4))
+    return RatingTable(rating, center[:, 0], center[:, 1], *values[:, 8:].T)
 
 
 def render_table(rows: Sequence[Sequence], fmt: str, columns: Sequence[str]) -> str:

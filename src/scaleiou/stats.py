@@ -138,8 +138,9 @@ def _map_chunks(fn, n: Optional[int], seed: int, n_threads: Optional[int] = None
     """fn applied to each chunk (SeedSequence([seed, i]), size) of n samples, or with
     n None to CHUNK_SIZE chunks without end, yielded in chunk order. The chunks run on
     one thread per usable CPU, capped by the chunk count and n_threads if given, at
-    most 4 per thread ahead of the caller; when the caller stops, every chunk not
-    yet started is cancelled."""
+    most 4 per thread ahead of the caller; without end, where the caller may stop at
+    any chunk, 1 per thread until the first result. When the caller stops, every chunk
+    not yet started is cancelled."""
     if n_threads is not None:
         check_count("n_threads", n_threads, 1)
     indices = itertools.count() if n is None else range(-(-n // CHUNK_SIZE))
@@ -150,11 +151,11 @@ def _map_chunks(fn, n: Optional[int], seed: int, n_threads: Optional[int] = None
         yield from map(fn, chunks)
         return
     with ThreadPoolExecutor(max_workers=n_workers) as pool:
-        ahead = deque(pool.submit(fn, c) for c in itertools.islice(chunks, 4 * n_workers))
+        ahead = deque(pool.submit(fn, c) for c in itertools.islice(chunks, (1 if n is None else 4) * n_workers))
         try:
             while ahead:
                 result = ahead.popleft().result()
-                ahead.extend(pool.submit(fn, c) for c in itertools.islice(chunks, 1))
+                ahead.extend(pool.submit(fn, c) for c in itertools.islice(chunks, 4 * n_workers - len(ahead)))
                 yield result
         finally:
             for future in ahead:

@@ -428,6 +428,39 @@ def test_order_counts_stop_after_the_chunk_that_completes_them(monkeypatch):
     assert [f.cancelled() for f in SerialPool.futures] == [False] + [True] * (len(SerialPool.futures) - 1)
 
 
+def test_an_open_stream_scores_one_chunk_per_worker_ahead(monkeypatch):
+    """A stand-in pool whose workers run every queued chunk while the caller
+    waits for a result, as idle threads do. One triple on 2 workers: the
+    chunks submitted before the first result, one per worker, are scored, and
+    the 7 that top the queue up to 4 per worker after it are cancelled.
+    Starting with 4 per worker would score 8."""
+
+    class BusyFuture(SerialFuture):
+        def result(self, timeout=None):
+            for future in SerialPool.futures:
+                future.run()
+            return super().result(timeout)
+
+    class BusyPool(SerialPool):
+        future_type = BusyFuture
+
+    monkeypatch.setattr(stats, "ThreadPoolExecutor", BusyPool)
+    monkeypatch.setattr(stats, "_usable_cpus", lambda: 2)
+    scored, real_chunk = [], stats._order_chunk
+
+    def counting_chunk(params):
+        score = real_chunk(params)
+        return lambda item: scored.append(item[0].entropy) or score(item)
+
+    monkeypatch.setattr(stats, "_order_chunk", counting_chunk)
+    monkeypatch.setattr(SerialPool, "futures", [])
+    counts = order_preservation_counts(CriterionParams(gamma=-2.0, kappa=64), 1, 2718)
+    assert counts == OrderPreservationCounts(1, 1, 1, 1)
+    assert scored == [[2718, 0], [2718, 1]]
+    assert SerialPool.requested == [2]
+    assert [f.cancelled() for f in SerialPool.futures] == [False, False] + [True] * 7
+
+
 def test_chunks_are_yielded_in_chunk_order_whatever_order_they_finish_in(monkeypatch):
     """A stand-in pool that finishes every submitted chunk, the last first,
     when the first result is asked for."""
