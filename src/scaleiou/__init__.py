@@ -48,16 +48,13 @@ from .geometry import (
     Box,
     SizeClass,
     area,
-    enclosing_hull_area,
     intersection_area,
     size_class,
-    union_area,
 )
 from .loss import (
     BoxGradient,
     finite_difference_gradient,
     loss_gradient,
-    loss_value,
     reweight_gradient_ratio,
     reweight_loss_ratio,
 )
@@ -93,7 +90,6 @@ from .theory import (
     giou_pdf,
     moment_consistency_report,
     theoretical_moment,
-    theoretical_variance,
 )
 
 __version__ = "0.1.0"

@@ -18,7 +18,7 @@ import numpy as np
 
 from .criteria import FLOAT_MAX, POSITIVE, CriterionId, CriterionParams, DEFAULT_PARAMS, elementwise
 from .criteria import check_count, check_range
-from .geometry import Box, InvalidRow, SizeClass, box_rule_probes, check_rows, size_index
+from .geometry import Box, InvalidRow, SizeClass, box_rule_probes, check_rows, size_indices
 
 
 @dataclass(frozen=True, eq=False)
@@ -90,11 +90,6 @@ def _ranks(*columns) -> tuple[list[str], list[np.ndarray]]:
 _SIZE_INDEX = {size: i for i, size in enumerate(SizeClass)}
 
 
-def _size_indices(boxes: np.ndarray) -> np.ndarray:
-    """The position in SizeClass of each center-form box's size class."""
-    return size_index(np.sqrt(boxes[:, 2] * boxes[:, 3]))
-
-
 class _ScoredGroups:
     """The criterion between every detection and every ground truth of its
     (image, category) group, scored as one flat array of pairs in one call.
@@ -127,7 +122,7 @@ class _ScoredGroups:
         pairs = list(zip(gt_of_pair[by_value].tolist(), values[by_value].tolist()))
         ends = ends.tolist()
         self.candidates = [pairs[start:end] for start, end in zip([0] + ends, ends)]
-        self.size = _size_indices(gts.box)
+        self.size = size_indices(gts.box)
 
     def rank(self, size_filter: Optional[SizeClass]) -> tuple[list[list[tuple[int, float]]], list[bool]]:
         """Each detection's candidates in the order it tries them, and whether
@@ -193,7 +188,7 @@ def count_ground_truths(gts: BoxTable, size_filter: Optional[SizeClass] = None) 
     """Number of ground truths counted against recall (in-bucket only)."""
     if size_filter is None:
         return len(gts)
-    return int(np.count_nonzero(_size_indices(gts.box) == _SIZE_INDEX[size_filter]))
+    return int(np.count_nonzero(size_indices(gts.box) == _SIZE_INDEX[size_filter]))
 
 
 def average_precision(

@@ -1,8 +1,8 @@
 """Axis-aligned boxes in center form, their size classes, and scalar area helpers.
 
 Boxes are stored as (x, y, w, h) with (x, y) the center. Dataset files commonly
-use corner form (x_min, y_min, w, h); conversion helpers live on the Box class
-and `io` converts at the input boundary.
+use corner form (x_min, y_min, w, h); Box.from_corner and corner_to_center
+convert from it, and `io` converts at the input boundary.
 """
 
 from __future__ import annotations
@@ -71,10 +71,6 @@ class Box:
         """Return (x, y, w, h), the box as operands of the criteria kernel."""
         return (self.x, self.y, self.w, self.h)
 
-    def to_corner(self) -> tuple[float, float, float, float]:
-        """Return (x_min, y_min, w, h)."""
-        return (self.x_min, self.y_min, self.w, self.h)
-
     def scaled(self, k: float) -> "Box":
         """Scale all coordinates by k > 0."""
         check_range("scale factor", k, POSITIVE, FLOAT_MAX)
@@ -89,16 +85,6 @@ def area(b: Box) -> float:
 def intersection_area(b1: Box, b2: Box) -> float:
     """Area of the rectangular overlap; 0 when the boxes are disjoint."""
     return float(areas(b1.components(), b2.components())[0])
-
-
-def union_area(b1: Box, b2: Box) -> float:
-    """area(b1) + area(b2) - intersection_area(b1, b2)."""
-    return float(areas(b1.components(), b2.components())[1])
-
-
-def enclosing_hull_area(b1: Box, b2: Box) -> float:
-    """Area of the smallest axis-aligned rectangle containing both boxes."""
-    return float(areas(b1.components(), b2.components(), hull=True)[2])
 
 
 def corner_to_center(corner: np.ndarray) -> np.ndarray:
@@ -142,6 +128,12 @@ def size_index(s):
     """Position in SizeClass of the bucket of sqrt-area s, a float or an
     array: small <= 32 < medium <= 96 < large."""
     return 2 - (s <= MEDIUM_MAX) - (s <= SMALL_MAX)
+
+
+def size_indices(boxes: np.ndarray) -> np.ndarray:
+    """The position in SizeClass of the size class of each center-form
+    (N, 4) box, as size_class buckets it."""
+    return size_index(np.sqrt(boxes[:, 2] * boxes[:, 3]))
 
 
 def size_class(b: Box) -> SizeClass:

@@ -101,7 +101,8 @@ def _corner(bbox) -> list[float]:
 
 
 def corner_box(bbox) -> Box:
-    """A Box from corner form [x_min, y_min, w, h], as _corner reads it. A
+    """A Box from corner form [x_min, y_min, w, h], as _corner reads it, for
+    the boxes of `criterion --a/--b`; boxes files go through BoxTable. A
     ValueError names the box."""
     corner = _corner(bbox)
     try:
@@ -148,15 +149,20 @@ def load_boxes(path: str) -> tuple[BoxTable, BoxTable]:
     tables = {}
     for key in ("annotations", "detections"):
         entries = sections[key]
-        # the image and category keys and the corner numbers of each entry, then its score
-        columns = ([], [], array("d"), array("d") if key == "detections" else None)
+        images, cats, corners = [], [], array("d")
+        scores = array("d") if key == "detections" else None
         for i, entry in enumerate(entries):
             try:
-                _entry(entry, f"{key}[{i}]", image_ids, listed, categories, *columns)
+                image, category, corner = _entry(entry, f"{key}[{i}]", image_ids, listed, categories)
+                images.append(image)
+                cats.append(category)
+                corners.extend(corner)
+                if scores is not None:
+                    scores.append(_score(entry))
             except ValueError as exc:
-                _box_table(path, key, entries, *columns[:3])  # a box rule broken on an earlier row comes first
+                _box_table(path, key, entries, images, cats, corners)  # a box rule broken up to this row comes first
                 raise ParseError(f"{path}: {key}[{i}]: {exc}") from exc
-        tables[key] = _box_table(path, key, entries, *columns)
+        tables[key] = _box_table(path, key, entries, images, cats, corners, scores)
     return tables["detections"], tables["annotations"]
 
 
@@ -164,17 +170,13 @@ def _box_table(path: str, key: str, entries: list, image_ids: list, categories: 
                scores: Optional[array] = None) -> BoxTable:
     """The table of a section's parsed entries, the first len(corners) / 4 of
     entries; an entry whose box breaks the Box rule is a ParseError naming
-    it, in the text corner_box gives that entry."""
+    it: the entry's own bbox, then the text of the rule it breaks."""
     boxes = corner_to_center(np.frombuffer(corners, dtype=float).reshape(-1, 4))
     try:
         return BoxTable(np.array(image_ids, dtype=object), np.array(categories, dtype=object), boxes,
                         None if scores is None else np.frombuffer(scores, dtype=float))
     except InvalidRow as exc:
-        try:
-            corner_box(entries[exc.row]["bbox"])
-        except ValueError as box_error:  # the entry's own text of the rule its box breaks
-            raise ParseError(f"{path}: {key}[{exc.row}]: {box_error}") from box_error
-        raise
+        raise ParseError(f"{path}: {key}[{exc.row}]: invalid box {entries[exc.row]['bbox']!r}: {exc.reason}") from exc
 
 
 _KEY_TYPES = {str: "string", int: "integer"}
@@ -200,12 +202,11 @@ def _key(name: str, value, first: dict, where: str, listed: bool = False) -> str
     return key
 
 
-def _entry(entry, where: str, image_ids: dict, listed: bool, categories: dict,
-           images: list, cats: list, corners: array, scores: Optional[array]) -> None:
-    """Append a boxes-file entry to the columns: its image id and category
-    keyed by _key (listed when the file lists its images), its corner
-    numbers, and when scores is given its score. A ValueError says what is
-    wrong with it; the Box rule is left to BoxTable."""
+def _entry(entry, where: str, image_ids: dict, listed: bool, categories: dict) -> tuple[str, str, list[float]]:
+    """The image key, category key and corner numbers of a boxes-file entry:
+    its image id and category keyed by _key (listed when the file lists its
+    images), its bbox read by _corner. A ValueError says what is wrong with
+    it; the score is _score's and the Box rule is left to BoxTable."""
     if not isinstance(entry, dict):
         raise ValueError(f"must be an object, got {entry!r}")
     for key in ("image_id", "category", "bbox"):
@@ -213,16 +214,15 @@ def _entry(entry, where: str, image_ids: dict, listed: bool, categories: dict,
             raise ValueError(f"missing field {key!r}")
     image = _key("image_id", entry["image_id"], image_ids, where, listed)
     category = _key("category", entry["category"], categories, where)
-    corner = _corner(entry["bbox"])
-    images.append(image)
-    cats.append(category)
-    corners.extend(corner)
-    if scores is None:
-        return
+    return image, category, _corner(entry["bbox"])
+
+
+def _score(entry: dict) -> float:
+    """The score of a detection entry, a finite number; a ValueError says what is wrong with it."""
     if "score" not in entry:
         raise ValueError("missing field 'score'")
     try:
-        scores.append(check_range("score", _number(entry["score"]), -FLOAT_MAX, FLOAT_MAX))
+        return check_range("score", _number(entry["score"]), -FLOAT_MAX, FLOAT_MAX)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"invalid score {entry['score']!r}: {exc}") from exc
 

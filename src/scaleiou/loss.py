@@ -20,7 +20,6 @@ from .criteria import (
     POSITIVE,
     boxes_array,
     check_range,
-    evaluate,
     exponent_p,
     kernel,
     signed_power,
@@ -44,11 +43,6 @@ class BoxGradient:
 
     def as_tuple(self) -> tuple[float, float, float, float]:
         return (self.d_x, self.d_y, self.d_w, self.d_h)
-
-
-def loss_value(cid: CriterionId, b1: Box, b2: Box, params: CriterionParams) -> float:
-    """1 - C(b1, b2)."""
-    return 1.0 - evaluate(cid, b1, b2, params)
 
 
 def _axis_partials(name: str, c1: float, s1: float, c2: float, s2: float):

@@ -17,8 +17,8 @@ from typing import Sequence
 import numpy as np
 
 from .criteria import CriterionId, CriterionParams, DEFAULT_PARAMS, check_count, elementwise
-from .errors import DegenerateInput, EmptyCell, QuadratureNonConvergence
-from .geometry import Box, InvalidRow, SizeClass, box_rule_probes, check_rows, size_index
+from .errors import DegenerateInput, EmptyCell, InsufficientSamples, QuadratureNonConvergence
+from .geometry import Box, InvalidRow, SizeClass, box_rule_probes, check_rows, size_indices
 
 AGE_BUCKETS = ((10, 25), (25, 40), (40, 65))  # half-open (lo, hi] tertiles
 # the groups of each grouping; a row's group is its position here
@@ -70,14 +70,15 @@ def kendall_tau(x: Sequence[float], y: Sequence[float]) -> float:
 
     Exact integer pair counts, then the three float steps of
     scipy.stats.kendalltau(x, y, variant="b"), so the value is bit-identical
-    to scipy's statistic; NaN in either input gives NaN, as there.
+    to scipy's statistic; NaN in either input gives NaN, as there. Fewer
+    than 2 pairs is InsufficientSamples.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.size != y.size:
         raise ValueError(f"length mismatch: {x.size} vs {y.size}")
     if x.size < 2:
-        raise ValueError(f"need at least 2 pairs, got {x.size}")
+        raise InsufficientSamples(f"need at least 2 pairs, got {x.size}")
     if np.all(x == x[0]) or np.all(y == y[0]):
         raise DegenerateInput("all values tied in one of the inputs")
     if np.isnan(x).any() or np.isnan(y).any():
@@ -160,7 +161,7 @@ def relative_gap(
     Raises EmptyCell listing any (size, rating) cell with no records among
     the ratings present in the data.
     """
-    cell = 6 * size_index(np.sqrt(table.gt[:, 2] * table.gt[:, 3])) + table.rating
+    cell = 6 * size_indices(table.gt) + table.rating
     sums = np.zeros(18)
     np.add.at(sums, cell, criterion_values(table, cid, params))  # row by row, left to right
     counts = np.bincount(cell, minlength=18)
@@ -176,7 +177,7 @@ def group_records(table: RatingTable, grouping: str) -> dict[str, np.ndarray]:
     grouping field is absent are skipped.
     """
     if grouping == "size":
-        codes = size_index(np.sqrt(table.gt[:, 2] * table.gt[:, 3]))
+        codes = size_indices(table.gt)
     elif grouping == "age":
         codes = np.full(len(table), -1)
         for k, (lo, hi) in enumerate(AGE_BUCKETS):
@@ -211,13 +212,14 @@ def group_means(
 
 def one_way_anova(groups: Sequence[Sequence[float]]) -> tuple[float, float]:
     """Classical one-way ANOVA: F with (k-1, N-k) degrees of freedom and its
-    upper tail p-value, `f_tail(F, k-1, N-k)`."""
+    upper tail p-value, `f_tail(F, k-1, N-k)`. Fewer than 2 groups, or a
+    group of fewer than 2 samples, is InsufficientSamples."""
     if len(groups) < 2:
-        raise ValueError(f"need at least 2 groups, got {len(groups)}")
+        raise InsufficientSamples(f"need at least 2 groups, got {len(groups)}")
     arrays = [np.asarray(g, dtype=float) for g in groups]
     for i, g in enumerate(arrays):
         if g.size < 2:
-            raise ValueError(f"group {i} needs at least 2 samples, got {g.size}")
+            raise InsufficientSamples(f"group {i} needs at least 2 samples, got {g.size}")
     grand = np.concatenate(arrays).mean()
     ss_between = sum(g.size * (g.mean() - grand) ** 2 for g in arrays)
     ss_within = sum(float(np.sum((g - g.mean()) ** 2)) for g in arrays)

@@ -212,13 +212,6 @@ def theoretical_moment(cid: CriterionId, order: int, setup: TheorySetup) -> floa
     return 2.0 * _quad(integrand, 0.0, hi, points=points)
 
 
-def theoretical_variance(cid: CriterionId, setup: TheorySetup) -> float:
-    """E[Z^2] - E[Z]^2."""
-    m1 = theoretical_moment(cid, 1, setup)
-    m2 = theoretical_moment(cid, 2, setup)
-    return m2 - m1 * m1
-
-
 def moment_consistency_report(
     setups: Sequence[TheorySetup],
     criteria: Sequence[CriterionId] = _MOMENT_CRITERIA,

@@ -420,6 +420,16 @@ class TestRatingCommand:
                          "--analysis", "anova", "--grouping", "context")
         assert code == 2
 
+    @pytest.mark.parametrize("rows, analysis, message", [
+        (["3,0,0,20,20,0,0,20,20"], ["--analysis", "correlation"], "need at least 2 pairs, got 1"),
+        (["3,0,0,20,20,0,0,20,20", "4,0,0,24,24,0,0,20,20"], ["--analysis", "anova", "--grouping", "size"],
+         "need at least 2 groups, got 1"),
+    ])
+    def test_too_few_rows_for_the_analysis_is_data_error(self, capsys, tmp_path, rows, analysis, message):
+        path = tmp_path / "few.csv"
+        path.write_text("rating,gt_x,gt_y,gt_w,gt_h,px,py,pw,ph\n" + "".join(row + "\n" for row in rows))
+        assert run(capsys, "rating", "--ratings", str(path), *analysis) == (2, "", f"error: {message}\n")
+
     def test_missing_column_is_data_error(self, capsys, tmp_path):
         path = tmp_path / "short.csv"
         path.write_text("rating,gt_x\n3,0\n")

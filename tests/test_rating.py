@@ -16,6 +16,7 @@ from scaleiou import (
     CriterionParams,
     DegenerateInput,
     EmptyCell,
+    InsufficientSamples,
     RatingTable,
     SizeClass,
     criterion_values,
@@ -244,7 +245,7 @@ class TestAnova:
             one_way_anova([[1, 1], [2, 2]])
 
     def test_too_few_groups(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InsufficientSamples):
             one_way_anova([[1, 2, 3]])
 
 

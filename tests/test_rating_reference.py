@@ -23,7 +23,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats as sp_stats
 
-from scaleiou import Box, CriterionId, CriterionParams, DegenerateInput, EmptyCell, SizeClass, kendall_tau
+from scaleiou import (Box, CriterionId, CriterionParams, DegenerateInput, EmptyCell, InsufficientSamples, SizeClass,
+                      kendall_tau)
 from scaleiou.criteria import boxes_array, check_range, elementwise
 from scaleiou.io import load_ratings
 from scaleiou.rating import (
@@ -92,7 +93,7 @@ def _ref_criterion_values(records, cid, params):
 def _ref_kendall_tau(x, y):
     x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
     if x.size < 2:
-        raise ValueError(f"need at least 2 pairs, got {x.size}")
+        raise InsufficientSamples(f"need at least 2 pairs, got {x.size}")
     if np.all(x == x[0]) or np.all(y == y[0]):
         raise DegenerateInput("all values tied in one of the inputs")
     return float(sp_stats.kendalltau(x, y, variant="b").statistic)
@@ -146,11 +147,11 @@ def _ref_group_means(records, grouping, cid, params):
 
 def _ref_one_way_anova(groups):
     if len(groups) < 2:
-        raise ValueError(f"need at least 2 groups, got {len(groups)}")
+        raise InsufficientSamples(f"need at least 2 groups, got {len(groups)}")
     arrays = [np.asarray(g, dtype=float) for g in groups]
     for i, g in enumerate(arrays):
         if g.size < 2:
-            raise ValueError(f"group {i} needs at least 2 samples, got {g.size}")
+            raise InsufficientSamples(f"group {i} needs at least 2 samples, got {g.size}")
     grand = np.concatenate(arrays).mean()
     ss_between = sum(g.size * (g.mean() - grand) ** 2 for g in arrays)
     ss_within = sum(float(np.sum((g - g.mean()) ** 2)) for g in arrays)
@@ -174,7 +175,7 @@ def outcome(call):
     raised error's type and message."""
     try:
         return repr(call())
-    except (ValueError, DegenerateInput, EmptyCell) as exc:
+    except (InsufficientSamples, DegenerateInput, EmptyCell) as exc:
         return f"{type(exc).__name__}: {exc}"
 
 
@@ -183,7 +184,7 @@ def anova_outcome(call):
     itself, or None after an error."""
     try:
         f_stat, p_value = call()
-    except (ValueError, DegenerateInput, EmptyCell) as exc:
+    except (InsufficientSamples, DegenerateInput, EmptyCell) as exc:
         return f"{type(exc).__name__}: {exc}", None
     return repr(f_stat), p_value
 

@@ -19,7 +19,6 @@ from scaleiou import (
     moment_consistency_report,
     simulate_criterion,
     theoretical_moment,
-    theoretical_variance,
 )
 from scaleiou.cli import main
 from scaleiou.criteria import kernel
@@ -178,14 +177,6 @@ class TestTheoreticalMoment:
     def test_rejects_unsupported_criterion(self):
         with pytest.raises(ValueError):
             theoretical_moment(CriterionId.NWD, 1, TheorySetup(16, 16))
-
-    def test_variance_definition(self):
-        setup = TheorySetup(16, 16)
-        m1 = theoretical_moment(CriterionId.GIOU, 1, setup)
-        m2 = theoretical_moment(CriterionId.GIOU, 2, setup)
-        var = theoretical_variance(CriterionId.GIOU, setup)
-        assert var == pytest.approx(m2 - m1 * m1, abs=1e-12)
-        assert var > 0
 
 
 class TestQuadrature:
