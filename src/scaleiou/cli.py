@@ -21,7 +21,7 @@ from typing import Optional, Sequence
 
 from . import stats, theory
 from .criteria import POSITIVE, CriterionId, CriterionParams, DEFAULT_PARAMS, check_count, check_range, evaluate, value_range
-from .errors import QuadratureNonConvergence, ScaleIoUError
+from .errors import InsufficientSamples, QuadratureNonConvergence, ScaleIoUError
 from .evaluation import EvalConfig, map_report
 from .geometry import SizeClass
 from .io import corner_box, load_boxes, load_config, load_ratings, read_number, write_table, write_text
@@ -295,6 +295,8 @@ def _cmd_rating(args, params, config):
     if args.analysis == "groups":
         columns = ("criterion", "group", "n", "mean_rating", "mean_criterion")
         means = _in_order(group_means(table, args.grouping, cid, params), columns[1:])
+        if not means:
+            raise InsufficientSamples(f"no row falls in any {args.grouping} group")
         return [(cid.value, *row) for row in means], columns
     if args.analysis == "gaps":
         gaps = sorted(relative_gap(table, cid, params).items(), key=lambda kv: (kv[0][1], kv[0][0].value))

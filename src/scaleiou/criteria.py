@@ -246,6 +246,6 @@ def nwd(b1: Box, b2: Box, params: CriterionParams) -> float:
 
 def value_range(cid: CriterionId) -> tuple[float, float]:
     """Theoretical range of a criterion's values."""
-    if cid in (CriterionId.GIOU, CriterionId.GSIOU):
+    if cid in HULL_CRITERIA:
         return (-1.0, 1.0)
     return (0.0, 1.0)

@@ -17,6 +17,7 @@ from .criteria import (
     CriterionId,
     CriterionParams,
     FLOAT_MAX,
+    HULL_CRITERIA,
     POSITIVE,
     boxes_array,
     check_range,
@@ -130,7 +131,7 @@ def _criterion_gradient(cid: CriterionId, b1: Box, b2: Box, params: CriterionPar
 
     inter, d_inter, union, d_union, hull, d_hull = _area_partials(b1, b2)
     value, d_value = _quotient(inter, d_inter, union, d_union)
-    giou_base = cid in (CriterionId.GIOU, CriterionId.GSIOU)
+    giou_base = cid in HULL_CRITERIA
     if giou_base:  # GIoU = IoU - (hull - union)/hull, rounded as the kernel does; d(union/hull) is its partial
         _, d_ratio = _quotient(union, d_union, hull, d_hull)
         value, d_value = value - (hull - union) / hull, tuple(a + b for a, b in zip(d_value, d_ratio))
@@ -181,7 +182,7 @@ def finite_difference_gradient(
     ]
     base_id = cid
     if detach_p and cid in (CriterionId.SIOU, CriterionId.GSIOU):
-        base_id = CriterionId.IOU if cid is CriterionId.SIOU else CriterionId.GIOU
+        base_id = CriterionId.GIOU if cid in HULL_CRITERIA else CriterionId.IOU
     values = kernel(base_id, boxes_array(probes).T, b2.components(), params)
     if base_id is not cid:  # the exponent frozen at its value for (b1, b2)
         values = signed_power(values, exponent_p(b1, b2, params))

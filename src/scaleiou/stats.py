@@ -137,10 +137,10 @@ def _usable_cpus() -> int:
 def _map_chunks(fn, n: Optional[int], seed: int, n_threads: Optional[int] = None) -> Iterator:
     """fn applied to each chunk (SeedSequence([seed, i]), size) of n samples, or with
     n None to CHUNK_SIZE chunks without end, yielded in chunk order. The chunks run on
-    one thread per usable CPU, capped by the chunk count and n_threads if given, at
-    most 4 per thread ahead of the caller; without end, where the caller may stop at
-    any chunk, 1 per thread until the first result. When the caller stops, every chunk
-    not yet started is cancelled."""
+    one thread per usable CPU, capped by the chunk count (and by n_threads, which only
+    the benchmark's `simulate_criterion` call passes), at most 4 per thread ahead of
+    the caller; without end, where the caller may stop at any chunk, 1 per thread until
+    the first result. When the caller stops, every chunk not yet started is cancelled."""
     if n_threads is not None:
         check_count("n_threads", n_threads, 1)
     indices = itertools.count() if n is None else range(-(-n // CHUNK_SIZE))
@@ -176,10 +176,10 @@ def _shift_draw(omega: float, model: ShiftModel, n: int, seed: int):
     return draw
 
 
-def sample_shifts(omega: float, model: ShiftModel, n: int, seed: int, n_threads: Optional[int] = None) -> np.ndarray:
+def sample_shifts(omega: float, model: ShiftModel, n: int, seed: int) -> np.ndarray:
     """Draw n shifts from N(0, sigma(omega)^2) in seeded chunks, the same for any thread
-    count, on one thread per usable CPU, capped by the chunk count and n_threads if given."""
-    return np.concatenate(list(_map_chunks(_shift_draw(omega, model, n, seed), n, seed, n_threads)))
+    count, on the pool of `_map_chunks`: one thread per usable CPU, capped by the chunk count."""
+    return np.concatenate(list(_map_chunks(_shift_draw(omega, model, n, seed), n, seed)))
 
 
 def _scorer(
@@ -225,6 +225,7 @@ def simulate_criteria(
     inside the chunk's worker; so criteria can be compared sample-by-sample.
     The arrays hold every sample: a reduction that needs only moments or
     counts is streamed by `summarize_criteria` or `simulate_histogram`.
+    n_threads is as in `simulate_criterion`.
     """
     score = _scorer(cids, omega, model, n, seed, params)
     columns = zip(*_map_chunks(lambda item: list(score(item)), n, seed, n_threads))
@@ -241,7 +242,9 @@ def simulate_criterion(
     n_threads: Optional[int] = None,
 ) -> np.ndarray:
     """n i.i.d. draws of the criterion under the shift model: the samples
-    `simulate_criteria` gives it in any list of criteria."""
+    `simulate_criteria` gives it in any list of criteria. n_threads caps the pool
+    of `_map_chunks` and changes no sample; only the benchmark passes it, until
+    the benchmark reads the program's own spans."""
     return simulate_criteria([cid], omega, model, n, seed, params, n_threads)[0]
 
 
@@ -290,7 +293,6 @@ def summarize_criteria(
     n: int,
     seed: int,
     params: CriterionParams = DEFAULT_PARAMS,
-    n_threads: Optional[int] = None,
     orders: Sequence[int] = (1,),
 ) -> list[list[DistributionSummary]]:
     """For each entry of cids, one summary per order of the samples
@@ -306,7 +308,7 @@ def summarize_criteria(
         return [[_moments(values if order == 1 else values * values) for order in orders]
                 for values in score(item)]
 
-    chunks = list(_map_chunks(reduce, n, seed, n_threads))
+    chunks = list(_map_chunks(reduce, n, seed))
     return [[_merged_summary([chunk[i][k] for chunk in chunks], omega) for k in range(len(orders))]
             for i in range(len(cids))]
 
@@ -332,7 +334,6 @@ def simulate_histogram(
     seed: int,
     params: CriterionParams = DEFAULT_PARAMS,
     bins: int = 64,
-    n_threads: Optional[int] = None,
 ) -> list[tuple[float, float]]:
     """The histogram density of `empirical_pdf` on value_range(cid) of the
     samples `simulate_criterion` draws, with the same bits for any n: each
@@ -347,7 +348,7 @@ def simulate_histogram(
         (values,) = score(item)
         return np.histogram(values, bins=bins, range=bounds)
 
-    chunks = list(_map_chunks(count, n, seed, n_threads))
+    chunks = list(_map_chunks(count, n, seed))
     return _histogram_density(sum(counts for counts, _ in chunks), chunks[0][1], n)
 
 
@@ -437,7 +438,6 @@ def moment_curves(
     n: int,
     seed: int,
     params: CriterionParams = DEFAULT_PARAMS,
-    n_threads: Optional[int] = None,
 ) -> list[list[DistributionSummary]]:
     """For each entry of cids, one DistributionSummary per omega. Each omega
     gets a sub-seed derived from the master seed by counter, and one
@@ -446,7 +446,7 @@ def moment_curves(
         raise ValueError("omega grid must be non-empty")
     per_omega = []
     for i, omega in enumerate(omegas):
-        summaries = summarize_criteria(cids, omega, model, n, derive_seed(seed, i), params, n_threads)
+        summaries = summarize_criteria(cids, omega, model, n, derive_seed(seed, i), params)
         per_omega.append([summary for (summary,) in summaries])
     return [list(curve) for curve in zip(*per_omega)]
 
@@ -458,10 +458,9 @@ def moment_curve(
     n: int,
     seed: int,
     params: CriterionParams = DEFAULT_PARAMS,
-    n_threads: Optional[int] = None,
 ) -> list[DistributionSummary]:
     """One DistributionSummary per omega: `moment_curves` of one criterion."""
-    return moment_curves([cid], omegas, model, n, seed, params, n_threads)[0]
+    return moment_curves([cid], omegas, model, n, seed, params)[0]
 
 
 # random boxes of the order-preservation check: square, centers uniform in a

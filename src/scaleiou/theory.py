@@ -23,11 +23,11 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .criteria import CriterionId, CriterionParams, DEFAULT_PARAMS, FLOAT_MAX
+from .criteria import CriterionId, CriterionParams, DEFAULT_PARAMS, FLOAT_MAX, HULL_CRITERIA
 from .criteria import check_count, check_range, check_size, exponent, kernel
 from .errors import QuadratureNonConvergence
 from .stats import ShiftModel, derive_seed, summarize_criteria
@@ -200,7 +200,7 @@ def theoretical_moment(cid: CriterionId, order: int, setup: TheorySetup) -> floa
         value = kernel(cid, (x, 0.0, omega, omega), square, setup.params)
         return value**order * norm * np.exp(-0.5 * (x / sigma) ** 2)
 
-    if cid in (CriterionId.IOU, CriterionId.SIOU):
+    if cid not in HULL_CRITERIA:
         # the criterion is identically 0 beyond omega; the truncated Gaussian tail
         # beyond 12 sigma carries negligible mass
         hi = min(omega, TAIL_SIGMAS * sigma)
@@ -217,7 +217,6 @@ def moment_consistency_report(
     criteria: Sequence[CriterionId] = _MOMENT_CRITERIA,
     n: int = 1_000_000,
     seed: int = 0,
-    n_threads: Optional[int] = None,
 ) -> list[dict]:
     """Paired quadrature/Monte Carlo moments with z-scores; |z| > 4 is flagged.
     With every sample equal (std_error 0), z is 0 if the Monte Carlo mean is
@@ -234,9 +233,7 @@ def moment_consistency_report(
     rows = []
     for i, setup in enumerate(setups):
         model = ShiftModel(sigma_base=setup.sigma)
-        drawn = summarize_criteria(
-            criteria, setup.omega, model, n, derive_seed(seed, i), setup.params, n_threads, orders=(1, 2)
-        )
+        drawn = summarize_criteria(criteria, setup.omega, model, n, derive_seed(seed, i), setup.params, orders=(1, 2))
         for cid, summaries in zip(criteria, drawn):
             for order, mc in zip((1, 2), summaries):
                 theory = theoretical_moment(cid, order, setup)

@@ -179,7 +179,7 @@ def test_06_figure_shapes():
     omegas = [4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0]
     model = ShiftModel(sigma_base=16.0)
     for cid in CriterionId:
-        curve = moment_curve(cid, omegas, model, 100_000, 321, n_threads=4)
+        curve = moment_curve(cid, omegas, model, 100_000, 321)
         if cid is CriterionId.NWD:
             level = curve[0].mean
             for point in curve[1:]:

@@ -424,10 +424,15 @@ class TestRatingCommand:
         (["3,0,0,20,20,0,0,20,20"], ["--analysis", "correlation"], "need at least 2 pairs, got 1"),
         (["3,0,0,20,20,0,0,20,20", "4,0,0,24,24,0,0,20,20"], ["--analysis", "anova", "--grouping", "size"],
          "need at least 2 groups, got 1"),
+        (["3,0,0,20,20,0,0,20,20,,30", "4,0,0,20,20,0,0,20,20, ,30", "5,0,0,20,20,0,0,20,20,,30"],
+         ["--analysis", "groups", "--grouping", "context"], "no row falls in any context group"),
+        # ages outside every (lo, hi] bucket
+        (["3,0,0,20,20,0,0,20,20,1,5", "4,0,0,20,20,0,0,20,20,1,70", "5,0,0,20,20,0,0,20,20,0,-4"],
+         ["--analysis", "groups", "--grouping", "age"], "no row falls in any age group"),
     ])
     def test_too_few_rows_for_the_analysis_is_data_error(self, capsys, tmp_path, rows, analysis, message):
         path = tmp_path / "few.csv"
-        path.write_text("rating,gt_x,gt_y,gt_w,gt_h,px,py,pw,ph\n" + "".join(row + "\n" for row in rows))
+        path.write_text("rating,gt_x,gt_y,gt_w,gt_h,px,py,pw,ph,context,age\n" + "".join(row + "\n" for row in rows))
         assert run(capsys, "rating", "--ratings", str(path), *analysis) == (2, "", f"error: {message}\n")
 
     def test_missing_column_is_data_error(self, capsys, tmp_path):

@@ -355,21 +355,37 @@ def test_config_file_read_once_per_command(tmp_path, capsys, monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "n_chunks, n_threads, cpus, expected",
-    [(2, 100_000, 4, [2]), (8, 100_000, 3, [3]), (8, 2, 64, [2]), (8, 100_000, 1, []),
-     (1, 8, 8, []), (8, 1, 8, []),
-     (2, None, 4, [2]), (8, None, 3, [3]), (8, None, 1, []), (1, None, 8, [])],
+    "n_chunks, cpus, expected",
+    [(2, 4, [2]), (8, 3, [3]), (8, 1, []), (1, 8, [])],
 )
-def test_sample_shifts_caps_its_pool(monkeypatch, n_chunks, n_threads, cpus, expected):
-    """One thread per usable CPU by default, capped by the chunk count and by
-    an explicit n_threads; serial for one chunk or one CPU."""
+def test_sample_shifts_caps_its_pool(monkeypatch, n_chunks, cpus, expected):
+    """One thread per usable CPU, capped by the chunk count; serial for one
+    chunk or one CPU, with the same samples."""
     monkeypatch.setattr(stats, "ThreadPoolExecutor", SerialPool)
     monkeypatch.setattr(stats, "_usable_cpus", lambda: cpus)
     model = ShiftModel(sigma_base=4.0)
     n = n_chunks * CHUNK_SIZE
-    samples = sample_shifts(8.0, model, n, seed=3, n_threads=n_threads)
+    samples = sample_shifts(8.0, model, n, seed=3)
     assert SerialPool.requested == expected
-    assert np.array_equal(samples, sample_shifts(8.0, model, n, seed=3, n_threads=1))
+    monkeypatch.setattr(stats, "_usable_cpus", lambda: 1)
+    assert np.array_equal(samples, sample_shifts(8.0, model, n, seed=3))
+
+
+@pytest.mark.parametrize(
+    "n_chunks, n_threads, cpus, expected",
+    [(2, 100_000, 4, [2]), (8, 100_000, 3, [3]), (8, 2, 64, [2]), (8, 100_000, 1, []),
+     (1, 8, 8, []), (8, 1, 8, [])],
+)
+def test_simulate_criterion_caps_its_pool_by_n_threads(monkeypatch, n_chunks, n_threads, cpus, expected):
+    """The benchmark's n_threads caps the pool as the CPUs and the chunk count
+    do, and changes no sample."""
+    monkeypatch.setattr(stats, "ThreadPoolExecutor", SerialPool)
+    monkeypatch.setattr(stats, "_usable_cpus", lambda: cpus)
+    model = ShiftModel(sigma_base=4.0)
+    n = n_chunks * CHUNK_SIZE
+    samples = stats.simulate_criterion(CriterionId.IOU, 8.0, model, n, 3, n_threads=n_threads)
+    assert SerialPool.requested == expected
+    assert np.array_equal(samples, stats.simulate_criterion(CriterionId.IOU, 8.0, model, n, 3, n_threads=1))
 
 
 @pytest.mark.parametrize("cpus", [2, 8])
@@ -377,7 +393,7 @@ def test_a_huge_thread_count_is_capped_by_the_chunks_and_the_cpus(monkeypatch, c
     """n_threads=10**9 on a 3-chunk draw asks the pool for min(3, usable CPUs) workers."""
     monkeypatch.setattr(stats, "ThreadPoolExecutor", SerialPool)
     monkeypatch.setattr(stats, "_usable_cpus", lambda: cpus)
-    sample_shifts(8.0, ShiftModel(sigma_base=4.0), 3 * CHUNK_SIZE, seed=3, n_threads=10**9)
+    stats.simulate_criterion(CriterionId.IOU, 8.0, ShiftModel(sigma_base=4.0), 3 * CHUNK_SIZE, 3, n_threads=10**9)
     assert SerialPool.requested == [min(3, cpus)]
 
 

@@ -644,18 +644,18 @@ def test_streamed_reductions_do_not_depend_on_the_thread_count(monkeypatch):
     """Chunk results come back in chunk order and merge left to right, for
     serial runs and for a (stand-in) pool of 4 workers alike."""
     monkeypatch.setattr(stats, "ThreadPoolExecutor", SerialPool)
-    monkeypatch.setattr(stats, "_usable_cpus", lambda: 8)
     model = ShiftModel(ShiftDirection.DIAGONAL, sigma_base=8.0)
     n = 5 * CHUNK_SIZE + 3
     cids = [CriterionId.IOU, CriterionId.GSIOU, CriterionId.NWD]
     runs = {}
-    for n_threads in (1, 4):
+    for cpus in (1, 4):
+        monkeypatch.setattr(stats, "_usable_cpus", lambda: cpus)
         SerialPool.requested = []
-        runs[n_threads] = (
-            stats.summarize_criteria(cids, 16.0, model, n, 9, n_threads=n_threads, orders=(1, 2)),
-            stats.simulate_histogram(CriterionId.GSIOU, 16.0, model, n, 9, bins=32, n_threads=n_threads),
+        runs[cpus] = (
+            stats.summarize_criteria(cids, 16.0, model, n, 9, orders=(1, 2)),
+            stats.simulate_histogram(CriterionId.GSIOU, 16.0, model, n, 9, bins=32),
         )
-        assert SerialPool.requested == ([] if n_threads == 1 else [4, 4])
+        assert SerialPool.requested == ([] if cpus == 1 else [4, 4])
     assert runs[1] == runs[4]
 
 
@@ -683,13 +683,12 @@ def test_summarize_criteria_rejects_an_order_above_two():
 def test_moment_curves_memory_does_not_grow_with_n(monkeypatch, pooled):
     """The serial path and the pool path (run by the stand-in, so the peak does
     not depend on how real threads happen to overlap)."""
-    if pooled:
-        monkeypatch.setattr(stats, "ThreadPoolExecutor", SerialPool)
-        monkeypatch.setattr(stats, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(stats, "ThreadPoolExecutor", SerialPool)
+    monkeypatch.setattr(stats, "_usable_cpus", lambda: 2 if pooled else 1)
     model = ShiftModel(sigma_base=8.0)
     cids = [CriterionId.IOU, CriterionId.GIOU, CriterionId.SIOU, CriterionId.GSIOU]
 
     def peak(n):
-        return traced_peak(lambda: moment_curves(cids, [8.0, 32.0], model, n, 1, n_threads=None if pooled else 1))
+        return traced_peak(lambda: moment_curves(cids, [8.0, 32.0], model, n, 1))
 
     assert peak(16 * CHUNK_SIZE) <= 1.5 * peak(4 * CHUNK_SIZE)

@@ -278,14 +278,16 @@ class TestConsistencyReport:
         """The Monte Carlo side is reduced chunk by chunk: no criterion's samples,
         and no draw, are held whole. The quadrature is stubbed out of the trace, and
         one thread draws, so the peak does not depend on how threads overlap."""
+        from scaleiou import stats
         from scaleiou.stats import CHUNK_SIZE
 
         monkeypatch.setattr(theory_mod, "theoretical_moment", lambda cid, order, setup: 0.5)
+        monkeypatch.setattr(stats, "_usable_cpus", lambda: 1)
         criteria = [CriterionId.IOU, CriterionId.GIOU, CriterionId.SIOU, CriterionId.GSIOU]
 
         def peak(n):
             setups = [TheorySetup(16, 16)]
-            return traced_peak(lambda: moment_consistency_report(setups, criteria, n=n, seed=1, n_threads=1))
+            return traced_peak(lambda: moment_consistency_report(setups, criteria, n=n, seed=1))
 
         assert peak(16 * CHUNK_SIZE) <= 1.5 * peak(4 * CHUNK_SIZE)
 
