@@ -19,6 +19,7 @@ import json
 import math
 import sys
 from array import array
+from itertools import chain
 from typing import Optional, Sequence
 
 import numpy as np
@@ -121,6 +122,12 @@ def load_boxes(path: str) -> tuple[BoxTable, BoxTable]:
     left out, and is then empty. An id or category is a string or an
     integer, keyed by its text: one text may not come as both. An error
     names the first entry, in file order, that breaks a rule.
+
+    Each section is read by column first (_box_columns: one comprehension
+    per field, types and keys checked on whole columns), and entry by entry
+    only where that gives no table. The entry loop is the definition of the
+    format: the column path returns its table bit for bit or nothing, so
+    every error comes from the entry loop.
     """
     try:
         data = json.loads(_read_text(path))
@@ -148,22 +155,91 @@ def load_boxes(path: str) -> tuple[BoxTable, BoxTable]:
     listed = bool(image_ids)
     tables = {}
     for key in ("annotations", "detections"):
-        entries = sections[key]
-        images, cats, corners = [], [], array("d")
-        scores = array("d") if key == "detections" else None
-        for i, entry in enumerate(entries):
-            try:
-                image, category, corner = _entry(entry, f"{key}[{i}]", image_ids, listed, categories)
-                images.append(image)
-                cats.append(category)
-                corners.extend(corner)
-                if scores is not None:
-                    scores.append(_score(entry))
-            except ValueError as exc:
-                _box_table(path, key, entries, images, cats, corners)  # a box rule broken up to this row comes first
-                raise ParseError(f"{path}: {key}[{i}]: {exc}") from exc
-        tables[key] = _box_table(path, key, entries, images, cats, corners, scores)
+        table = _box_columns(key, sections[key], image_ids, listed, categories)
+        tables[key] = _box_entries(path, key, sections[key], image_ids, listed, categories) if table is None else table
     return tables["detections"], tables["annotations"]
+
+
+def _box_columns(key: str, entries: list, image_ids: dict, listed: bool, categories: dict) -> Optional[BoxTable]:
+    """The table of section key read by column, bit for bit the one
+    _box_entries reads, or None where the entry loop must read it. The key
+    maps gain the section's new keys only with its table. None on any doubt:
+    - an entry that is not a dict, or that lacks a field;
+    - a bbox that is not a list of 4;
+    - a coordinate or score that is not a float or an int (a bool, None or
+      a number string), or an int too large for a float;
+    - a key that _column_keys leaves to the entry loop;
+    - a row that breaks a BoxTable rule: a box that breaks the Box rule, or
+      a non-finite score.
+    """
+    fields = ("image_id", "category", "bbox", "score")[:4 if key == "detections" else 3]
+    if not set(map(type, entries)) <= {dict}:
+        return None
+    try:
+        ids, cats, bboxes, *scores = ([entry[field] for entry in entries] for field in fields)
+    except KeyError:
+        return None
+    if not set(map(type, bboxes)) <= {list} or not set(map(len, bboxes)) <= {4}:
+        return None
+    corners = list(chain(*bboxes))
+    if not set(map(type, chain(corners, *scores))) <= {float, int}:
+        return None
+    keyed = _column_keys(key, ids, image_ids, listed), _column_keys(key, cats, categories)
+    if None in keyed:
+        return None
+    (id_keys, new_ids), (cat_keys, new_categories) = keyed
+    try:
+        table = _table(id_keys, cat_keys, array("d", corners), *(array("d", column) for column in scores))
+    except (OverflowError, InvalidRow):
+        return None
+    image_ids.update(new_ids)
+    categories.update(new_categories)
+    return table
+
+
+def _column_keys(key: str, values: list, first: dict, listed: bool = False) -> Optional[tuple[list, dict]]:
+    """The keys of a column of section key, and the keys it adds to first as
+    _key would add them entry by entry, each with its value and first entry.
+    None where _key could raise: a value that is not a str or an int, a
+    text that comes with both types, or with listed set an unknown key."""
+    types = set(map(type, values))
+    if not types <= _KEY_TYPES.keys():
+        return None
+    new = {}
+    for value, i in dict(zip(reversed(values), range(len(values) - 1, -1, -1))).items():  # first index of each
+        text = str(value)
+        found = first.get(text) or new.get(text)
+        if found is None and not listed:
+            new[text] = (value, f"{key}[{i}]")
+        elif found is None or found[0] != value:
+            return None
+    return (values if types <= {str} else list(map(str, values))), new
+
+
+def _box_entries(path: str, key: str, entries: list, image_ids: dict, listed: bool, categories: dict) -> BoxTable:
+    """The table of section key read entry by entry, the definition of the
+    format; an error names the first entry, in file order, that breaks a rule."""
+    images, cats, corners = [], [], array("d")
+    scores = array("d") if key == "detections" else None
+    for i, entry in enumerate(entries):
+        try:
+            image, category, corner = _entry(entry, f"{key}[{i}]", image_ids, listed, categories)
+            images.append(image)
+            cats.append(category)
+            corners.extend(corner)
+            if scores is not None:
+                scores.append(_score(entry))
+        except ValueError as exc:
+            _box_table(path, key, entries, images, cats, corners)  # a box rule broken up to this row comes first
+            raise ParseError(f"{path}: {key}[{i}]: {exc}") from exc
+    return _box_table(path, key, entries, images, cats, corners, scores)
+
+
+def _table(image_ids: list, categories: list, corners: array, scores: Optional[array] = None) -> BoxTable:
+    """The BoxTable of a section's keys, corner numbers and scores; InvalidRow names a row that breaks a rule."""
+    return BoxTable(np.array(image_ids, dtype=object), np.array(categories, dtype=object),
+                    corner_to_center(np.frombuffer(corners, dtype=float).reshape(-1, 4)),
+                    None if scores is None else np.frombuffer(scores, dtype=float))
 
 
 def _box_table(path: str, key: str, entries: list, image_ids: list, categories: list, corners: array,
@@ -171,10 +247,8 @@ def _box_table(path: str, key: str, entries: list, image_ids: list, categories: 
     """The table of a section's parsed entries, the first len(corners) / 4 of
     entries; an entry whose box breaks the Box rule is a ParseError naming
     it: the entry's own bbox, then the text of the rule it breaks."""
-    boxes = corner_to_center(np.frombuffer(corners, dtype=float).reshape(-1, 4))
     try:
-        return BoxTable(np.array(image_ids, dtype=object), np.array(categories, dtype=object), boxes,
-                        None if scores is None else np.frombuffer(scores, dtype=float))
+        return _table(image_ids, categories, corners, scores)
     except InvalidRow as exc:
         raise ParseError(f"{path}: {key}[{exc.row}]: invalid box {entries[exc.row]['bbox']!r}: {exc.reason}") from exc
 

@@ -3,24 +3,34 @@
 The reference below built one record, with one Box, per entry of a boxes
 file. load_boxes now reads each section into one BoxTable, converts all the
 corner-form boxes in one array operation and checks the Box rule on the
-columns. On valid documents the two must read the same image and category
-keys and the same center boxes and scores, bit for bit. On documents with
-one to three broken entries, anywhere in any section, they must raise the
-same ParseError text: the first broken rule in file order wins.
+columns. It reads a section by column first (io._box_columns) and entry by
+entry only where that gives no table. On valid documents the two must read
+the same image and category keys and the same center boxes and scores, bit
+for bit. On documents with one to three broken entries, anywhere in any
+section, they must raise the same ParseError text: the first broken rule in
+file order wins. Named cases pin which path reads each section, and a
+document of JSON numbers and string or integer keys only must take the
+column path exactly where the reference reads it.
 """
 
+import importlib.util
 import json
 import struct
+from contextlib import contextmanager
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Optional
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from scaleiou import Box, ParseError
+from scaleiou import io as scaleiou_io
 from scaleiou.criteria import FLOAT_MAX, check_range
 from scaleiou.io import _read_text, load_boxes, read_number
+from tests.test_eval_report import boxes_document
 
 
 # --- reference: the earlier record-based loader ---
@@ -294,3 +304,187 @@ def test_broken_documents_raise_the_reference_error(doc_path, doc):
     with pytest.raises(ParseError) as info:
         load_boxes(path)
     assert str(info.value) == want
+
+
+# --- the column path ---
+
+def columns(table):
+    """A BoxTable's keys and, as bits, its center boxes and scores."""
+    score = None if table.score is None else bits(table.score.tolist())
+    return table.image_id.tolist(), table.category.tolist(), bits(table.box.ravel().tolist()), score
+
+
+def record_columns(records, scored):
+    """The columns of the reference's records, as columns() gives them."""
+    score = bits(r.score for r in records) if scored else None
+    return ([r.image_id for r in records], [r.category for r in records],
+            bits(v for r in records for v in r.box.components()), score)
+
+
+def outcome(path):
+    """What load_boxes reads from path: the columns of both tables, or the error text."""
+    try:
+        detections, ground_truths = load_boxes(path)
+    except ParseError as exc:
+        return "error", str(exc)
+    return "tables", columns(detections), columns(ground_truths)
+
+
+def reference_outcome(path):
+    """What the reference reads from path, as outcome() gives it."""
+    try:
+        detections, ground_truths = _ref_load_boxes(path)
+    except ParseError as exc:
+        return "error", str(exc)
+    return "tables", record_columns(detections, True), record_columns(ground_truths, False)
+
+
+@contextmanager
+def paths_taken():
+    """The sections read while it is open, in order, each with the path that
+    gave its table: "columns" (io._box_columns) or "entries" (the entry loop)."""
+    taken, read_columns = [], scaleiou_io._box_columns
+
+    def spy(key, *args):
+        table = read_columns(key, *args)
+        taken.append((key, "entries" if table is None else "columns"))
+        return table
+
+    with mock.patch.object(scaleiou_io, "_box_columns", spy):
+        yield taken
+
+
+BENCH_GEN = Path(__file__).resolve().parents[1] / "bench" / "gen.py"
+
+
+def bench_boxes(directory):
+    spec = importlib.util.spec_from_file_location("gen", BENCH_GEN)
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    return gen.write_eval_inputs(1, directory)["boxes"]
+
+
+@pytest.mark.parametrize("source", ["bench", "eval report"])
+def test_the_column_path_reads_the_bench_and_report_documents(tmp_path, source):
+    """The bench file lists its images as {"id": ...} objects, with string
+    ids and float corners; the eval report document holds integer corners."""
+    path = bench_boxes(tmp_path) if source == "bench" else write(tmp_path / "boxes.json", boxes_document())
+    want = reference_outcome(path)
+    assert want[0] == "tables"
+
+    def no_entry_loop(*args):
+        raise AssertionError(f"{path} was read entry by entry")
+
+    with mock.patch.object(scaleiou_io, "_entry", no_entry_loop):
+        assert outcome(path) == want
+
+
+def entry(image_id="a", category="c", bbox=(0, 0, 10, 10), score=None, drop=()):
+    """An annotation, or a detection when score is given, without the fields in drop."""
+    row = {"image_id": image_id, "category": category, "bbox": list(bbox) if isinstance(bbox, tuple) else bbox}
+    if score is not None:
+        row["score"] = score
+    return {f: v for f, v in row.items() if f not in drop}
+
+
+# name -> (document, the path that reads each section read, in order)
+NAMED = {
+    "bool coordinate": ({"annotations": [entry(), entry(bbox=(0, 0, True, 10))]}, ["entries"]),
+    "bool score": ({"annotations": [entry()], "detections": [entry(score=0.5), entry(score=True)]},
+                   ["columns", "entries"]),
+    "number-string coordinate": ({"annotations": [entry(bbox=(0, "12", 10, 10))], "detections": [entry(score=1)]},
+                                 ["entries", "columns"]),
+    "number-string score": ({"detections": [entry(score="0.5")]}, ["columns", "entries"]),
+    "digit-group underscore": ({"annotations": [entry(bbox=(0, "1_0", 10, 10))]}, ["entries"]),
+    "null coordinate": ({"annotations": [entry(bbox=(0, None, 10, 10))]}, ["entries"]),
+    "id text clash within a section": ({"detections": [entry(image_id="1", score=1), entry(image_id=1, score=1),
+                                                       entry(image_id="1", score=1)]}, ["columns", "entries"]),
+    "id text clash across sections": ({"annotations": [entry(image_id=1)],
+                                       "detections": [entry(image_id="1", score=1)]}, ["columns", "entries"]),
+    "category text clash across sections": ({"annotations": [entry(category=5), entry(category=5)],
+                                             "detections": [entry(category="5", score=1)]}, ["columns", "entries"]),
+    "id clash with a listed image": ({"images": [{"id": 7}], "annotations": [entry(image_id="7")]}, ["entries"]),
+    "unknown image in a listed file": ({"images": ["a", "b"], "annotations": [entry(), entry(image_id="z")]},
+                                       ["entries"]),
+    "float id": ({"annotations": [entry(image_id=1.0)]}, ["entries"]),
+    "listed integer ids": ({"images": [1, {"id": 2}], "annotations": [entry(image_id=2), entry(image_id=1)],
+                            "detections": [entry(image_id=1, category=3, score=-2)]}, ["columns", "columns"]),
+    "non-object entry": ({"annotations": [entry(), [0, 0, 10, 10]]}, ["entries"]),
+    "missing category": ({"annotations": [entry(), entry(drop=("category",))]}, ["entries"]),
+    "missing score": ({"detections": [entry(score=1), entry()]}, ["columns", "entries"]),
+    "3-element bbox": ({"annotations": [entry(bbox=(0, 0, 10))]}, ["entries"]),
+    "bbox as an object": ({"annotations": [entry(bbox={"x": 0})]}, ["entries"]),
+    "integer beyond the float range": ({"annotations": [entry(bbox=(0, 0, 10 ** 400, 10))]}, ["entries"]),
+    "integer score beyond the float range": ({"detections": [entry(score=10 ** 400)]}, ["columns", "entries"]),
+    "largest integer a float holds": ({"detections": [entry(score=2 ** 1024 - 2 ** 970 - 1)]}, ["columns", "columns"]),
+    "infinite score": ({"detections": [entry(score=1), entry(score=float("inf"))]}, ["columns", "entries"]),
+    "NaN score": ({"detections": [entry(score=float("nan"))]}, ["columns", "entries"]),
+    "infinite coordinate": ({"annotations": [entry(bbox=(float("-inf"), 0, 10, 10))]}, ["entries"]),
+    "broken Box rule": ({"annotations": [entry(), entry(bbox=(0, 0, -1, 10)), entry(bbox=(0, 0, 10, 0))]},
+                        ["entries"]),
+    "center overflows": ({"detections": [entry(bbox=(1.7e308, 0, 1e308, 1), score=1)]}, ["columns", "entries"]),
+    "empty sections": ({"images": [], "annotations": [], "detections": []}, ["columns", "columns"]),
+    "sections left out": ({}, ["columns", "columns"]),
+    "a section left out": ({"detections": [entry(score=0.25)]}, ["columns", "columns"]),
+    # the entry loop reads annotations after a failed column attempt, which
+    # leaves the key maps as it found them; the detections clash then names
+    # the first annotation of the integer 1
+    "failed column attempt, then a detections error": (
+        {"annotations": [entry(image_id="a", bbox=(0, 0, "12", 10)), entry(image_id=1), entry(image_id=1)],
+         "detections": [entry(image_id=1, score=1), entry(image_id="1", score=1)]}, ["entries", "entries"]),
+}
+
+
+@pytest.mark.parametrize("name", NAMED)
+def test_named_documents_read_as_the_reference_reads_them(doc_path, name):
+    doc, want_paths = NAMED[name]
+    path = write(doc_path, doc)
+    with paths_taken() as taken:
+        got = outcome(path)
+    assert got == reference_outcome(path)
+    assert taken == list(zip(("annotations", "detections"), want_paths))
+
+
+# numbers that break a rule in some field (a side of 0 or -1, a number out of
+# range, a non-finite one, an int too large for a float) or lie at its edge
+ODD_NUMBERS = [0, -1, 1e-170, 1e151, 1.7e308, float("inf"), float("-inf"), float("nan"), 10 ** 400,
+               2 ** 1024 - 2 ** 970 - 1]
+# "1" and "5" clash with the keys 1 and 5; 3 is unknown where images are listed
+ODD_KEYS = ["1", "5", 3]
+
+
+@st.composite
+def numeric_documents(draw):
+    """Documents of JSON numbers and str or int keys only: each entry has
+    every field and each bbox four numbers. Half of them have one number
+    replaced by one of ODD_NUMBERS, or one key by one of ODD_KEYS."""
+    doc = {key: [entry(image_id=draw(st.sampled_from(["a", "b", 1])), category=draw(st.sampled_from(["c", 5])),
+                       bbox=[draw(st.one_of(st.floats(-1e6, 1e6), st.integers(-1000, 1000))) for _ in range(2)]
+                       + [draw(st.one_of(st.floats(1e-3, 1e6), st.integers(1, 1000))) for _ in range(2)],
+                       score=draw(st.one_of(st.floats(-1e300, 1e300), st.integers(-10 ** 30, 10 ** 30)))
+                       if key == "detections" else None)
+                 for _ in range(draw(st.integers(0, 4)))]
+           for key in ("annotations", "detections")}
+    if draw(st.booleans()):
+        doc["images"] = [1, {"id": "a"}, "b"]
+    spots = [(key, i) for key in ("annotations", "detections") for i in range(len(doc[key]))]
+    if spots and draw(st.booleans()):
+        key, i = draw(st.sampled_from(spots))
+        found = doc[key][i]
+        field = draw(st.sampled_from(sorted(found)))
+        if field == "bbox":
+            found["bbox"][draw(st.integers(0, 3))] = draw(st.sampled_from(ODD_NUMBERS))
+        else:
+            found[field] = draw(st.sampled_from(ODD_NUMBERS if field == "score" else ODD_KEYS))
+    return doc
+
+
+@settings(max_examples=300, deadline=None)
+@given(doc=numeric_documents())
+@example(doc={"annotations": [entry()], "detections": [entry(score=0)]})
+def test_numeric_documents_take_the_column_path_when_the_reference_reads_them(doc_path, doc):
+    path = write(doc_path, doc)
+    want = reference_outcome(path)
+    with paths_taken() as taken:
+        assert outcome(path) == want
+    assert ([way for _, way in taken] == ["columns", "columns"]) == (want[0] == "tables")
