@@ -127,7 +127,9 @@ def areas(a, b, hull: bool = False):
 def exponent(a, b, params: CriterionParams):
     """Scale-adaptive exponent p = 1 - gamma * exp(-sqrt(w1h1 + w2h2)/(sqrt(2) kappa))."""
     s = np.sqrt(a[2] * a[3] + b[2] * b[3])
-    return 1.0 - params.gamma * np.exp(-s / (_SQRT2 * params.kappa))
+    with np.errstate(over="ignore"):  # s / kappa -> inf is the exact kappa -> 0 limit: exp(-inf) = 0
+        scaled = -s / (_SQRT2 * params.kappa)
+    return 1.0 - params.gamma * np.exp(scaled)
 
 
 def signed_power(base, p):

@@ -28,7 +28,7 @@ from .criteria import FLOAT_MAX, check_range
 from .errors import ParseError
 from .evaluation import BoxTable
 from .geometry import Box, InvalidRow, corner_to_center
-from .rating import RatingTable
+from .rating import RatingTable, check_rating_row
 
 
 def format_number(value) -> str:
@@ -92,24 +92,22 @@ def _number(value) -> float:
 
 def _corner(bbox) -> list[float]:
     """The numbers of a corner-form box [x_min, y_min, w, h]: a list of four
-    numbers, or of four number strings. A ValueError names the box."""
+    numbers, or of four number strings, that follows the Box rule. A
+    ValueError names the box."""
     if not isinstance(bbox, (list, tuple)) or len(bbox) != 4:
         raise ValueError(f"box must be [x_min, y_min, w, h], got {bbox!r}")
     try:
-        return [_number(v) for v in bbox]
+        corner = [_number(v) for v in bbox]
+        Box.from_corner(*corner)
     except (TypeError, ValueError, OverflowError) as exc:  # OverflowError: an integer too large for a float
         raise ValueError(f"invalid box {bbox!r}: {exc}") from exc
+    return corner
 
 
 def corner_box(bbox) -> Box:
     """A Box from corner form [x_min, y_min, w, h], as _corner reads it, for
-    the boxes of `criterion --a/--b`; boxes files go through BoxTable. A
-    ValueError names the box."""
-    corner = _corner(bbox)
-    try:
-        return Box.from_corner(*corner)
-    except ValueError as exc:
-        raise ValueError(f"invalid box {bbox!r}: {exc}") from exc
+    the boxes of `criterion --a/--b`. A ValueError names the box."""
+    return Box.from_corner(*_corner(bbox))
 
 
 def load_boxes(path: str) -> tuple[BoxTable, BoxTable]:
@@ -127,7 +125,8 @@ def load_boxes(path: str) -> tuple[BoxTable, BoxTable]:
     per field, types and keys checked on whole columns), and entry by entry
     only where that gives no table. The entry loop is the definition of the
     format: the column path returns its table bit for bit or nothing, so
-    every error comes from the entry loop.
+    every error comes from the entry loop, which checks each entry's every
+    rule, the Box rule too, before it reads the next.
     """
     try:
         data = json.loads(_read_text(path))
@@ -218,7 +217,8 @@ def _column_keys(key: str, values: list, first: dict, listed: bool = False) -> O
 
 def _box_entries(path: str, key: str, entries: list, image_ids: dict, listed: bool, categories: dict) -> BoxTable:
     """The table of section key read entry by entry, the definition of the
-    format; an error names the first entry, in file order, that breaks a rule."""
+    format. Each entry is checked against every rule as it is read, so the
+    first error raised names the first entry, in file order, that breaks one."""
     images, cats, corners = [], [], array("d")
     scores = array("d") if key == "detections" else None
     for i, entry in enumerate(entries):
@@ -230,9 +230,8 @@ def _box_entries(path: str, key: str, entries: list, image_ids: dict, listed: bo
             if scores is not None:
                 scores.append(_score(entry))
         except ValueError as exc:
-            _box_table(path, key, entries, images, cats, corners)  # a box rule broken up to this row comes first
             raise ParseError(f"{path}: {key}[{i}]: {exc}") from exc
-    return _box_table(path, key, entries, images, cats, corners, scores)
+    return _table(images, cats, corners, scores)
 
 
 def _table(image_ids: list, categories: list, corners: array, scores: Optional[array] = None) -> BoxTable:
@@ -240,17 +239,6 @@ def _table(image_ids: list, categories: list, corners: array, scores: Optional[a
     return BoxTable(np.array(image_ids, dtype=object), np.array(categories, dtype=object),
                     corner_to_center(np.frombuffer(corners, dtype=float).reshape(-1, 4)),
                     None if scores is None else np.frombuffer(scores, dtype=float))
-
-
-def _box_table(path: str, key: str, entries: list, image_ids: list, categories: list, corners: array,
-               scores: Optional[array] = None) -> BoxTable:
-    """The table of a section's parsed entries, the first len(corners) / 4 of
-    entries; an entry whose box breaks the Box rule is a ParseError naming
-    it: the entry's own bbox, then the text of the rule it breaks."""
-    try:
-        return _table(image_ids, categories, corners, scores)
-    except InvalidRow as exc:
-        raise ParseError(f"{path}: {key}[{exc.row}]: invalid box {entries[exc.row]['bbox']!r}: {exc.reason}") from exc
 
 
 _KEY_TYPES = {str: "string", int: "integer"}
@@ -280,7 +268,7 @@ def _entry(entry, where: str, image_ids: dict, listed: bool, categories: dict) -
     """The image key, category key and corner numbers of a boxes-file entry:
     its image id and category keyed by _key (listed when the file lists its
     images), its bbox read by _corner. A ValueError says what is wrong with
-    it; the score is _score's and the Box rule is left to BoxTable."""
+    it; the score is _score's."""
     if not isinstance(entry, dict):
         raise ValueError(f"must be an object, got {entry!r}")
     for key in ("image_id", "category", "bbox"):
@@ -324,7 +312,8 @@ def load_ratings(path: str) -> RatingTable:
     The file is read by column first (_rating_columns: one np.loadtxt call),
     and row by row (_rating_rows) only where that gives no table. The row
     loop is the definition of the format: the column path returns its table
-    bit for bit or nothing, so every error comes from the row loop.
+    bit for bit or nothing, so every error comes from the row loop, which
+    checks each row's every rule, the Box rule too, before it reads the next.
     """
     text = _read_text(path, newline="")
     table = _rating_columns(text)
@@ -393,8 +382,10 @@ def _rating_columns(text: str) -> Optional[RatingTable]:
 
 
 def _rating_rows(path: str, text: str) -> RatingTable:
-    """The table of a rating CSV's text read row by row with csv.reader; an
-    error names the first broken rule, in file order, and its file line."""
+    """The table of a rating CSV's text read row by row with csv.reader, the
+    definition of the format. Each row is checked against every rule as it
+    is read: its cells parse, then check_rating_row, so the first error
+    raised names the first broken rule, in file order, and its file line."""
     reader = csv.reader(_io.StringIO(text, newline=""))
     try:
         header = next(reader, None)
@@ -407,7 +398,7 @@ def _rating_rows(path: str, text: str) -> RatingTable:
         numbers = [column[c] for c in _RATING_REQUIRED[1:]]
         optional = [(name, column.get(name)) for name in _RATING_OPTIONAL]
         # per row: 8 corner-form box fields, then the 3 optionals
-        lines, ratings, values = [], [], array("d")
+        ratings, values = [], array("d")
         for row in reader:
             if not row:
                 continue  # a blank line
@@ -416,27 +407,14 @@ def _rating_rows(path: str, text: str) -> RatingTable:
                 rating = read_number(row[column["rating"]], int)
                 fields = [read_number(row[i]) for i in numbers]
                 fields += [math.nan if i is None else _optional_cell(name, row[i]) for name, i in optional]
+                check_rating_row(Box.from_corner, rating, fields[:4], fields[4:8])
             except ValueError as exc:
-                _checked_rows(path, lines, ratings, values)  # a rule broken on an earlier row comes first
                 raise ParseError(f"{path}: line {reader.line_num}: {exc}") from exc
-            lines.append(reader.line_num)
             ratings.append(rating)
             values.extend(fields)
     except csv.Error as exc:  # an oversized field
         raise ParseError(f"{path}: {exc}") from exc
-    return _checked_rows(path, lines, ratings, values)
-
-
-def _checked_rows(path: str, lines: list[int], ratings: list[int], values: array) -> RatingTable:
-    """The table of the rows parsed so far; a row that breaks a rule is a ParseError naming its line."""
-    try:
-        rating = np.array(ratings, dtype=int)
-    except OverflowError:
-        rating = np.array(ratings, dtype=object)  # exact, for the rating rule to reject
-    try:
-        return _rating_table(rating, np.array(values, dtype=float).reshape(-1, 11))
-    except InvalidRow as exc:
-        raise ParseError(f"{path}: line {lines[exc.row]}: {exc.reason}") from exc
+    return _rating_table(np.array(ratings, dtype=int), np.array(values, dtype=float).reshape(-1, 11))
 
 
 def _rating_table(rating: np.ndarray, values: np.ndarray) -> RatingTable:

@@ -55,14 +55,22 @@ class RatingTable:
 
     def _check_row(self, i: int) -> None:
         try:
-            Box(*self.gt[i].tolist())
-            Box(*self.proposal[i].tolist())
-            check_count("rating", self.rating[i], 1, 5)
+            check_rating_row(Box, self.rating[i], self.gt[i].tolist(), self.proposal[i].tolist())
         except ValueError as exc:
             raise InvalidRow(i, exc) from exc
 
     def __len__(self) -> int:
         return len(self.rating)
+
+
+def check_rating_row(make_box, rating, gt, proposal) -> None:
+    """The rule of one rating row, in order: make_box(*gt) and then
+    make_box(*proposal) build a Box, and the rating is an integer in 1..5.
+    make_box is Box for center-form fields and Box.from_corner for corner
+    form. A ValueError names the first rule broken."""
+    make_box(*gt)
+    make_box(*proposal)
+    check_count("rating", rating, 1, 5)
 
 
 def kendall_tau(x: Sequence[float], y: Sequence[float]) -> float:

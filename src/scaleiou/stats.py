@@ -362,16 +362,14 @@ def silverman_bandwidth(samples: np.ndarray) -> float:
     return 0.9 * spread * samples.size ** (-0.2)
 
 
-KDE_BLOCK = 4  # points per block of `gaussian_kde`: its largest temporary is KDE_BLOCK x n floats
-
-
 def gaussian_kde(samples: np.ndarray, points: np.ndarray, factor: float) -> np.ndarray:
     """The Gaussian kernel density of the samples at each point, as
     scipy.stats.gaussian_kde(samples, bw_method=factor)(points) computes it
     to about 1e-13 relative: the kernel variance is the sample covariance with
     weights 1/n, times factor squared; samples and points are scaled by the
     kernel's inverse standard deviation, and each density is the sum of the
-    kernels, times the normalisation, over n. KDE_BLOCK points at a time.
+    kernels, times the normalisation, over n: one point at a time, in one
+    reused array of n floats.
     """
     n = samples.size
     width = math.sqrt(float(np.cov(samples, aweights=np.full(n, 1.0 / n)))) * factor  # the kernel's std
@@ -379,13 +377,13 @@ def gaussian_kde(samples: np.ndarray, points: np.ndarray, factor: float) -> np.n
         raise InsufficientSamples("KDE bandwidth is below the float range")
     scale = 1 / width
     centres, at = samples * scale, points * scale
-    sums, block = np.empty(at.size), np.empty((KDE_BLOCK, n))
-    for start in range(0, at.size, KDE_BLOCK):
-        kernel = np.subtract.outer(at[start:start + KDE_BLOCK], centres, out=block[:at.size - start])
+    sums, kernel = np.empty(at.size), np.empty(n)
+    for i, point in enumerate(at):
+        np.subtract(point, centres, out=kernel)
         np.square(kernel, out=kernel)
         kernel *= -0.5
         np.exp(kernel, out=kernel)
-        sums[start:start + KDE_BLOCK] = kernel.sum(axis=1)
+        sums[i] = kernel.sum()
     return sums * (scale / math.sqrt(2 * math.pi) / n)
 
 

@@ -423,6 +423,10 @@ NAMED = {
     "broken Box rule": ({"annotations": [entry(), entry(bbox=(0, 0, -1, 10)), entry(bbox=(0, 0, 10, 0))]},
                         ["entries"]),
     "center overflows": ({"detections": [entry(bbox=(1.7e308, 0, 1e308, 1), score=1)]}, ["columns", "entries"]),
+    "Box-rule break, then a later entry's parse error": (
+        {"annotations": [entry(), entry(bbox=(0, 0, -1, 10)), entry(image_id=1.5)]}, ["entries"]),
+    "Box-rule break and a true score on one detection": (
+        {"detections": [entry(bbox=(0, 0, 0, 5), score=True)]}, ["columns", "entries"]),
     "empty sections": ({"images": [], "annotations": [], "detections": []}, ["columns", "columns"]),
     "sections left out": ({}, ["columns", "columns"]),
     "a section left out": ({"detections": [entry(score=0.25)]}, ["columns", "columns"]),

@@ -517,6 +517,14 @@ class TestRatingCsvRules:
         with pytest.raises(ParseError, match=r"line 2: rating out of range"):
             load_ratings(path)
 
+    def test_rule_broken_on_an_earlier_row_comes_before_an_oversized_field(self, tmp_path):
+        """The row loop checks each row's rules as it reads it, so a broken box
+        is reported before csv.reader meets a field over its limit on a later row."""
+        oversized = "1" * (csv.field_size_limit() + 1)
+        path = write_ratings(tmp_path, "3,0,0,-1,20,0,0,20,20,1,0,22", f"3,{oversized},0,20,20,0,0,20,20,1,0,22")
+        with pytest.raises(ParseError, match=r"line 2: box size out of range"):
+            load_ratings(path)
+
     @pytest.mark.parametrize("rating", [10**30, -10**30])
     def test_rating_too_large_for_int64_names_the_file_line(self, tmp_path, capsys, rating):
         path = write_ratings(tmp_path, "5,0,0,20,20,0,0,20,20,1,0,22", "", f"{rating},0,0,20,20,0,0,20,20,1,0,22")

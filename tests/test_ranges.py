@@ -30,6 +30,7 @@ from scaleiou import (
     TheorySetup,
     average_precision,
     finite_difference_gradient,
+    loss_gradient,
     reweight_gradient_ratio,
     reweight_loss_ratio,
 )
@@ -99,6 +100,39 @@ def test_out_of_range_cli_input_is_a_usage_error(argv, name):
     code, out, err = run_cli(argv)
     assert (code, out) == (1, "")
     assert err.startswith(f"error: {name} out of range")
+
+
+# --- pinned rows: (argv, stdout) of runs at a tiny kappa, where s / (sqrt(2) kappa)
+# overflows to inf; exp(-inf) = 0 is the exact kappa -> 0 limit, p = 1, and the
+# run writes nothing to stderr
+
+TINY_KAPPA_ROWS = [
+    (["criterion", "--id", "siou", "--a", "0,0,4,4", "--b", "1,0,4,4", "--kappa", "1e-308"], "0.600000\n"),
+    (["order-check", "--n", "1000", "--seed", "0", "--kappa", "1e-308"],
+     "gamma,kappa,n_triples,preservation_rate\n0.2,1e-308,1000,1\n"),
+    (MOMENTS + ["--omega", "1e140", "--sigma", "1", "--kappa", "1e-300"],
+     "criterion,omega,mean,std_dev,std_error,n\nsiou,1e+140,1,0,0,1000\n"),
+    (["simulate", "--id", "siou", "--omega", "1e140", "--sigma", "1", "--n", "1000", "--seed", "1",
+      "--kappa", "1e-300"], "criterion,omega,sigma,n,mean,std_dev,std_error\nsiou,1e+140,1,1000,1,0,0\n"),
+    (["theory", "--id", "siou", "--omega", "1e140", "--sigma", "1", "--kappa", "1e-300"],
+     "criterion,omega,sigma,a,order,value\nsiou,1e+140,1,1e-140,1,1\nsiou,1e+140,1,1e-140,2,1\n"),
+    (["shift-curve", "--id", "siou", "--omega", "1e140", "--max-shift", "1", "--steps", "2", "--kappa", "1e-300"],
+     "criterion,omega,shift,value\nsiou,1e+140,0,1\nsiou,1e+140,1,1\n"),
+]
+
+
+@pytest.mark.parametrize("argv, want", TINY_KAPPA_ROWS, ids=[" ".join(a) for a, _ in TINY_KAPPA_ROWS])
+def test_a_tiny_kappa_takes_the_exact_limit_quietly(argv, want):
+    assert run_cli(argv) == (0, want, "")
+
+
+def test_loss_gradient_at_a_tiny_kappa_is_the_limit_gradient():
+    """(1 - p) / (sqrt(2) kappa) is 0 once p rounds to 1, so the gradient is
+    the one of every kappa small enough, not NaN."""
+    b1, b2 = Box(0.5, 0.3, 4, 4), Box(1, 0, 4.2, 4)
+    tiny, small = (loss_gradient(CriterionId.SIOU, b1, b2, CriterionParams(kappa=k)) for k in (1e-308, 1e-300))
+    assert tiny == small
+    assert all(np.isfinite([tiny.d_x, tiny.d_y, tiny.d_w, tiny.d_h]))
 
 
 LIBRARY_ROWS = [
@@ -511,6 +545,7 @@ def test_cli_boundary(name, tmp_path_factory):
         assert code in (0, 1, 2, 3), (argv, err)
         assert "Traceback" not in err
         if code == 0:
+            assert err == "", (argv, err)
             assert not undocumented_non_finite(argv, out), (argv, out)
             if name == "eval":
                 assert not mistyped(path.read_text()), (argv, path.read_text())

@@ -298,6 +298,10 @@ NAMED = {
     "rating 10**30": f"{HEADER}\n{ROW}\n{10**30},0,0,20,20,0,0,20,20,1,0,30\n",
     "rating -2**63": f"{HEADER}\n{-2**63},0,0,20,20,0,0,20,20,1,0,30\n",
     "rating 2**53 + 1": f"{HEADER}\n{2**53 + 1},0,0,20,20,0,0,20,20,1,0,30\n",
+    "rating 7": f"{HEADER}\n{ROW}\n7,0,0,20,20,0,0,20,20,1,0,30\n",
+    "bad gt box and rating 7 on one row": f"{HEADER}\n7,0,0,-1,20,0,0,20,20,1,0,30\n",
+    "negative gt_w, then an unreadable cell on a later line": f"{HEADER}\n3,0,0,-1,20,0,0,20,20,1,0,30\n"
+                                                              f"3,0,0,20,20,0,0,20,x,1,0,30\n",
     "inf": f"{HEADER}\n3,inf,0,20,20,0,0,20,20,1,0,30\n",
     "nan": f"{HEADER}\n3,0,0,20,20,0,0,nan,20,1,0,30\n",
     "infinite age": f"{HEADER}\n3,0,0,20,20,0,0,20,20,1,0,inf\n",
