@@ -79,7 +79,6 @@ from .stats import (
     order_preservation_counts,
     order_preservation_rate,
     shift_curve,
-    simulate_criteria,
     simulate_criterion,
     simulate_histogram,
     summarize,

@@ -67,9 +67,13 @@ def check_rating_row(make_box, rating, gt, proposal) -> None:
     """The rule of one rating row, in order: make_box(*gt) and then
     make_box(*proposal) build a Box, and the rating is an integer in 1..5.
     make_box is Box for center-form fields and Box.from_corner for corner
-    form. A ValueError names the first rule broken."""
-    make_box(*gt)
-    make_box(*proposal)
+    form. A ValueError names the first rule broken, and the box that breaks it
+    as "invalid gt box: ..." or "invalid proposal box: ..."."""
+    for name, box in (("gt", gt), ("proposal", proposal)):
+        try:
+            make_box(*box)
+        except ValueError as exc:
+            raise ValueError(f"invalid {name} box: {exc}") from exc
     check_count("rating", rating, 1, 5)
 
 

@@ -15,7 +15,7 @@ requested criterion from one `criteria.areas` call, and reduced inside its
 worker: `summarize_criteria` merges per-chunk (count, mean, M2) left to right
 (Chan, Golub & LeVeque 1979) and `simulate_histogram` adds per-chunk counts on
 fixed edges. So `moments`, `theory --check-mc` and `simulate` hold about one
-chunk per thread, not the whole draw. `simulate_criteria` concatenates the
+chunk per thread, not the whole draw. `simulate_criterion` concatenates the
 scored chunks for callers that need every sample. `order-check` draws random
 box triples from the same driver, in chunk order without a set end, and stops
 once it has counted n; so every draw is the same for any thread count.
@@ -43,7 +43,7 @@ CHUNK_SIZE = 1 << 16
 # Upper bounds of a requested count: Monte Carlo samples or random triples,
 # and histogram or curve points. The streamed reductions hold about one chunk
 # per thread whatever the count; only the callers that keep every sample
-# (`simulate_criteria`, `simulate --pdf kde`) grow with it.
+# (`simulate_criterion`, `simulate --pdf kde`) grow with it.
 MAX_SAMPLES = 10**8
 MAX_GRID = 10**6
 # fewest samples of a summary (an unbiased std) and of a density estimate
@@ -136,20 +136,18 @@ def _usable_cpus() -> int:
 
 def _map_chunks(fn, n: Optional[int], seed: int, n_threads: Optional[int] = None) -> Iterator:
     """fn applied to each chunk (SeedSequence([seed, i]), size) of n samples, or with
-    n None to CHUNK_SIZE chunks without end, yielded in chunk order. The chunks run on
-    one thread per usable CPU, capped by the chunk count (and by n_threads, which only
-    the benchmark's `simulate_criterion` call passes), at most 4 per thread ahead of
-    the caller; without end, where the caller may stop at any chunk, 1 per thread until
-    the first result. When the caller stops, every chunk not yet started is cancelled."""
+    n None to CHUNK_SIZE chunks without end, yielded in chunk order. Every chunk runs on
+    the pool: one thread per usable CPU, capped by the chunk count (and by n_threads,
+    which only the benchmark's `simulate_criterion` call passes), so one thread where one
+    CPU or one chunk allows no more; at most 4 chunks per thread ahead of the caller;
+    without end, where the caller may stop at any chunk, 1 per thread until the first
+    result. When the caller stops, every chunk not yet started is cancelled."""
     if n_threads is not None:
         check_count("n_threads", n_threads, 1)
     indices = itertools.count() if n is None else range(-(-n // CHUNK_SIZE))
     chunks = ((np.random.SeedSequence([seed, i]), CHUNK_SIZE if n is None else min(CHUNK_SIZE, n - i * CHUNK_SIZE))
               for i in indices)
     n_workers = min(_usable_cpus(), n_threads or math.inf, math.inf if n is None else len(indices))
-    if n_workers <= 1:
-        yield from map(fn, chunks)
-        return
     with ThreadPoolExecutor(max_workers=n_workers) as pool:
         ahead = deque(pool.submit(fn, c) for c in itertools.islice(chunks, (1 if n is None else 4) * n_workers))
         try:
@@ -208,30 +206,6 @@ def _scorer(
     return score
 
 
-def simulate_criteria(
-    cids: Sequence[CriterionId],
-    omega: float,
-    model: ShiftModel,
-    n: int,
-    seed: int,
-    params: CriterionParams = DEFAULT_PARAMS,
-    n_threads: Optional[int] = None,
-) -> list[np.ndarray]:
-    """n i.i.d. draws of each criterion in cids under the shift model, one
-    array per entry of cids, in order and repeats included.
-
-    Deterministic given (seed, model, n, omega). Every criterion is scored
-    on the same shift sequence, and each chunk of it on one `areas` result,
-    inside the chunk's worker; so criteria can be compared sample-by-sample.
-    The arrays hold every sample: a reduction that needs only moments or
-    counts is streamed by `summarize_criteria` or `simulate_histogram`.
-    n_threads is as in `simulate_criterion`.
-    """
-    score = _scorer(cids, omega, model, n, seed, params)
-    columns = zip(*_map_chunks(lambda item: list(score(item)), n, seed, n_threads))
-    return [np.concatenate(parts) for parts in columns]
-
-
 def simulate_criterion(
     cid: CriterionId,
     omega: float,
@@ -241,11 +215,15 @@ def simulate_criterion(
     params: CriterionParams = DEFAULT_PARAMS,
     n_threads: Optional[int] = None,
 ) -> np.ndarray:
-    """n i.i.d. draws of the criterion under the shift model: the samples
-    `simulate_criteria` gives it in any list of criteria. n_threads caps the pool
+    """n i.i.d. draws of the criterion under the shift model, every sample held
+    (`summarize_criteria` and `simulate_histogram` stream the same samples).
+    Deterministic given (seed, model, n, omega), and the same shift sequence for
+    every criterion, so criteria compare sample by sample. n_threads caps the pool
     of `_map_chunks` and changes no sample; only the benchmark passes it, until
     the benchmark reads the program's own spans."""
-    return simulate_criteria([cid], omega, model, n, seed, params, n_threads)[0]
+    score = _scorer([cid], omega, model, n, seed, params)
+    chunks = _map_chunks(lambda item: tuple(score(item)), n, seed, n_threads)  # scored in the worker
+    return np.concatenate([values for (values,) in chunks])
 
 
 def _need_samples(n: int, minimum: int) -> None:
@@ -296,10 +274,11 @@ def summarize_criteria(
     orders: Sequence[int] = (1,),
 ) -> list[list[DistributionSummary]]:
     """For each entry of cids, one summary per order of the samples
-    `simulate_criteria` draws: of the values for order 1, of their squares for
-    order 2. Each chunk is scored and reduced in its worker and the chunks are
-    merged in chunk order, so the result is the same for any thread count and
-    memory holds about one chunk per thread."""
+    `simulate_criterion` draws for it: of the values for order 1, of their squares
+    for order 2. Each chunk is drawn once, scored for every criterion from one
+    `areas` result and reduced in its worker, and the chunks are merged in chunk
+    order, so the result is the same for any thread count and memory holds about
+    one chunk per thread."""
     for order in orders:
         check_count("order", order, 1, 2)
     score = _scorer(cids, omega, model, n, seed, params)

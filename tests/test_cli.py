@@ -504,7 +504,7 @@ class TestRatingCsvRules:
     def test_error_names_the_file_line(self, tmp_path):
         # two blank lines before the bad row: it is physical line 5, the third record
         path = write_ratings(tmp_path, "5,0,0,20,20,0,0,20,20,1,0,22", "", "", "3,0,0,20,20,0,0,-1,20,1,0,22")
-        with pytest.raises(ParseError, match=r"line 5: box size out of range"):
+        with pytest.raises(ParseError, match=r"line 5: invalid proposal box: box size out of range"):
             load_ratings(path)
 
     def test_conversion_error_names_the_file_line(self, tmp_path):
@@ -522,7 +522,7 @@ class TestRatingCsvRules:
         is reported before csv.reader meets a field over its limit on a later row."""
         oversized = "1" * (csv.field_size_limit() + 1)
         path = write_ratings(tmp_path, "3,0,0,-1,20,0,0,20,20,1,0,22", f"3,{oversized},0,20,20,0,0,20,20,1,0,22")
-        with pytest.raises(ParseError, match=r"line 2: box size out of range"):
+        with pytest.raises(ParseError, match=r"line 2: invalid gt box: box size out of range"):
             load_ratings(path)
 
     @pytest.mark.parametrize("rating", [10**30, -10**30])

@@ -356,11 +356,11 @@ def test_config_file_read_once_per_command(tmp_path, capsys, monkeypatch):
 
 @pytest.mark.parametrize(
     "n_chunks, cpus, expected",
-    [(2, 4, [2]), (8, 3, [3]), (8, 1, []), (1, 8, [])],
+    [(2, 4, [2]), (8, 3, [3]), (8, 1, [1]), (1, 8, [1])],
 )
 def test_sample_shifts_caps_its_pool(monkeypatch, n_chunks, cpus, expected):
-    """One thread per usable CPU, capped by the chunk count; serial for one
-    chunk or one CPU, with the same samples."""
+    """One thread per usable CPU, capped by the chunk count, with the same
+    samples."""
     monkeypatch.setattr(stats, "ThreadPoolExecutor", SerialPool)
     monkeypatch.setattr(stats, "_usable_cpus", lambda: cpus)
     model = ShiftModel(sigma_base=4.0)
@@ -373,8 +373,8 @@ def test_sample_shifts_caps_its_pool(monkeypatch, n_chunks, cpus, expected):
 
 @pytest.mark.parametrize(
     "n_chunks, n_threads, cpus, expected",
-    [(2, 100_000, 4, [2]), (8, 100_000, 3, [3]), (8, 2, 64, [2]), (8, 100_000, 1, []),
-     (1, 8, 8, []), (8, 1, 8, [])],
+    [(2, 100_000, 4, [2]), (8, 100_000, 3, [3]), (8, 2, 64, [2]), (8, 100_000, 1, [1]),
+     (1, 8, 8, [1]), (8, 1, 8, [1])],
 )
 def test_simulate_criterion_caps_its_pool_by_n_threads(monkeypatch, n_chunks, n_threads, cpus, expected):
     """The benchmark's n_threads caps the pool as the CPUs and the chunk count

@@ -18,6 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import scaleiou.rating as rating
 import scaleiou.stats as stats
 import scaleiou.theory as theory
 from scaleiou import (
@@ -196,15 +197,14 @@ COUNT_ENTRY_POINTS = [
     (lambda order: stats.summarize_criteria([CriterionId.IOU], 8.0, ShiftModel(), 20, 1, orders=(1, order)),
      "order", 1, 2, 2),
     (lambda n: average_precision([MatchLabel.TP, MatchLabel.FP, MatchLabel.TP], n), "n_ground_truth", 0, INF, 3),
+    (lambda r: rating.check_rating_row(Box, r, [8.0, 8.0, 4.0, 4.0], [9.0, 8.0, 4.0, 4.0]), "rating", 1, 5, 3),
     (lambda n: stats.summarize_criteria([CriterionId.IOU], 8.0, ShiftModel(), n, 1), "n", 1, MAX_SAMPLES, 20),
-    (lambda t: stats.simulate_criteria([CriterionId.IOU, CriterionId.SIOU], 16.0, ShiftModel(), 20, 1, n_threads=t),
-     "n_threads", 1, INF, 2),
     (lambda t: stats.simulate_criterion(CriterionId.SIOU, 16.0, ShiftModel(), 20, 1, n_threads=t),
      "n_threads", 1, INF, 2),
-    (lambda n: stats.simulate_criteria([CriterionId.IOU, CriterionId.SIOU], 16.0, ShiftModel(), n, 1),
+    (lambda n: stats.summarize_criteria([CriterionId.IOU, CriterionId.SIOU], 16.0, ShiftModel(), n, 1),
      "n", 1, MAX_SAMPLES, 20),
     (lambda n: stats.moment_curves([CriterionId.IOU], [8.0, 16.0], ShiftModel(), n, 1), "n", 1, MAX_SAMPLES, 20),
-    (lambda seed: stats.simulate_criteria([CriterionId.IOU, CriterionId.SIOU], 16.0, ShiftModel(), 20, seed),
+    (lambda seed: stats.summarize_criteria([CriterionId.IOU, CriterionId.SIOU], 16.0, ShiftModel(), 20, seed),
      "seed", 0, INF, 7),
     (lambda seed: stats.simulate_criterion(CriterionId.SIOU, 16.0, ShiftModel(), 20, seed), "seed", 0, INF, 7),
     (lambda seed: stats.simulate_histogram(CriterionId.IOU, 16.0, ShiftModel(), 20, seed), "seed", 0, INF, 7),
@@ -352,10 +352,14 @@ SPECIAL = ["inf", "-inf", "Infinity", "nan", "NaN", "0", "-0", "-1", "1e300", "-
 
 
 def numbers():
+    """Number text: any finite float, a moderate one, a special or malformed
+    token, or a scale drawn log-uniformly from about 5e-324 to 1.8e308 with
+    either sign, so products and ratios of scales overflow and underflow."""
     return st.one_of(
         st.floats(allow_nan=False, allow_infinity=False).map(repr),
         st.floats(-1e4, 1e4).map(repr),
         st.sampled_from(SPECIAL + MALFORMED),
+        st.tuples(st.sampled_from([1.0, -1.0]), st.floats(-323.3, 308.25)).map(lambda t: repr(t[0] * 10 ** t[1])),
     )
 
 

@@ -264,7 +264,7 @@ class TestRatingTable:
         with pytest.raises(InvalidRow) as info:
             flagless([3] * 5, gt, [(1, 0, 16, 16)] * 5)
         assert info.value.row == 1
-        assert str(info.value.reason).startswith("box field 'y' out of range")
+        assert str(info.value.reason).startswith("invalid gt box: box field 'y' out of range")
 
     def test_area_extremes_are_probed(self):
         # row 1's w and h lie strictly inside their columns' ranges, but its area rounds to 0
@@ -272,13 +272,13 @@ class TestRatingTable:
         with pytest.raises(InvalidRow) as info:
             flagless([3] * 4, gt, [(0, 0, 16, 16)] * 4)
         assert info.value.row == 1
-        assert str(info.value.reason).startswith("box size (area) out of range")
+        assert str(info.value.reason).startswith("invalid gt box: box size (area) out of range")
 
     def test_rule_order_within_a_row(self):
         # as Box.from_corner ran before the rating check: gt, proposal, rating
         nan_box = (0, 0, math.nan, 16)
-        for rating, gt, proposal, message in ((0, nan_box, nan_box, "box size"),
-                                              (0, (0, 0, 16, 16), nan_box, "box size"),
+        for rating, gt, proposal, message in ((0, nan_box, nan_box, "invalid gt box: box size"),
+                                              (0, (0, 0, 16, 16), nan_box, "invalid proposal box: box size"),
                                               (0, (0, 0, 16, 16), (0, 0, 16, 16), "rating")):
             with pytest.raises(InvalidRow) as info:
                 flagless([3, rating], [(0, 0, 16, 16), gt], [(0, 0, 16, 16), proposal])
@@ -298,8 +298,8 @@ class TestRatingTable:
         assert info.value.row == 3
         with pytest.raises(ValueError) as box_error:
             Box(*gt)
-        assert str(info.value.reason) == str(box_error.value)
-        assert str(info.value.reason).startswith(message)
+        assert str(info.value.reason) == f"invalid gt box: {box_error.value}"
+        assert str(info.value.reason).startswith(f"invalid gt box: {message}")
 
     def test_columns(self):
         t = table((5, SMALL, MEDIUM, True, None, 30), (1, LARGE, LARGE))

@@ -26,9 +26,9 @@ from scaleiou import (
     order_preservation_counts,
     order_preservation_rate,
     shift_curve,
-    simulate_criteria,
     simulate_criterion,
     summarize,
+    summarize_criteria,
     value_range,
 )
 from scaleiou import iou, siou
@@ -393,9 +393,9 @@ def test_order_preservation_counts_pinned(gamma, kappa, n, seed, preserved, n_al
 
 
 def test_order_counts_do_not_depend_on_the_thread_count(monkeypatch):
-    """150000 triples need about 18 chunks. One usable CPU draws them serially,
-    four draw them on a pool; both count the first 150000 triples with a
-    nonzero IoU of the chunks drawn in order."""
+    """150000 triples need about 18 chunks. One usable CPU draws them on a pool
+    of one worker, four on a pool of four; both count the first 150000 triples
+    with a nonzero IoU of the chunks drawn in order."""
     params = CriterionParams(gamma=-2.0, kappa=64)
     n = 150_000
     runs = {}
@@ -525,15 +525,19 @@ ALL_IDS = list(CriterionId)
 )
 @example(cids=ALL_IDS + ALL_IDS[::-1], direction=ShiftDirection.HORIZONTAL, omega=8.0, ratio=2.5, sigma=6.0, seed=1)
 @example(cids=ALL_IDS + ALL_IDS[::-1], direction=ShiftDirection.DIAGONAL, omega=8.0, ratio=0.5, sigma=6.0, seed=1)
-def test_simulate_criteria_bit_equal_to_criterion_on_shifts(cids, direction, omega, ratio, sigma, seed):
+def test_criteria_scored_from_one_areas_call_equal_each_scored_alone(cids, direction, omega, ratio, sigma, seed):
+    """Each criterion's samples are `criterion_on_shifts` on the same draw, and
+    the criteria `summarize_criteria` scores together, from one `areas` result
+    per chunk, summarize exactly as each scored alone."""
     model = ShiftModel(direction, sigma_base=sigma, size_ratio=ratio)
     params = CriterionParams(gamma=-2.0, kappa=16.0)
-    samples = list(simulate_criteria(cids, omega, model, 300, seed, params))
     shifts = sample_shifts(omega, model, 300, seed)
     dy = shifts if direction is ShiftDirection.DIAGONAL else 0.0
-    assert len(samples) == len(cids)
-    for cid, got in zip(cids, samples):
+    for cid in cids:
+        got = simulate_criterion(cid, omega, model, 300, seed, params)
         assert got.tobytes() == criterion_on_shifts(cid, omega, shifts, dy, ratio, params).tobytes()
+    together = summarize_criteria(cids, omega, model, 300, seed, params, orders=(1, 2))
+    assert together == [summarize_criteria([cid], omega, model, 300, seed, params, orders=(1, 2))[0] for cid in cids]
 
 
 @pytest.mark.parametrize("argv, draws", [
@@ -645,8 +649,8 @@ def test_streamed_histogram_needs_ten_samples():
 
 
 def test_streamed_reductions_do_not_depend_on_the_thread_count(monkeypatch):
-    """Chunk results come back in chunk order and merge left to right, for
-    serial runs and for a (stand-in) pool of 4 workers alike."""
+    """Chunk results come back in chunk order and merge left to right, for a
+    (stand-in) pool of 1 worker and of 4 workers alike."""
     monkeypatch.setattr(stats, "ThreadPoolExecutor", SerialPool)
     model = ShiftModel(ShiftDirection.DIAGONAL, sigma_base=8.0)
     n = 5 * CHUNK_SIZE + 3
@@ -659,7 +663,7 @@ def test_streamed_reductions_do_not_depend_on_the_thread_count(monkeypatch):
             stats.summarize_criteria(cids, 16.0, model, n, 9, orders=(1, 2)),
             stats.simulate_histogram(CriterionId.GSIOU, 16.0, model, n, 9, bins=32),
         )
-        assert SerialPool.requested == ([] if cpus == 1 else [4, 4])
+        assert SerialPool.requested == ([1, 1] if cpus == 1 else [4, 4])
     assert runs[1] == runs[4]
 
 
@@ -685,7 +689,7 @@ def test_summarize_criteria_rejects_an_order_above_two():
 
 @pytest.mark.parametrize("pooled", [False, True])
 def test_moment_curves_memory_does_not_grow_with_n(monkeypatch, pooled):
-    """The serial path and the pool path (run by the stand-in, so the peak does
+    """A pool of one worker and of two (run by the stand-in, so the peak does
     not depend on how real threads happen to overlap)."""
     monkeypatch.setattr(stats, "ThreadPoolExecutor", SerialPool)
     monkeypatch.setattr(stats, "_usable_cpus", lambda: 2 if pooled else 1)
