@@ -121,9 +121,9 @@ def load_boxes(path: str) -> tuple[BoxTable, BoxTable]:
     integer, keyed by its text: one text may not come as both. An error
     names the first entry, in file order, that breaks a rule.
 
-    Each section is read by column first (_box_columns: one comprehension
-    per field, types and keys checked on whole columns), and entry by entry
-    only where that gives no table. The entry loop is the definition of the
+    Each section is read by column first (_box_columns: types checked on
+    whole columns, each distinct key once by _key), and entry by entry only
+    where that gives no table. The entry loop is the definition of the
     format: the column path returns its table bit for bit or nothing, so
     every error comes from the entry loop, which checks each entry's every
     rule, the Box rule too, before it reads the next.
@@ -167,7 +167,7 @@ def _box_columns(key: str, entries: list, image_ids: dict, listed: bool, categor
     - a bbox that is not a list of 4;
     - a coordinate or score that is not a float or an int (a bool, None or
       a number string), or an int too large for a float;
-    - a key that _column_keys leaves to the entry loop;
+    - a key that breaks _key's rule;
     - a row that breaks a BoxTable rule: a box that breaks the Box rule, or
       a non-finite score.
     """
@@ -183,36 +183,28 @@ def _box_columns(key: str, entries: list, image_ids: dict, listed: bool, categor
     corners = list(chain(*bboxes))
     if not set(map(type, chain(corners, *scores))) <= {float, int}:
         return None
-    keyed = _column_keys(key, ids, image_ids, listed), _column_keys(key, cats, categories)
-    if None in keyed:
-        return None
-    (id_keys, new_ids), (cat_keys, new_categories) = keyed
+    new_ids, new_categories = dict(image_ids), dict(categories)
     try:
-        table = _table(id_keys, cat_keys, array("d", corners), *(array("d", column) for column in scores))
-    except (OverflowError, InvalidRow):
+        keys = _column_keys("image_id", key, ids, new_ids, listed), _column_keys("category", key, cats, new_categories)
+        table = _table(*keys, array("d", corners), *(array("d", column) for column in scores))
+    except (OverflowError, ValueError):  # ValueError: _key's, or InvalidRow
         return None
     image_ids.update(new_ids)
     categories.update(new_categories)
     return table
 
 
-def _column_keys(key: str, values: list, first: dict, listed: bool = False) -> Optional[tuple[list, dict]]:
-    """The keys of a column of section key, and the keys it adds to first as
-    _key would add them entry by entry, each with its value and first entry.
-    None where _key could raise: a value that is not a str or an int, a
-    text that comes with both types, or with listed set an unknown key."""
+def _column_keys(name: str, key: str, values: list, first: dict, listed: bool = False) -> list:
+    """The keys of column name of section key: _key keys each distinct value
+    once, at its first entry, so first gains what the entry loop adds. A
+    ValueError where _key raises on an entry; the types are checked on the
+    whole column first, as True == 1 would share the first entry of 1."""
     types = set(map(type, values))
     if not types <= _KEY_TYPES.keys():
-        return None
-    new = {}
+        raise ValueError(f"a {name} column value is not a string or an integer")
     for value, i in dict(zip(reversed(values), range(len(values) - 1, -1, -1))).items():  # first index of each
-        text = str(value)
-        found = first.get(text) or new.get(text)
-        if found is None and not listed:
-            new[text] = (value, f"{key}[{i}]")
-        elif found is None or found[0] != value:
-            return None
-    return (values if types <= {str} else list(map(str, values))), new
+        _key(name, value, first, f"{key}[{i}]", listed)
+    return values if types <= {str} else list(map(str, values))
 
 
 def _box_entries(path: str, key: str, entries: list, image_ids: dict, listed: bool, categories: dict) -> BoxTable:
@@ -339,14 +331,14 @@ def _rating_columns(text: str) -> Optional[RatingTable]:
     """The table of a rating CSV's text read by column, bit for bit the one
     _rating_rows reads, or None where the row loop must read it.
 
-    np.loadtxt's C parser reads the box numbers: on ASCII text without '_'
-    it reads a number as float() does. The rating, flag and age cells go
-    through the row loop's own rules, each distinct text once. None on any
-    doubt:
-    - text the two readers could split or read apart: non-ASCII text, '_'
-      below the header, one of _ROW_LOOP_CHARS, a carriage return not
-      before a newline (np.loadtxt rejects one inside a line), a line as
-      long as csv.field_size_limit();
+    np.loadtxt's C parser reads the box numbers: on ASCII text it reads a
+    number as read_number does, and rejects one with a '_'. The rating, flag
+    and age cells go through the row loop's own rules, each distinct text
+    once. None on any doubt:
+    - text the two readers could split or read apart: non-ASCII text (around
+      a number np.loadtxt strips Unicode spaces), one of _ROW_LOOP_CHARS, a
+      carriage return not before a newline (np.loadtxt rejects one inside a
+      line), a line as long as csv.field_size_limit();
     - a missing column, or any np.loadtxt error: a cell that breaks a rule,
       a short row;
     - a row count other than the non-blank lines below the header;
@@ -354,7 +346,7 @@ def _rating_columns(text: str) -> Optional[RatingTable]:
     """
     head, _, body = text.partition("\n")
     header = head.removesuffix("\r")
-    if not text.isascii() or "_" in body or "\r" in header or any(c in text for c in _ROW_LOOP_CHARS):
+    if not text.isascii() or "\r" in header or any(c in text for c in _ROW_LOOP_CHARS):
         return None
     column = {name: i for i, name in enumerate(header.split(","))}  # a repeated name means its last column
     if any(name not in column for name in _RATING_REQUIRED):

@@ -407,6 +407,10 @@ NAMED = {
     "unknown image in a listed file": ({"images": ["a", "b"], "annotations": [entry(), entry(image_id="z")]},
                                        ["entries"]),
     "float id": ({"annotations": [entry(image_id=1.0)]}, ["entries"]),
+    # True == 1, so a column keyed by value alone would read true as the key of 1
+    "true id after 1": ({"annotations": [entry(image_id=1), entry(image_id=True)]}, ["entries"]),
+    "true id before 1": ({"annotations": [entry(image_id=True), entry(image_id=1)]}, ["entries"]),
+    "true category after 5": ({"annotations": [entry(category=5), entry(category=True)]}, ["entries"]),
     "listed integer ids": ({"images": [1, {"id": 2}], "annotations": [entry(image_id=2), entry(image_id=1)],
                             "detections": [entry(image_id=1, category=3, score=-2)]}, ["columns", "columns"]),
     "non-object entry": ({"annotations": [entry(), [0, 0, 10, 10]]}, ["entries"]),

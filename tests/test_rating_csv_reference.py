@@ -187,8 +187,8 @@ def csv_text(header, rows, end="\n", blanks=(), final=True):
 
 
 # broken cells of a column kind: each is an error wherever it stands
-BROKEN_NUMBERS = ["x", "1_0", "\u0663", "\u00a020\u00a0", "", "1e", "0x10", "nan", "inf", "-inf", "1e400",
-                  "\x1c5", "2\x00"]
+BROKEN_NUMBERS = ["x", "1_0", "_1", "1_", "1e1_0", "nan_", "\u0663", "\u00a020\u00a0", "", "1e", "0x10", "nan", "inf",
+                  "-inf", "1e400", "\x1c5", "2\x00"]
 BROKEN_SIDES = ["-1", "0"]
 BROKEN_RATINGS = ["3.0", "6", "0", str(10**30), str(-10**30), "", "x", "\u0663", "1_0", "inf"]
 BROKEN_FLAGS = ["maybe", "true    x", "2", "TRUE1", "1_0", "\u0661"]
@@ -201,6 +201,7 @@ def broken_csvs(draw):
     """A valid CSV with 1 to 3 cells or lines broken."""
     header, rows, end, blanks, final = draw(valid_csvs())
     last = {name: i for i, name in enumerate(header)}
+    lines = set()  # rows broken as a whole line
     for _ in range(draw(st.integers(1, 3))):
         r = draw(st.integers(0, len(rows) - 1))
         row = rows[r]
@@ -209,7 +210,10 @@ def broken_csvs(draw):
                  "flag": [n for n in ("context", "expertise") if n in last], "age": ["age"] if "age" in last else []}
         if kind == "line" or not names[kind]:
             rows[r] = [draw(st.sampled_from(BROKEN_LINES))]
+            lines.add(r)
             continue
+        if r in lines:
+            continue  # an empty cell over the line's one cell, in column 0, would leave a blank line, which reads
         i = last[draw(st.sampled_from(names[kind]))]
         row += [""] * (i + 1 - len(row))
         cells = {"number": BROKEN_NUMBERS, "side": BROKEN_NUMBERS + BROKEN_SIDES, "rating": BROKEN_RATINGS,
@@ -309,11 +313,12 @@ NAMED = {
     "empty file": "",
     "missing column": "rating,gt_x,gt_y,gt_w,gt_h,px,py,pw\n3,0,0,20,20,0,0,20\n",
     "underscore in the header": f"{HEADER},my_note\n{ROW},x\n",
+    "underscore in an unread column": f"{HEADER},note\n{ROW},a_b\n",
 }
 # the named inputs the column path reads itself; every other one falls back to the row loop
 COLUMN_PATH = {"crlf line ends", "leading spaces", "number spellings", "blank lines", "blank crlf lines",
                "no final newline", "carriage return at the end", "extra trailing cells", "repeated header name",
-               "mixed-case flags", "underscore in the header"}
+               "mixed-case flags", "underscore in the header", "underscore in an unread column"}
 
 
 @pytest.mark.parametrize("name", NAMED)
