@@ -167,7 +167,7 @@ def _box_columns(key: str, entries: list, image_ids: dict, listed: bool, categor
     - a bbox that is not a list of 4;
     - a coordinate or score that is not a float or an int (a bool, None or
       a number string), or an int too large for a float;
-    - a key that breaks _key's rule;
+    - a key that is not a string or an int, or that breaks _key's rule;
     - a row that breaks a BoxTable rule: a box that breaks the Box rule, or
       a non-finite score.
     """
@@ -183,6 +183,8 @@ def _box_columns(key: str, entries: list, image_ids: dict, listed: bool, categor
     corners = list(chain(*bboxes))
     if not set(map(type, chain(corners, *scores))) <= {float, int}:
         return None
+    if not set(map(type, chain(ids, cats))) <= _KEY_TYPES.keys():
+        return None  # True == 1 would share the first entry of 1 in _column_keys
     new_ids, new_categories = dict(image_ids), dict(categories)
     try:
         keys = _column_keys("image_id", key, ids, new_ids, listed), _column_keys("category", key, cats, new_categories)
@@ -195,16 +197,12 @@ def _box_columns(key: str, entries: list, image_ids: dict, listed: bool, categor
 
 
 def _column_keys(name: str, key: str, values: list, first: dict, listed: bool = False) -> list:
-    """The keys of column name of section key: _key keys each distinct value
-    once, at its first entry, so first gains what the entry loop adds. A
-    ValueError where _key raises on an entry; the types are checked on the
-    whole column first, as True == 1 would share the first entry of 1."""
-    types = set(map(type, values))
-    if not types <= _KEY_TYPES.keys():
-        raise ValueError(f"a {name} column value is not a string or an integer")
+    """The keys of column name of section key, each a string or an integer:
+    _key keys each distinct value once, at its first entry, so first gains
+    what the entry loop adds, and raises where it raises on an entry."""
     for value, i in dict(zip(reversed(values), range(len(values) - 1, -1, -1))).items():  # first index of each
         _key(name, value, first, f"{key}[{i}]", listed)
-    return values if types <= {str} else list(map(str, values))
+    return values if set(map(type, values)) <= {str} else list(map(str, values))
 
 
 def _box_entries(path: str, key: str, entries: list, image_ids: dict, listed: bool, categories: dict) -> BoxTable:

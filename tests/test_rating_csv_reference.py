@@ -212,13 +212,14 @@ def broken_csvs(draw):
             rows[r] = [draw(st.sampled_from(BROKEN_LINES))]
             lines.add(r)
             continue
-        if r in lines:
-            continue  # an empty cell over the line's one cell, in column 0, would leave a blank line, which reads
         i = last[draw(st.sampled_from(names[kind]))]
-        row += [""] * (i + 1 - len(row))
         cells = {"number": BROKEN_NUMBERS, "side": BROKEN_NUMBERS + BROKEN_SIDES, "rating": BROKEN_RATINGS,
                  "flag": BROKEN_FLAGS, "age": BROKEN_AGES}[kind]
-        row[i] = draw(st.sampled_from(cells))
+        cell = draw(st.sampled_from(cells))
+        if r in lines and i == 0 and cell == "":
+            continue  # an empty cell over a broken line's one cell leaves a blank line, which reads as no row
+        row += [""] * (i + 1 - len(row))
+        row[i] = cell
     return csv_text(header, rows, end, blanks, final)
 
 
